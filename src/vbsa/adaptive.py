@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import qmc, testfns
+from . import designs, qmc, testfns
 from .estimators import EstimationError, TotalIndexEstimate
 
 
@@ -90,8 +90,7 @@ def adaptive_run(
     pool = qmc.sobol_block(n_cols, p + 1)
     if seed is not None:
         pool = qmc.permute_columns(pool, qmc.draw_permutation(n_cols, seed, repetition))
-    mat_a = pool.values[:, :k]
-    mat_b = pool.values[:, k : 2 * k]
+    mat_a, mat_b = designs.pool_matrices(pool.values, 2, k)
     evaluator = model if model is not None else (lambda pts: testfns.evaluate(fn, pts))
 
     def eval_hybrid(j: int, lo: int, hi: int) -> np.ndarray:

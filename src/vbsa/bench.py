@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +21,20 @@ import numpy as np
 from . import adaptive as adaptive_mod
 from . import designs, estimators, qmc, testfns
 from .designs import DesignMetrics, DesignSpec, reference_metrics
-from .estimators import TotalIndexEstimate
 from .testfns import FunctionSpec
 
-ESTIMATOR_NAMES = (
-    "saltenis",
-    "saltenis_symmetric",
-    "glen_isaacs",
-    "owen",
-    "multimatrix",
-    "lamboni",
-    "cyclic",
-)
+# Each estimator name with the design kind it runs on and its base-matrix
+# count: a fixed n, or None for any n >= 2.
+ESTIMATOR_DESIGNS: dict[str, tuple[str, int | None]] = {
+    "saltenis": ("asymmetric", 2),
+    "saltenis_symmetric": ("lamboni", 2),   # two-matrix symmetric squared differences
+    "glen_isaacs": ("symmetric2", 2),
+    "owen": ("owen", 3),
+    "multimatrix": ("multimatrix", None),
+    "lamboni": ("lamboni", None),
+    "cyclic": ("cyclic_single", 1),
+}
+ESTIMATOR_NAMES = tuple(ESTIMATOR_DESIGNS)
 
 
 @dataclass(frozen=True)
@@ -43,42 +45,16 @@ class EstimatorConfig:
     n: int = 2
 
     def __post_init__(self) -> None:
-        if self.name not in ESTIMATOR_NAMES:
+        if self.name not in ESTIMATOR_DESIGNS:
             raise ValueError(f"unknown estimator {self.name!r}; expected one of {ESTIMATOR_NAMES}")
-        fixed = {"saltenis": 2, "saltenis_symmetric": 2, "glen_isaacs": 2, "owen": 3, "cyclic": 1}
-        if self.name in fixed and self.n != fixed[self.name]:
-            raise ValueError(f"estimator {self.name!r} uses n = {fixed[self.name]}")
-        if self.name in ("multimatrix", "lamboni") and self.n < 2:
+        fixed_n = ESTIMATOR_DESIGNS[self.name][1]
+        if fixed_n is not None and self.n != fixed_n:
+            raise ValueError(f"estimator {self.name!r} uses n = {fixed_n}")
+        if fixed_n is None and self.n < 2:
             raise ValueError(f"estimator {self.name!r} needs n >= 2")
 
     def design(self, N: int, k: int) -> DesignSpec:
-        kind = {
-            "saltenis": "asymmetric",
-            "saltenis_symmetric": "lamboni",   # two-matrix symmetric squared differences
-            "glen_isaacs": "symmetric2",
-            "owen": "owen",
-            "multimatrix": "multimatrix",
-            "lamboni": "lamboni",
-            "cyclic": "cyclic_single",
-        }[self.name]
-        return DesignSpec(kind=kind, n=self.n, N=N, k=k)
-
-    def estimate(self, evals: estimators.EvaluationSet, k: int) -> TotalIndexEstimate:
-        if self.name == "saltenis":
-            return estimators.saltenis_T(evals, k)
-        if self.name == "saltenis_symmetric":
-            return estimators.lamboni_T(evals, k, 2)
-        if self.name == "glen_isaacs":
-            return estimators.glen_isaacs_d3_T(evals, k)
-        if self.name == "owen":
-            return estimators.owen_T(evals, k)
-        if self.name == "multimatrix":
-            return estimators.multimatrix_T(evals, k, self.n)
-        if self.name == "lamboni":
-            return estimators.lamboni_T(evals, k, self.n)
-        if self.name == "cyclic":
-            return estimators.cyclic_single_matrix_T(evals, k)
-        raise AssertionError(self.name)
+        return DesignSpec(kind=ESTIMATOR_DESIGNS[self.name][0], n=self.n, N=N, k=k)
 
 
 @dataclass(frozen=True)
@@ -142,14 +118,8 @@ def mae(estimates: np.ndarray, analytic: np.ndarray) -> float:
 
 def matched_block_size(config: EstimatorConfig, k: int, reference_cost: int) -> int:
     """Power-of-two N whose design cost is closest to the reference; ties to smaller N."""
-    best_n, best_d = 1, None
-    for p in range(0, 25):
-        n = 1 << p
-        cost = designs.design_metrics(config.design(n, k)).total_points
-        d = abs(cost - reference_cost)
-        if best_d is None or d < best_d:
-            best_n, best_d = n, d
-    return best_n
+    per_row = designs.design_metrics(config.design(1, k)).total_points
+    return designs.best_power_of_two(per_row, reference_cost)
 
 
 def _rep_records(
@@ -169,10 +139,9 @@ def _rep_records(
             N = matched[(est.name, est.n, p)]
             spec = est.design(N, k)
             try:
-                mats = [pool_r[:N, m * k : (m + 1) * k] for m in range(spec.n)]
-                plan = designs.assemble_plan(spec, mats)
+                plan = designs.assemble_plan(spec, designs.pool_matrices(pool_r, spec.n, k, N))
                 y = testfns.evaluate(cfg.function, plan.points)
-                result = est.estimate(plan.split_outputs(y), k)
+                result = estimators.run_estimator(spec, plan.split_outputs(y))
                 records.append(
                     ConvergenceRecord(
                         function=cfg.function.family,
@@ -186,7 +155,7 @@ def _rep_records(
                         mae=float(np.mean(np.abs(result.total - analytic_total))),
                     )
                 )
-            except Exception as exc:  # noqa: BLE001 - error cells must not abort the sweep
+            except estimators.EstimationError as exc:   # degenerate cells must not abort the sweep
                 errors.append(CellError(est.name, est.n, p, rep, str(exc)))
     return records, errors
 
@@ -201,17 +170,14 @@ def convergence_experiment(
     """
     k = cfg.function.k
     analytic_total = testfns.analytic_indices(cfg.function).total
-    n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
-    pool = qmc.sobol_block(n_max * k, cfg.p_max).values
-
     matched = {
         (e.name, e.n, p): matched_block_size(e, k, (k + 1) * 2**p)
         for e in cfg.estimators
         for p in cfg.p_values
     }
-    max_needed = max(matched.values())
-    if max_needed > pool.shape[0]:
-        pool = qmc.sobol_block(n_max * k, int(math.log2(max_needed))).values
+    n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
+    p_pool = max(cfg.p_max, int(math.log2(max(matched.values()))))
+    pool = qmc.sobol_block(n_max * k, p_pool).values
 
     reps = range(cfg.repetitions)
     if workers > 1:
@@ -222,36 +188,23 @@ def convergence_experiment(
 
     records = [rec for recs, _ in per_rep for rec in recs]
     errors = [err for _, errs in per_rep for err in errs]
-    records.sort(key=lambda r: (_estimator_order(cfg, r), r.p, r.rep))
-
-    aggregates: list[ConvergenceRecord] = []
-    for est in cfg.estimators:
-        for p in cfg.p_values:
-            cell = [r for r in records if r.estimator == est.name and r.n == est.n and r.p == p]
-            if not cell:
-                continue
-            agg_mae = mae(np.vstack([r.t_hat for r in cell]), analytic_total)
-            aggregates.append(
-                ConvergenceRecord(
-                    function=cfg.function.family,
-                    estimator=est.name,
-                    n=est.n,
-                    p=p,
-                    N=cell[0].N,
-                    n_t=cell[0].n_t,
-                    rep=None,
-                    t_hat=None,
-                    mae=agg_mae,
-                )
-            )
-    return records + aggregates, errors
+    series = [(e.name, e.n) for e in cfg.estimators]
+    records.sort(key=lambda r: (series.index((r.estimator, r.n)), r.p, r.rep))
+    return _with_aggregates(records, series, cfg.p_values, analytic_total), errors
 
 
-def _estimator_order(cfg: ExperimentConfig, record: ConvergenceRecord) -> int:
-    for i, est in enumerate(cfg.estimators):
-        if est.name == record.estimator and est.n == record.n:
-            return i
-    return len(cfg.estimators)
+def _with_aggregates(
+    records: list[ConvergenceRecord], series: list[tuple[str, int]], p_values: range, analytic_total: np.ndarray
+) -> list[ConvergenceRecord]:
+    """Per-repetition records followed by one MAE aggregate per (estimator, n) series and p."""
+    aggregates = []
+    for name, n in series:
+        for p in p_values:
+            cell = [r for r in records if (r.estimator, r.n, r.p) == (name, n, p) and r.rep is not None]
+            if cell:
+                agg_mae = mae(np.vstack([r.t_hat for r in cell]), analytic_total)
+                aggregates.append(replace(cell[0], rep=None, t_hat=None, mae=agg_mae))
+    return records + aggregates
 
 
 def adaptive_experiment(
@@ -279,36 +232,20 @@ def adaptive_experiment(
             pool_r = pool[:, perm.perm]
             N = 2**p
             spec = plain_cfg.design(N, k)
-            plan = designs.assemble_plan(spec, [pool_r[:N, :k], pool_r[:N, k : 2 * k]])
+            plan = designs.assemble_plan(spec, designs.pool_matrices(pool_r, spec.n, k, N))
             y = testfns.evaluate(fn, plan.points)
-            plain = plain_cfg.estimate(plan.split_outputs(y), k)
-            records.append(
-                ConvergenceRecord(
-                    function=fn.family, estimator="saltenis", n=2, p=p, N=N, n_t=budget,
-                    rep=rep, t_hat=plain.total,
-                    mae=float(np.mean(np.abs(plain.total - analytic_total))),
+            plain = estimators.run_estimator(spec, plan.split_outputs(y))
+            adapted, ledger = adaptive_mod.adaptive_run(fn, p, seed=seed, repetition=rep)
+            for name, est in (("saltenis", plain), ("adaptive", adapted)):
+                records.append(
+                    ConvergenceRecord(
+                        function=fn.family, estimator=name, n=2, p=p, N=N, n_t=budget,
+                        rep=rep, t_hat=est.total,
+                        mae=float(np.mean(np.abs(est.total - analytic_total))),
+                    )
                 )
-            )
-            est, ledger = adaptive_mod.adaptive_run(fn, p, seed=seed, repetition=rep)
-            records.append(
-                ConvergenceRecord(
-                    function=fn.family, estimator="adaptive", n=2, p=p, N=N, n_t=budget,
-                    rep=rep, t_hat=est.total,
-                    mae=float(np.mean(np.abs(est.total - analytic_total))),
-                )
-            )
             ledger_lines.extend(adaptive_mod.ledger_csv_rows(p, rep, ledger))
-    for name in ("saltenis", "adaptive"):
-        for p in p_values:
-            cell = [r for r in records if r.estimator == name and r.p == p and r.rep is not None]
-            records.append(
-                ConvergenceRecord(
-                    function=fn.family, estimator=name, n=2, p=p, N=2**p, n_t=(k + 1) * 2**p,
-                    rep=None, t_hat=None,
-                    mae=mae(np.vstack([r.t_hat for r in cell]), analytic_total),
-                )
-            )
-    return records, ledger_lines
+    return _with_aggregates(records, [("saltenis", 2), ("adaptive", 2)], p_values, analytic_total), ledger_lines
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +309,8 @@ def mae_plot_svg(records: list[ConvergenceRecord], title: str = "") -> str:
         raise ValueError("no aggregate records to plot")
     series: dict[str, list[tuple[int, float]]] = {}
     for r in aggs:
-        label = r.estimator if r.estimator in ("saltenis", "glen_isaacs", "owen", "cyclic", "adaptive", "saltenis_symmetric") else f"{r.estimator}(n={r.n})"
+        free_n = r.estimator in ESTIMATOR_DESIGNS and ESTIMATOR_DESIGNS[r.estimator][1] is None
+        label = f"{r.estimator}(n={r.n})" if free_n else r.estimator
         series.setdefault(label, []).append((r.n_t, r.mae))
 
     width, height, ml, mr, mt, mb = 640, 440, 70, 170, 40, 55
@@ -437,8 +375,7 @@ def design_scatter_svg(rows: list[DesignMetrics], k: int) -> str:
     """
     pts: list[tuple[str, float, float]] = []
     for r in rows:
-        label = "symmetric" if r.kind == "multimatrix" else r.kind
-        pts.append((f"{label} n={r.n}", r.economy, r.explorativity))
+        pts.append((f"{r.title} n={r.n}", r.economy, r.explorativity))
     for kind in ("couples", "stars"):
         m = reference_metrics(kind, k)
         pts.append((kind, m.economy, m.explorativity))
@@ -521,6 +458,7 @@ def errors_csv(errors: list[CellError]) -> str:
 __all__ = [
     "CellError",
     "ConvergenceRecord",
+    "ESTIMATOR_DESIGNS",
     "ESTIMATOR_NAMES",
     "EstimatorConfig",
     "ExperimentConfig",

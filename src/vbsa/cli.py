@@ -169,15 +169,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     n_values = [int(x) for x in str(args.n).split(",") if str(x).strip()]
     configs: list[bench.EstimatorConfig] = []
     for name in names:
-        if name in ("multimatrix", "lamboni"):
-            for n in n_values:
-                configs.append(bench.EstimatorConfig(name=name, n=max(n, 2)))
-        elif name == "owen":
-            configs.append(bench.EstimatorConfig(name=name, n=3))
-        elif name == "cyclic":
-            configs.append(bench.EstimatorConfig(name=name, n=1))
-        else:
-            configs.append(bench.EstimatorConfig(name=name))
+        # an unknown name gets one config, which EstimatorConfig rejects
+        fixed_n = bench.ESTIMATOR_DESIGNS.get(name, (None, 2))[1]
+        n_list = [fixed_n] if fixed_n is not None else [max(n, 2) for n in n_values]
+        configs.extend(bench.EstimatorConfig(name=name, n=n) for n in n_list)
     cfg = bench.ExperimentConfig(
         function=fn, estimators=tuple(configs),
         p_min=args.p_min, p_max=args.p_max, repetitions=args.reps, seed=args.seed,
@@ -208,8 +203,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     fn = _function_from_args(args)
-    default_n = {"asymmetric": 2, "symmetric2": 2, "owen": 3, "cyclic_single": 1}
-    n = args.n if args.n is not None else default_n.get(args.design, 2)
+    n = args.n if args.n is not None else designs.DESIGN_KINDS[args.design].n or 2
     spec = designs.DesignSpec(kind=args.design, n=n, N=args.N, k=args.k)
     result = estimators.estimate_total_effects(spec, fn=fn, seed=args.seed, repetition=args.rep)
     csv_text = estimators.estimate_csv(result)
@@ -246,9 +240,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
             print("discrepancy: provide --dims and --p, or --csv", file=sys.stderr)
             return EXIT_USAGE
         block = qmc.sobol_block(args.dims * args.pool, args.p)
-        pts = np.vstack(
-            [block.values[:, m * args.dims : (m + 1) * args.dims] for m in range(args.pool)]
-        )
+        pts = np.vstack(designs.pool_matrices(block.values, args.pool, args.dims))
     d = qmc.l2_star_discrepancy(pts)
     print(f"points = {pts.shape[0]}, dims = {pts.shape[1]}, L2-star discrepancy = {d!r}")
     return EXIT_OK

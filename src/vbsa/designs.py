@@ -1,26 +1,37 @@
 """Sampling designs for total-effect estimation and their closed-form metrics.
 
 A design arranges base matrices (A, B, C, ...) and one-column hybrids such as
-A_B(j) into an evaluation plan, together with the pairing table of point
-couples that differ only in factor j (the elementary effects).  Competing
-designs are compared through their economy ``e = E_T / N_T`` (elementary
-effects per model run) and explorativity ``chi`` (fraction of non-repeated
-coordinates among all coordinates the design consumes).
+A_B(j) into an evaluation plan.  Every plan-capable kind is one entry of
+:data:`DESIGN_KINDS`: its base-matrix count, the base matrices the plan
+holds and the (base, donor) couples whose hybrids follow them.  From that
+entry :func:`plan_layout` derives the ordered segments of the plan, and from
+the layout come the three things a design is used for: the points
+(:func:`assemble_plan`), the couples of rows that differ only in factor j,
+i.e. the elementary effects (:attr:`EvaluationPlan.pairs`), and the cost
+metrics (:func:`design_metrics`).  Competing designs are compared through
+their economy ``e = E_T / N_T`` (elementary effects per model run) and
+explorativity ``chi = nN / N_T`` (fraction of non-repeated coordinates among
+all coordinates the design consumes).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .qmc import SampleMatrix, l2_star_discrepancy, sobol_block
+from .qmc import _MAX_P, SampleMatrix, l2_star_discrepancy, sobol_block
 
-PLAN_KINDS = ("asymmetric", "symmetric2", "multimatrix", "owen", "lamboni", "cyclic_single")
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
 _BASE_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+# Donor index of the cyclic single-matrix hybrid: the base's own column j,
+# rotated up one row.
+SHIFT = -1
 
 
 def base_label(index: int) -> str:
@@ -39,6 +50,84 @@ def cyclic_label(j: int) -> str:
 
 
 @dataclass(frozen=True)
+class DesignKind:
+    """The layout rule of one design kind.
+
+    ``n`` is the fixed base-matrix count, or None for any n >= 2.  A plan
+    holds the first ``bases`` base matrices (all n when None), then, for each
+    (base, donor) couple in ``couples`` (every ordered couple of distinct
+    matrices when None), the hybrids j = 1..k.  Each hybrid is paired with
+    its base matrix when the plan holds it; ``hybrid_pairs`` also pairs the
+    hybrids that share base and factor.  ``title`` names the kind in tables
+    and plots when it differs from the kind.
+    """
+
+    n: int | None
+    bases: int | None = None
+    couples: tuple[tuple[int, int], ...] | None = None
+    hybrid_pairs: bool = False
+    title: str | None = None
+
+    def matrices(self, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Base matrices a plan over n matrices holds, and its (base, donor) couples."""
+        couples = self.couples
+        if couples is None:
+            couples = tuple((m, q) for m in range(n) for q in range(n) if q != m)
+        return (n if self.bases is None else self.bases), couples
+
+
+DESIGN_KINDS: dict[str, DesignKind] = {
+    "asymmetric": DesignKind(n=2, bases=1, couples=((0, 1),)),
+    "symmetric2": DesignKind(n=2, couples=((0, 1), (1, 0))),
+    "multimatrix": DesignKind(n=None, hybrid_pairs=True, title="symmetric"),
+    "owen": DesignKind(n=3, bases=2, couples=((1, 0), (2, 1))),
+    "lamboni": DesignKind(n=None),
+    "cyclic_single": DesignKind(n=1, couples=((0, SHIFT),)),
+}
+PLAN_KINDS = tuple(DESIGN_KINDS)
+
+
+@functools.lru_cache(maxsize=256)
+def plan_layout(kind: str, n: int, k: int) -> tuple[tuple[str, int, int | None, int], ...]:
+    """Ordered segments of a plan, N rows each: base matrices first, then hybrids by couple and factor.
+
+    A segment ``(label, m, donor, j)`` is base matrix m with column j taken
+    from matrix ``donor``; ``donor`` is None (and j 0) for the base matrix
+    itself and :data:`SHIFT` for the cyclic hybrid.
+    """
+    bases, couples = DESIGN_KINDS[kind].matrices(n)
+    layout = [(base_label(m), m, None, 0) for m in range(bases)]
+    for m, q in couples:
+        for j in range(1, k + 1):
+            if q == SHIFT:
+                label = cyclic_label(j)
+            else:
+                label = hybrid_label(base_label(m), base_label(q), j)
+            layout.append((label, m, q, j))
+    return tuple(layout)
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_pairs(kind: str, n: int) -> tuple[tuple[int, int], ...]:
+    """The elementary-effect couples of any one factor, as (left, right) slots.
+
+    Slot m < bases is base matrix m; slot bases + c is the hybrid of couple c.
+    Base matrix by base matrix: each hybrid against its base when the plan
+    holds it, then (``hybrid_pairs``) every two hybrids of that base.
+    """
+    rule = DESIGN_KINDS[kind]
+    bases, couples = rule.matrices(n)
+    pairs = []
+    for m in range(n):
+        hybrids = [bases + c for c, (base, _) in enumerate(couples) if base == m]
+        if m < bases:
+            pairs.extend((m, h) for h in hybrids)
+        if rule.hybrid_pairs:
+            pairs.extend(combinations(hybrids, 2))
+    return tuple(pairs)
+
+
+@dataclass(frozen=True)
 class DesignSpec:
     """A sampling-design descriptor: kind, base-matrix count, rows per matrix, factors."""
 
@@ -48,14 +137,14 @@ class DesignSpec:
     k: int
 
     def __post_init__(self) -> None:
-        if self.kind not in PLAN_KINDS:
+        if self.kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {PLAN_KINDS}")
         if self.N < 1 or self.k < 1:
             raise ValueError("N and k must be >= 1")
-        expected = {"asymmetric": 2, "symmetric2": 2, "owen": 3, "cyclic_single": 1}
-        if self.kind in expected and self.n != expected[self.kind]:
-            raise ValueError(f"design kind {self.kind!r} requires n = {expected[self.kind]}")
-        if self.kind in ("multimatrix", "lamboni") and self.n < 2:
+        fixed_n = DESIGN_KINDS[self.kind].n
+        if fixed_n is not None and self.n != fixed_n:
+            raise ValueError(f"design kind {self.kind!r} requires n = {fixed_n}")
+        if fixed_n is None and self.n < 2:
             raise ValueError(f"design kind {self.kind!r} requires n >= 2")
 
 
@@ -77,20 +166,40 @@ class DesignMetrics:
         """Points carrying only original coordinates (nN)."""
         return self.n * self.N
 
+    @property
+    def title(self) -> str:
+        """Name of the design in tables and plots."""
+        return getattr(DESIGN_KINDS.get(self.kind), "title", None) or self.kind
+
 
 @dataclass(frozen=True)
 class EvaluationPlan:
     """All points a design requires, with provenance labels and effect pairings.
 
-    ``blocks`` maps a matrix label to its half-open row span in ``points``;
-    ``pairs[j]`` holds two index arrays (left, right) of rows forming the
-    elementary-effect couples assigned to factor ``j`` (1-based).
+    The plan is the segments of :func:`plan_layout` stacked in order, N
+    rows each.  ``blocks`` maps a matrix label to its half-open row span in
+    ``points``.  ``pairs[j]`` holds two index arrays (left, right) of rows
+    forming the elementary-effect couples assigned to factor ``j``
+    (1-based); it is derived from the layout on first access.
     """
 
     spec: DesignSpec
     points: np.ndarray
     blocks: tuple[tuple[str, int, int], ...]
-    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @functools.cached_property
+    def pairs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        k, N = self.spec.k, self.spec.N
+        bases, _ = DESIGN_KINDS[self.spec.kind].matrices(self.spec.n)
+        slots = np.array(_factor_pairs(self.spec.kind, self.spec.n), dtype=np.int64)
+        rows = np.arange(N)
+        out = {}
+        for j in range(1, k + 1):
+            # base slot m is segment m; couple c's hybrid of factor j is segment bases + c*k + j - 1
+            segments = np.where(slots < bases, slots, bases + (slots - bases) * k + j - 1)
+            left, right = (segments.T[:, :, None] * N + rows).reshape(2, -1)
+            out[j] = (left, right)
+        return out
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -110,6 +219,14 @@ class EvaluationPlan:
         return {label: y[lo:hi] for label, lo, hi in self.blocks}
 
 
+def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> list[np.ndarray]:
+    """The n base matrices of a column pool: columns m*k .. (m+1)*k - 1 feed matrix m.
+
+    ``rows`` keeps only the first rows of each (the nested 2**p prefix).
+    """
+    return [pool[:rows, m * k : (m + 1) * k] for m in range(n)]
+
+
 def hybrid_matrix(base: np.ndarray | SampleMatrix, donor: np.ndarray | SampleMatrix, j: int):
     """Copy of ``base`` whose column ``j`` (1-based) is taken from ``donor``."""
     base_vals = base.values if isinstance(base, SampleMatrix) else np.asarray(base, dtype=float)
@@ -126,18 +243,12 @@ def hybrid_matrix(base: np.ndarray | SampleMatrix, donor: np.ndarray | SampleMat
     return out
 
 
-def _cyclic_matrix(base: np.ndarray, j: int) -> np.ndarray:
-    """Copy of ``base`` whose column ``j`` is rotated up one row (row N wraps to row 1)."""
-    out = base.copy()
-    out[:, j - 1] = np.roll(base[:, j - 1], -1)
-    return out
-
-
 def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray | SampleMatrix]) -> EvaluationPlan:
-    """Assemble the ordered evaluation plan and pairing table for ``spec``.
+    """Assemble the ordered evaluation plan for ``spec``.
 
-    Base matrices come first (A, B, ...), then hybrids grouped by base matrix,
-    donor and factor, so plans are reproducible row-for-row.
+    The segments of :func:`plan_layout` are written in place into one points
+    array: base matrices first (A, B, ...), then hybrids grouped by base
+    matrix, donor and factor, so plans are reproducible row-for-row.
     """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
@@ -148,135 +259,36 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray | SampleMatri
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         mats.append(vals)
 
-    k, n, N = spec.k, spec.n, spec.N
-    segments: list[tuple[str, np.ndarray]] = []
-
-    def span(label: str) -> tuple[int, int]:
-        lo = 0
-        for name, arr in segments:
-            if name == label:
-                return lo, lo + arr.shape[0]
-            lo += arr.shape[0]
-        raise KeyError(label)
-
-    if spec.kind == "asymmetric":
-        segments.append(("A", mats[0]))
-        for j in range(1, k + 1):
-            segments.append((hybrid_label("A", "B", j), hybrid_matrix(mats[0], mats[1], j)))
-    elif spec.kind in ("symmetric2", "multimatrix", "lamboni"):
-        if spec.kind == "symmetric2":
-            order = [(0, 1), (1, 0)]
-        else:
-            order = [(m, q) for m in range(n) for q in range(n) if q != m]
-        for m in range(n):
-            segments.append((base_label(m), mats[m]))
-        for m, q in order:
-            for j in range(1, k + 1):
-                segments.append(
-                    (hybrid_label(base_label(m), base_label(q), j), hybrid_matrix(mats[m], mats[q], j))
-                )
-    elif spec.kind == "owen":
-        segments.append(("A", mats[0]))
-        segments.append(("B", mats[1]))
-        for j in range(1, k + 1):
-            segments.append((hybrid_label("B", "A", j), hybrid_matrix(mats[1], mats[0], j)))
-        for j in range(1, k + 1):
-            segments.append((hybrid_label("C", "B", j), hybrid_matrix(mats[2], mats[1], j)))
-    elif spec.kind == "cyclic_single":
-        segments.append(("A", mats[0]))
-        for j in range(1, k + 1):
-            segments.append((cyclic_label(j), _cyclic_matrix(mats[0], j)))
-    else:
-        raise AssertionError(spec.kind)
-
-    points = np.vstack([arr for _, arr in segments])
-    blocks = []
-    lo = 0
-    for name, arr in segments:
-        blocks.append((name, lo, lo + arr.shape[0]))
-        lo += arr.shape[0]
-
-    idx = np.arange(N)
-    pairs: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {j: [] for j in range(1, k + 1)}
-
-    def add(j: int, left_label: str, right_label: str) -> None:
-        llo, _ = span(left_label)
-        rlo, _ = span(right_label)
-        pairs[j].append((idx + llo, idx + rlo))
-
-    if spec.kind == "asymmetric":
-        for j in range(1, k + 1):
-            add(j, "A", hybrid_label("A", "B", j))
-    elif spec.kind == "symmetric2":
-        for j in range(1, k + 1):
-            add(j, "A", hybrid_label("A", "B", j))
-            add(j, "B", hybrid_label("B", "A", j))
-    elif spec.kind in ("multimatrix", "lamboni"):
-        for j in range(1, k + 1):
-            for m in range(n):
-                others = [q for q in range(n) if q != m]
-                for q in others:
-                    add(j, base_label(m), hybrid_label(base_label(m), base_label(q), j))
-                if spec.kind == "multimatrix":
-                    for a in range(len(others)):
-                        for b in range(a + 1, len(others)):
-                            add(
-                                j,
-                                hybrid_label(base_label(m), base_label(others[a]), j),
-                                hybrid_label(base_label(m), base_label(others[b]), j),
-                            )
-    elif spec.kind == "owen":
-        for j in range(1, k + 1):
-            add(j, "B", hybrid_label("B", "A", j))
-    elif spec.kind == "cyclic_single":
-        for j in range(1, k + 1):
-            add(j, "A", cyclic_label(j))
-
-    merged = {
-        j: (np.concatenate([l for l, _ in lst]), np.concatenate([r for _, r in lst]))
-        for j, lst in pairs.items()
-    }
-    plan = EvaluationPlan(spec=spec, points=points, blocks=tuple(blocks), pairs=merged)
-    expected = design_metrics(spec).total_points
-    assert points.shape[0] == expected, f"plan size {points.shape[0]} != N_T {expected}"
-    return plan
+    N, layout = spec.N, plan_layout(spec.kind, spec.n, spec.k)
+    points = np.empty((len(layout) * N, spec.k))
+    for (_, m, donor, j), out in zip(layout, points.reshape(len(layout), N, spec.k)):
+        out[...] = mats[m]
+        if donor == SHIFT:
+            out[:, j - 1] = np.roll(mats[m][:, j - 1], -1)
+        elif donor is not None:
+            out[:, j - 1] = mats[donor][:, j - 1]
+    blocks = tuple((label, s * N, (s + 1) * N) for s, (label, *_) in enumerate(layout))
+    return EvaluationPlan(spec=spec, points=points, blocks=blocks)
 
 
 def design_metrics(spec: DesignSpec) -> DesignMetrics:
-    """Closed-form N_T, E_T, economy and explorativity for a plan-capable design."""
-    k, n, N = spec.k, spec.n, spec.N
-    if spec.kind == "asymmetric":
-        nt, et = N * (k + 1), N * k
-        chi = 2.0 / (k + 1)
-    elif spec.kind == "symmetric2":
-        nt, et = 2 * N * (k + 1), 2 * N * k
-        chi = 1.0 / (k + 1)
-    elif spec.kind == "multimatrix":
-        nt = n * N * (1 + k * (n - 1))
-        et = N * k * n * n * (n - 1) // 2
-        chi = 1.0 / (1 + k * (n - 1))
-    elif spec.kind == "lamboni":
-        nt = n * N * (1 + k * (n - 1))
-        et = N * k * n * (n - 1)
-        chi = 1.0 / (1 + k * (n - 1))
-    elif spec.kind == "owen":
-        nt, et = 2 * N * (k + 1), N * k
-        chi = 3.0 / (2 * (k + 1))
-    elif spec.kind == "cyclic_single":
-        # All coordinates are original (single matrix); cost matches the
-        # asymmetric design.
-        nt, et = N * (k + 1), N * k
-        chi = N * k / (nt * k)
-    else:
-        raise AssertionError(spec.kind)
+    """N_T, E_T, economy and explorativity of a plan-capable design.
+
+    Every segment of the layout costs N runs and every couple of segments
+    yields N elementary effects, so N_T and E_T are N times per-row counts
+    of the kind's entry in :data:`DESIGN_KINDS`; chi = nN / N_T.
+    """
+    bases, couples = DESIGN_KINDS[spec.kind].matrices(spec.n)
+    nt = spec.N * (bases + spec.k * len(couples))
+    et = spec.N * spec.k * len(_factor_pairs(spec.kind, spec.n))
     return DesignMetrics(
         kind=spec.kind,
-        n=n,
-        N=N,
+        n=spec.n,
+        N=spec.N,
         total_points=nt,
         total_effects=et,
         economy=et / nt,
-        explorativity=chi,
+        explorativity=spec.n * spec.N / nt,
     )
 
 
@@ -307,15 +319,9 @@ def reference_metrics(kind: str, k: int, n_t: int | None = None) -> DesignMetric
     )
 
 
-def _best_power_of_two(cost_of_n: "callable", target: int, max_p: int = 20) -> int:
-    """Power of two N whose cost is nearest ``target``; ties go to the smaller N."""
-    best_n, best_d = 1, abs(cost_of_n(1) - target)
-    for p in range(1, max_p + 1):
-        n = 1 << p
-        d = abs(cost_of_n(n) - target)
-        if d < best_d:
-            best_n, best_d = n, d
-    return best_n
+def best_power_of_two(cost_per_row: int, target: int) -> int:
+    """Power of two N whose cost ``cost_per_row * N`` is nearest ``target``; ties go to the smaller N."""
+    return min((1 << p for p in range(_MAX_P + 1)), key=lambda n: abs(cost_per_row * n - target))
 
 
 def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[DesignMetrics]:
@@ -331,26 +337,25 @@ def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[
     if target_nt < k + 1:
         raise ValueError(f"target_nt = {target_nt} is below the minimal design cost {k + 1}")
 
-    rows: list[DesignMetrics] = []
-    n_asym = _best_power_of_two(lambda N: N * (k + 1), target_nt)
-    rows.append(design_metrics(DesignSpec(kind="asymmetric", n=2, N=n_asym, k=k)))
+    def nearest(kind: str, n: int) -> DesignMetrics:
+        per_row = design_metrics(DesignSpec(kind=kind, n=n, N=1, k=k)).total_points
+        return design_metrics(DesignSpec(kind=kind, n=n, N=best_power_of_two(per_row, target_nt), k=k))
 
     sym_rows: dict[int, DesignMetrics] = {}
     for n in n_range:
-        best_n = _best_power_of_two(lambda N, n=n: n * N * (1 + k * (n - 1)), target_nt)
-        spec = DesignSpec(kind="multimatrix", n=n, N=best_n, k=k)
-        metrics = design_metrics(spec)
-        incumbent = sym_rows.get(best_n)
+        metrics = nearest("multimatrix", n)
+        incumbent = sym_rows.get(metrics.N)
         if incumbent is None or abs(metrics.total_points - target_nt) < abs(
             incumbent.total_points - target_nt
         ):
-            sym_rows[best_n] = metrics
-    rows.extend(sym_rows.values())
+            sym_rows[metrics.N] = metrics
+    # one symmetric row per N, so a stable sort keeps the asymmetric row first
+    rows = sorted([nearest("asymmetric", 2), *sym_rows.values()], key=lambda r: -r.N)
 
     out = []
-    for row in sorted(rows, key=lambda r: (-r.N, r.kind != "asymmetric", r.n)):
+    for row in rows:
         pool = sobol_block(row.n * k, int(math.log2(row.N)) if row.N > 1 else 0)
-        pooled = np.vstack([pool.values[: row.N, m * k : (m + 1) * k] for m in range(row.n)])
+        pooled = np.vstack(pool_matrices(pool.values, row.n, k))
         out.append(
             DesignMetrics(
                 kind=row.kind, n=row.n, N=row.N,
@@ -366,27 +371,32 @@ def budget_table_csv(rows: list[DesignMetrics]) -> str:
     """CSV rendering of a budget table (kind,N,n,N_T,E_T,nN,D,chi)."""
     lines = ["kind,N,n,N_T,E_T,nN,D,chi"]
     for r in rows:
-        kind = "symmetric" if r.kind == "multimatrix" else r.kind
         d = "" if r.discrepancy is None else repr(r.discrepancy)
         lines.append(
-            f"{kind},{r.N},{r.n},{r.total_points},{r.total_effects},{r.original_points},{d},{r.explorativity!r}"
+            f"{r.title},{r.N},{r.n},{r.total_points},{r.total_effects},{r.original_points},{d},{r.explorativity!r}"
         )
     return "\n".join(lines) + "\n"
 
 
 __all__ = [
+    "DESIGN_KINDS",
+    "DesignKind",
     "DesignMetrics",
     "DesignSpec",
     "EvaluationPlan",
     "PLAN_KINDS",
     "REFERENCE_KINDS",
+    "SHIFT",
     "assemble_plan",
     "base_label",
+    "best_power_of_two",
     "budget_table",
     "budget_table_csv",
     "cyclic_label",
     "design_metrics",
     "hybrid_label",
     "hybrid_matrix",
+    "plan_layout",
+    "pool_matrices",
     "reference_metrics",
 ]

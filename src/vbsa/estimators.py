@@ -66,12 +66,13 @@ def pearson_rho(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(du @ dv / np.sqrt(su * sv), -1.0, 1.0))
 
 
-def _require(evals: EvaluationSet, label: str, n_rows: int) -> np.ndarray:
+def _require(evals: EvaluationSet, label: str, n_rows: int | None = None) -> np.ndarray:
+    """Vector ``label`` of the evaluation set, of length ``n_rows`` when given."""
     try:
         vec = np.asarray(evals[label], dtype=float)
     except KeyError:
         raise EstimationError(f"evaluation set is missing vector {label!r}") from None
-    if vec.shape != (n_rows,):
+    if n_rows is not None and vec.shape != (n_rows,):
         raise EstimationError(f"vector {label!r} has shape {vec.shape}, expected ({n_rows},)")
     return vec
 
@@ -88,7 +89,7 @@ def saltenis_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     numerator_j = 1/(2N) sum_i (f(a_i) - f(a_b,i^(j)))^2, normalised by the
     variance of the independent runs (matrix A).
     """
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     variance = _checked_variance(sample_variance(f_a), "matrix A")
     numerator = np.empty(k)
@@ -123,7 +124,7 @@ class CorrelationTerms:
 
 def d3_correlation_terms(evals: EvaluationSet, k: int, j: int) -> CorrelationTerms:
     """Correlation terms of the D3 estimator for factor ``j`` (1-based)."""
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     f_b = _require(evals, "B", n_rows)
     f_ab = _require(evals, hybrid_label("A", "B", j), n_rows)
@@ -149,7 +150,7 @@ def glen_isaacs_d3_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     terms of :func:`d3_correlation_terms`; the correction vanishes as the
     spurious correlation p_j -> 0, leaving 1 - c_d_minus_j -> T_j.
     """
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     f_b = _require(evals, "B", n_rows)
     variance = _checked_variance(sample_variance(np.concatenate([f_a, f_b])), "matrices A and B")
@@ -171,7 +172,7 @@ def owen_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     numerator_j = V-hat(Y) - 1/N sum_i (f(b_i) - f(c_b,i^(j)))(f(b_a,i^(j)) - f(a_i)),
     with V-hat(Y) pooled over the independent runs of A and B.
     """
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     f_b = _require(evals, "B", n_rows)
     variance = _checked_variance(sample_variance(np.concatenate([f_a, f_b])), "matrices A and B")
@@ -213,7 +214,7 @@ def multimatrix_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     """
     if n < 2:
         raise EstimationError("multimatrix estimator needs n >= 2 base matrices")
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     bases, hybrids = _hybrid_sets(evals, k, n, n_rows)
     variance = _checked_variance(sample_variance(bases[0]), "matrix A")
@@ -249,7 +250,7 @@ def lamboni_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     """
     if n < 2:
         raise EstimationError("Lamboni estimator needs n >= 2 base matrices")
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     bases, hybrids = _hybrid_sets(evals, k, n, n_rows)
     variance = _checked_variance(sample_variance(np.concatenate(bases)), "pooled base matrices")
@@ -279,7 +280,7 @@ def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     wrapping the last row onto the first, so one matrix supplies both sides
     of every elementary effect.
     """
-    f_a = np.asarray(evals["A"], dtype=float)
+    f_a = _require(evals, "A")
     n_rows = len(f_a)
     if n_rows < 2:
         raise EstimationError("cyclic estimator needs N >= 2 rows")
@@ -348,15 +349,14 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     permutation; the k left-most (permuted) columns form matrix A, the next
     k matrix B, and so on.
     """
-    n_cols = spec.n * spec.k if spec.kind != "cyclic_single" else spec.k
+    n_cols = spec.n * spec.k
     p = int(spec.N).bit_length() - 1
     if 1 << p != spec.N:
         raise ValueError("N must be a power of two to draw generator blocks")
     pool = qmc.sobol_block(n_cols, p)
     if seed is not None:
         pool = qmc.permute_columns(pool, qmc.draw_permutation(n_cols, seed, repetition))
-    mats = [pool.values[:, m * spec.k : (m + 1) * spec.k] for m in range(spec.n)]
-    return designs.assemble_plan(spec, mats)
+    return designs.assemble_plan(spec, designs.pool_matrices(pool.values, spec.n, spec.k))
 
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:

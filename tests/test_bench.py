@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vbsa import estimators
 from vbsa.bench import (
     CellError,
     ConvergenceRecord,
@@ -103,6 +104,15 @@ class TestConvergenceExperiment:
         assert all(e.p <= 2 for e in errors)
         assert any(r.rep is not None and r.p == 4 for r in records)
         assert any(r.rep is None and r.p == 4 for r in records)
+
+    def test_estimator_bug_propagates(self, monkeypatch):
+        # only degenerate inputs (EstimationError) become cell errors; a bug raises
+        def broken(evals, k):
+            raise IndexError("estimator bug")
+
+        monkeypatch.setattr(estimators, "saltenis_T", broken)
+        with pytest.raises(IndexError, match="estimator bug"):
+            convergence_experiment(self._cfg())
 
     def test_convergence_trend_for_all_families(self):
         for family in ("A1", "A2", "B1", "B2", "B3", "C1", "C2"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vbsa.designs import (
+    PLAN_KINDS,
     DesignSpec,
     assemble_plan,
     budget_table,
@@ -125,7 +126,32 @@ class TestDesignSpecValidation:
             DesignSpec(kind=kind, n=n, N=4, k=2)
 
 
+# The paper's closed forms per kind: (N_T, E_T, chi) as functions of (n, N, k).
+CLOSED_FORMS = {
+    "asymmetric": lambda n, N, k: (N * (k + 1), N * k, Fraction(2, k + 1)),
+    "symmetric2": lambda n, N, k: (2 * N * (k + 1), 2 * N * k, Fraction(1, k + 1)),
+    "multimatrix": lambda n, N, k: (
+        n * N * (1 + k * (n - 1)), N * k * n * n * (n - 1) // 2, Fraction(1, 1 + k * (n - 1))
+    ),
+    "lamboni": lambda n, N, k: (n * N * (1 + k * (n - 1)), N * k * n * (n - 1), Fraction(1, 1 + k * (n - 1))),
+    "owen": lambda n, N, k: (2 * N * (k + 1), N * k, Fraction(3, 2 * (k + 1))),
+    "cyclic_single": lambda n, N, k: (N * (k + 1), N * k, Fraction(1, k + 1)),
+}
+FIXED_N = {"asymmetric": 2, "symmetric2": 2, "owen": 3, "cyclic_single": 1}
+
+
 class TestDesignMetrics:
+    @pytest.mark.parametrize("kind", PLAN_KINDS)
+    def test_closed_forms(self, kind):
+        for n in [FIXED_N[kind]] if kind in FIXED_N else [2, 3, 5]:
+            for N in (1, 4, 64):
+                for k in (1, 2, 6, 13):
+                    nt, et, chi = CLOSED_FORMS[kind](n, N, k)
+                    m = design_metrics(DesignSpec(kind=kind, n=n, N=N, k=k))
+                    assert (m.total_points, m.total_effects) == (nt, et)
+                    assert m.economy == float(Fraction(et, nt))
+                    assert m.explorativity == float(chi)
+
     def test_asymmetric_k6(self):
         m = design_metrics(DesignSpec(kind="asymmetric", n=2, N=64, k=6))
         assert m.economy == pytest.approx(6 / 7)

@@ -306,6 +306,12 @@ class TestSharedProperties:
         est = runner(self._evals(spec))
         assert np.all(est.numerator >= 0.0)
 
+    def test_missing_base_vector_raises_estimation_error(self, spec, runner):
+        evals = dict(self._evals(spec))
+        del evals["A"]
+        with pytest.raises(EstimationError, match="'A'"):
+            runner(evals)
+
     def test_effects_used_matches_pairing_table(self, spec, runner):
         rng = np.random.default_rng(5)
         bases = [rng.random((spec.N, spec.k)) for _ in range(spec.n)]
