@@ -3,7 +3,8 @@ quasi-Monte Carlo sampling designs and a convergence benchmarking harness."""
 
 __version__ = "0.1.0"
 
-from . import adaptive, bench, cli, designs, estimators, qmc, testfns
+# ``cli`` is left out: ``python -m vbsa.cli`` warns when the package has already imported it.
+from . import adaptive, bench, designs, estimators, qmc, testfns
 from .adaptive import adaptive_run
 from .bench import ExperimentConfig, EstimatorConfig, convergence_experiment, mae
 from .designs import DesignSpec, assemble_plan, budget_table, design_metrics, hybrid_matrix

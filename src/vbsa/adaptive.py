@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import designs, qmc, testfns
-from .estimators import EstimationError, TotalIndexEstimate
+from .estimators import EstimationError, TotalIndexEstimate, checked_vector
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,10 @@ class AdaptiveLedger:
 
 def std_elementary_effects(diffs: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """Per-factor population standard deviation of elementary-effect differences."""
-    out = np.empty(len(diffs))
-    for j, d in enumerate(diffs):
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 1 or len(d) < 2:
-            raise EstimationError("elementary-effect vectors need length >= 2")
-        out[j] = float(np.std(d))
-    return out
+    diffs = [np.asarray(d, dtype=float) for d in diffs]
+    if any(d.ndim != 1 or len(d) < 2 for d in diffs):
+        raise EstimationError("elementary-effect vectors need length >= 2")
+    return np.array([np.std(d) for d in diffs])
 
 
 def adaptive_run(
@@ -91,29 +88,24 @@ def adaptive_run(
     if seed is not None:
         pool = qmc.permute_columns(pool, qmc.draw_permutation(n_cols, seed, repetition))
     mat_a, mat_b = designs.pool_matrices(pool.values, 2, k)
-    evaluator = model if model is not None else (lambda pts: testfns.evaluate(fn, pts))
+
+    def evaluator(points: np.ndarray) -> np.ndarray:
+        y = model(points) if model is not None else testfns.evaluate(fn, points)
+        return checked_vector("model output", y, len(points))
 
     def eval_hybrid(j: int, lo: int, hi: int) -> np.ndarray:
-        block = mat_a[lo:hi].copy()
-        block[:, j - 1] = mat_b[lo:hi, j - 1]
-        return evaluator(block)
+        return evaluator(designs.hybrid_matrix(mat_a[lo:hi], mat_b[lo:hi], j))
 
     n_rows = 2**warm_exp
     f_a = list(evaluator(mat_a[:n_rows]))
-    diffs: list[list[float]] = []
-    for j in range(1, k + 1):
-        diffs.append(list(np.asarray(f_a) - eval_hybrid(j, 0, n_rows)))
+    diffs = [list(np.asarray(f_a) - eval_hybrid(j, 0, n_rows)) for j in range(1, k + 1)]
     spent = (k + 1) * n_rows
     active = set(range(1, k + 1))
-
-    def current_stds() -> tuple[float, ...]:
-        return tuple(float(np.std(np.asarray(d))) for d in diffs)
-
-    blocks = [BlockRecord(0, n_rows, tuple(sorted(active)), spent, spent, current_stds())]
+    stds = std_elementary_effects(diffs)
+    blocks = [BlockRecord(0, n_rows, tuple(sorted(active)), spent, spent, tuple(stds.tolist()))]
 
     for stage in range(1, k):
         if rule_enabled and stage <= k - 2:
-            stds = std_elementary_effects([np.asarray(d) for d in diffs])
             # decreasing importance, ties broken by ascending factor index
             order = sorted(range(1, k + 1), key=lambda j: (-stds[j - 1], j))
             upper = stds[order[k - stage - 2] - 1]   # rank k - stage - 1
@@ -131,10 +123,10 @@ def adaptive_run(
             diffs[j - 1].extend(np.asarray(f_a[lo:hi]) - eval_hybrid(j, lo, hi))
         n_rows = hi
         spent += cost
-        blocks.append(BlockRecord(stage, n_rows, tuple(sorted(active)), cost, spent, current_stds()))
+        stds = std_elementary_effects(diffs)
+        blocks.append(BlockRecord(stage, n_rows, tuple(sorted(active)), cost, spent, tuple(stds.tolist())))
 
-    f_a_arr = np.asarray(f_a)
-    variance = float(np.var(f_a_arr))
+    variance = float(np.var(f_a))
     if variance <= 0.0:
         raise EstimationError("zero output variance over evaluated base rows")
     numerator = np.array([float(np.mean(np.square(diffs[j]))) / 2.0 for j in range(k)])

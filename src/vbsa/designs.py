@@ -6,10 +6,11 @@ A_B(j) into an evaluation plan.  Every plan-capable kind is one entry of
 holds and the (base, donor) couples whose hybrids follow them.  From that
 entry :func:`plan_layout` derives the ordered segments of the plan, and from
 the layout come the three things a design is used for: the points
-(:func:`assemble_plan`), the couples of rows that differ only in factor j,
-i.e. the elementary effects (:attr:`EvaluationPlan.pairs`), and the cost
-metrics (:func:`design_metrics`).  Competing designs are compared through
-their economy ``e = E_T / N_T`` (elementary effects per model run) and
+(:func:`assemble_plan`), the elementary effects, i.e. couples of segments
+differing only in factor j (:func:`factor_segments`, read by the estimators
+and :attr:`EvaluationPlan.pairs`), and the cost metrics
+(:func:`design_metrics`).  Competing designs are compared through their
+economy ``e = E_T / N_T`` (elementary effects per model run) and
 explorativity ``chi = nN / N_T`` (fraction of non-repeated coordinates among
 all coordinates the design consumes).
 """
@@ -23,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmc import _MAX_P, SampleMatrix, l2_star_discrepancy, sobol_block
+from .qmc import _MAX_P, SampleMatrix, default_table, l2_star_discrepancy, sobol_block
 
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
@@ -108,23 +109,29 @@ def plan_layout(kind: str, n: int, k: int) -> tuple[tuple[str, int, int | None, 
 
 
 @functools.lru_cache(maxsize=256)
-def _factor_pairs(kind: str, n: int) -> tuple[tuple[int, int], ...]:
-    """The elementary-effect couples of any one factor, as (left, right) slots.
+def factor_segments(kind: str, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right plan segments of every factor's elementary-effect couples.
 
-    Slot m < bases is base matrix m; slot bases + c is the hybrid of couple c.
-    Base matrix by base matrix: each hybrid against its base when the plan
-    holds it, then (``hybrid_pairs``) every two hybrids of that base.
+    Two read-only ``(k, couples)`` arrays of :func:`plan_layout` segments;
+    row j - 1 holds factor j's couples.  Base matrix by base matrix: each
+    hybrid against its base when the plan holds it, then (``hybrid_pairs``)
+    every two hybrids of that base.
     """
     rule = DESIGN_KINDS[kind]
     bases, couples = rule.matrices(n)
     pairs = []
     for m in range(n):
-        hybrids = [bases + c for c, (base, _) in enumerate(couples) if base == m]
+        # segments of factor 1: base m is segment m, couple c's hybrid is bases + c*k
+        hybrids = [bases + c * k for c, (base, _) in enumerate(couples) if base == m]
         if m < bases:
             pairs.extend((m, h) for h in hybrids)
         if rule.hybrid_pairs:
             pairs.extend(combinations(hybrids, 2))
-    return tuple(pairs)
+    first = np.array(pairs, dtype=np.int64).reshape(-1, 2).T[:, None, :]
+    # factor j's hybrid of a couple sits j - 1 segments after factor 1's
+    segments = first + np.where(first < bases, 0, np.arange(k)[:, None])
+    segments.flags.writeable = False
+    return segments[0], segments[1]
 
 
 @dataclass(frozen=True)
@@ -189,17 +196,10 @@ class EvaluationPlan:
 
     @functools.cached_property
     def pairs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        k, N = self.spec.k, self.spec.N
-        bases, _ = DESIGN_KINDS[self.spec.kind].matrices(self.spec.n)
-        slots = np.array(_factor_pairs(self.spec.kind, self.spec.n), dtype=np.int64)
-        rows = np.arange(N)
-        out = {}
-        for j in range(1, k + 1):
-            # base slot m is segment m; couple c's hybrid of factor j is segment bases + c*k + j - 1
-            segments = np.where(slots < bases, slots, bases + (slots - bases) * k + j - 1)
-            left, right = (segments.T[:, :, None] * N + rows).reshape(2, -1)
-            out[j] = (left, right)
-        return out
+        spec = self.spec
+        segments = np.array(factor_segments(spec.kind, spec.n, spec.k))   # (2, k, couples)
+        left, right = (segments[..., None] * spec.N + np.arange(spec.N)).reshape(2, spec.k, -1)
+        return {j: (left[j - 1], right[j - 1]) for j in range(1, spec.k + 1)}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -280,7 +280,7 @@ def design_metrics(spec: DesignSpec) -> DesignMetrics:
     """
     bases, couples = DESIGN_KINDS[spec.kind].matrices(spec.n)
     nt = spec.N * (bases + spec.k * len(couples))
-    et = spec.N * spec.k * len(_factor_pairs(spec.kind, spec.n))
+    et = spec.N * spec.k * factor_segments(spec.kind, spec.n, 1)[0].shape[1]   # couples per factor
     return DesignMetrics(
         kind=spec.kind,
         n=spec.n,
@@ -332,7 +332,8 @@ def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[
     N_T closest to ``target_nt``.  When several n land on the same N only the
     closest-to-target row is kept, matching how such trade-off tables are
     usually reported.  Rows carry the L2-star discrepancy of the pooled nN
-    original (unscrambled) base-matrix points and are sorted by decreasing N.
+    original (unscrambled) base-matrix points, or None when the pool's n*k
+    columns exceed the Sobol' direction table, and are sorted by decreasing N.
     """
     if target_nt < k + 1:
         raise ValueError(f"target_nt = {target_nt} is below the minimal design cost {k + 1}")
@@ -354,14 +355,16 @@ def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[
 
     out = []
     for row in rows:
-        pool = sobol_block(row.n * k, int(math.log2(row.N)) if row.N > 1 else 0)
-        pooled = np.vstack(pool_matrices(pool.values, row.n, k))
+        discrepancy = None
+        if row.n * k <= default_table().max_dimension:
+            pool = sobol_block(row.n * k, int(math.log2(row.N)) if row.N > 1 else 0)
+            discrepancy = l2_star_discrepancy(np.vstack(pool_matrices(pool.values, row.n, k)))
         out.append(
             DesignMetrics(
                 kind=row.kind, n=row.n, N=row.N,
                 total_points=row.total_points, total_effects=row.total_effects,
                 economy=row.economy, explorativity=row.explorativity,
-                discrepancy=l2_star_discrepancy(pooled),
+                discrepancy=discrepancy,
             )
         )
     return out
@@ -394,6 +397,7 @@ __all__ = [
     "budget_table_csv",
     "cyclic_label",
     "design_metrics",
+    "factor_segments",
     "hybrid_label",
     "hybrid_matrix",
     "plan_layout",

@@ -1,7 +1,14 @@
 """Total-effect index estimators over labelled evaluation vectors.
 
-Every estimator consumes an :class:`EvaluationSet` (model outputs keyed by the
-plan's matrix labels) and returns a :class:`TotalIndexEstimate`.  Conventions
+At the boundary every estimator consumes an :class:`EvaluationSet` (model
+outputs keyed by the plan's matrix labels, the form an external model
+returns) and returns a :class:`TotalIndexEstimate`.  Each label is checked
+on the way in: a missing, misshapen or non-finite vector raises
+:class:`EstimationError` naming it.  Inside, the vectors are stacked into one
+``(segments, N)`` array in :func:`designs.plan_layout` order, and every
+estimator is a few array expressions over that array and the couples of
+:func:`designs.factor_segments`, the same design table that lays out the
+plan; ``effects_used`` is the table's couple count times N.  Conventions
 fixed for reproducibility: variances are population (1/N) moments; Pearson
 correlations use matched numerator/denominator normalisation so |rho| <= 1;
 negative estimates from the Owen and Glen-Isaacs formulas are reported as-is.
@@ -15,13 +22,13 @@ the R ``sensitivity`` package; the many-matrix generalisation is Lamboni
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import designs, qmc, testfns
-from .designs import DesignSpec, base_label, cyclic_label, hybrid_label
+from .designs import DesignSpec
 
 EvaluationSet = Mapping[str, np.ndarray]
 
@@ -52,35 +59,90 @@ def sample_variance(f: np.ndarray) -> float:
     return float(np.var(f))
 
 
+def _rho(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise product-moment correlation over the last axis, with matched normalisation."""
+    du = u - u.mean(axis=-1, keepdims=True)
+    dv = v - v.mean(axis=-1, keepdims=True)
+    su, sv = np.vecdot(du, du), np.vecdot(dv, dv)
+    if np.any(su == 0.0) or np.any(sv == 0.0):
+        raise EstimationError("correlation of a constant vector is undefined")
+    # clip guards float round-off only; the estimator itself satisfies |rho| <= 1
+    return np.clip(np.vecdot(du, dv) / np.sqrt(su * sv), -1.0, 1.0)
+
+
 def pearson_rho(u: np.ndarray, v: np.ndarray) -> float:
     """Product-moment correlation with matched normalisation (|rho| <= 1)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1 or len(u) < 2:
         raise EstimationError("correlation needs two equal-length vectors of length >= 2")
-    du, dv = u - u.mean(), v - v.mean()
-    su, sv = float(du @ du), float(dv @ dv)
-    if su == 0.0 or sv == 0.0:
-        raise EstimationError("correlation of a constant vector is undefined")
-    # clip guards float round-off only; the estimator itself satisfies |rho| <= 1
-    return float(np.clip(du @ dv / np.sqrt(su * sv), -1.0, 1.0))
+    return float(_rho(u, v))
+
+
+def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
+    """``vec`` as a finite float vector, of length ``n_rows`` when given.
+
+    Raises :class:`EstimationError` naming ``label`` for any other shape and
+    for NaN or infinite entries.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim != 1 or (n_rows is not None and len(vec) != n_rows):
+        raise EstimationError(f"vector {label!r} has shape {vec.shape}, expected ({n_rows or 'N'},)")
+    if not np.isfinite(vec).all():
+        raise EstimationError(f"vector {label!r} holds NaN or infinite values")
+    return vec
 
 
 def _require(evals: EvaluationSet, label: str, n_rows: int | None = None) -> np.ndarray:
     """Vector ``label`` of the evaluation set, of length ``n_rows`` when given."""
     try:
-        vec = np.asarray(evals[label], dtype=float)
+        vec = evals[label]
     except KeyError:
         raise EstimationError(f"evaluation set is missing vector {label!r}") from None
-    if n_rows is not None and vec.shape != (n_rows,):
-        raise EstimationError(f"vector {label!r} has shape {vec.shape}, expected ({n_rows},)")
-    return vec
+    return checked_vector(label, vec, n_rows)
 
 
-def _checked_variance(v: float, context: str) -> float:
+def _outputs(evals: EvaluationSet, kind: str, n: int, k: int) -> np.ndarray:
+    """The evaluation set as one ``(segments, N)`` array in :func:`designs.plan_layout` order."""
+    if designs.DESIGN_KINDS[kind].n is None and n < 2:
+        raise EstimationError(f"{kind} estimator needs n >= 2 base matrices")
+    labels = [label for label, *_ in designs.plan_layout(kind, n, k)]
+    first = _require(evals, labels[0])
+    return np.stack([first] + [_require(evals, label, len(first)) for label in labels[1:]])
+
+
+def _checked_variance(y: np.ndarray, context: str) -> float:
+    """V-hat(Y) over the rows of ``y`` pooled; it must be positive."""
+    v = sample_variance(y.ravel())
     if v <= 0.0:
         raise EstimationError(f"zero output variance in {context}; indices undefined")
     return v
+
+
+def _estimate(kind: str, n: int, N: int, numerator: np.ndarray, variance: float) -> TotalIndexEstimate:
+    """T-hat = numerator / variance, with the design's couples times N effects per factor."""
+    left, _ = designs.factor_segments(kind, n, len(numerator))
+    return TotalIndexEstimate(
+        total=numerator / variance,
+        numerator=numerator,
+        variance=variance,
+        effects_used=np.full(len(numerator), left.shape[1] * N),
+    )
+
+
+def _squared_difference_T(evals: EvaluationSet, kind: str, n: int, k: int) -> TotalIndexEstimate:
+    """The squared-difference estimator over the couples of ``kind``'s design table entry.
+
+    numerator_j = 1/2 mean over factor j's couples and rows of
+    (f(left) - f(right))^2, normalised by the variance of matrix A.
+    """
+    y = _outputs(evals, kind, n, k)
+    variance = _checked_variance(y[:1], "matrix A")
+    left, right = designs.factor_segments(kind, n, k)
+    diff = y[left]
+    diff -= y[right]
+    numerator = np.square(diff, out=diff).sum(axis=(1, 2)) / (2.0 * diff[0].size)
+    return _estimate(kind, n, y.shape[1], numerator, variance)
 
 
 def saltenis_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
@@ -89,19 +151,7 @@ def saltenis_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     numerator_j = 1/(2N) sum_i (f(a_i) - f(a_b,i^(j)))^2, normalised by the
     variance of the independent runs (matrix A).
     """
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    variance = _checked_variance(sample_variance(f_a), "matrix A")
-    numerator = np.empty(k)
-    for j in range(1, k + 1):
-        f_ab = _require(evals, hybrid_label("A", "B", j), n_rows)
-        numerator[j - 1] = float(np.mean((f_a - f_ab) ** 2)) / 2.0
-    return TotalIndexEstimate(
-        total=numerator / variance,
-        numerator=numerator,
-        variance=variance,
-        effects_used=np.full(k, n_rows),
-    )
+    return _squared_difference_T(evals, "asymmetric", 2, k)
 
 
 @dataclass(frozen=True)
@@ -122,17 +172,15 @@ class CorrelationTerms:
     c_a_minus_j: float    # corrected, from raw c_d_j
 
 
-def d3_correlation_terms(evals: EvaluationSet, k: int, j: int) -> CorrelationTerms:
-    """Correlation terms of the D3 estimator for factor ``j`` (1-based)."""
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    f_b = _require(evals, "B", n_rows)
-    f_ab = _require(evals, hybrid_label("A", "B", j), n_rows)
-    f_ba = _require(evals, hybrid_label("B", "A", j), n_rows)
-    c_dmj = 0.5 * (pearson_rho(f_a, f_ab) + pearson_rho(f_b, f_ba))
-    c_dj = 0.5 * (pearson_rho(f_b, f_ab) + pearson_rho(f_a, f_ba))
-    p_j = 0.5 * (pearson_rho(f_a, f_b) + pearson_rho(f_ab, f_ba))
-    if abs(p_j) >= 1.0:
+def _d3_terms(y: np.ndarray, k: int) -> CorrelationTerms:
+    """D3 correlation terms of every factor at once (fields hold length-k arrays)."""
+    f_a, f_b = y[0], y[1]
+    f_ab, f_ba = y[2:].reshape(2, k, -1)
+    c_dmj = 0.5 * (_rho(f_a, f_ab) + _rho(f_b, f_ba))
+    c_dj = 0.5 * (_rho(f_b, f_ab) + _rho(f_a, f_ba))
+    p_j = 0.5 * (_rho(f_a, f_b) + _rho(f_ab, f_ba))
+    if np.any(np.abs(p_j) >= 1.0):
+        j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
         raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
     return CorrelationTerms(
         c_d_minus_j=c_dmj,
@@ -143,6 +191,14 @@ def d3_correlation_terms(evals: EvaluationSet, k: int, j: int) -> CorrelationTer
     )
 
 
+def d3_correlation_terms(evals: EvaluationSet, k: int, j: int) -> CorrelationTerms:
+    """Correlation terms of the D3 estimator for factor ``j`` (1-based)."""
+    if not 1 <= j <= k:
+        raise EstimationError(f"factor index j = {j} out of range 1..{k}")
+    terms = _d3_terms(_outputs(evals, "symmetric2", 2, k), k)
+    return CorrelationTerms(*(float(v[j - 1]) for v in astuple(terms)))
+
+
 def glen_isaacs_d3_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     """Correlation-based D3 estimator on the symmetric two-matrix design.
 
@@ -150,20 +206,11 @@ def glen_isaacs_d3_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     terms of :func:`d3_correlation_terms`; the correction vanishes as the
     spurious correlation p_j -> 0, leaving 1 - c_d_minus_j -> T_j.
     """
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    f_b = _require(evals, "B", n_rows)
-    variance = _checked_variance(sample_variance(np.concatenate([f_a, f_b])), "matrices A and B")
-    total = np.empty(k)
-    for j in range(1, k + 1):
-        t = d3_correlation_terms(evals, k, j)
-        total[j - 1] = 1.0 - t.c_d_minus_j + t.p_j * t.c_a_j / (1.0 - t.c_a_j * t.c_a_minus_j)
-    return TotalIndexEstimate(
-        total=total,
-        numerator=total * variance,
-        variance=variance,
-        effects_used=np.full(k, 2 * n_rows),
-    )
+    y = _outputs(evals, "symmetric2", 2, k)
+    variance = _checked_variance(y[:2], "matrices A and B")
+    t = _d3_terms(y, k)
+    total = 1.0 - t.c_d_minus_j + t.p_j * t.c_a_j / (1.0 - t.c_a_j * t.c_a_minus_j)
+    return _estimate("symmetric2", 2, y.shape[1], total * variance, variance)
 
 
 def owen_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
@@ -172,36 +219,11 @@ def owen_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     numerator_j = V-hat(Y) - 1/N sum_i (f(b_i) - f(c_b,i^(j)))(f(b_a,i^(j)) - f(a_i)),
     with V-hat(Y) pooled over the independent runs of A and B.
     """
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    f_b = _require(evals, "B", n_rows)
-    variance = _checked_variance(sample_variance(np.concatenate([f_a, f_b])), "matrices A and B")
-    numerator = np.empty(k)
-    for j in range(1, k + 1):
-        f_ba = _require(evals, hybrid_label("B", "A", j), n_rows)
-        f_cb = _require(evals, hybrid_label("C", "B", j), n_rows)
-        numerator[j - 1] = variance - float(np.mean((f_b - f_cb) * (f_ba - f_a)))
-    return TotalIndexEstimate(
-        total=numerator / variance,
-        numerator=numerator,
-        variance=variance,
-        effects_used=np.full(k, n_rows),
-    )
-
-
-def _hybrid_sets(evals: EvaluationSet, k: int, n: int, n_rows: int):
-    """Base vectors and hybrid vectors of an n-matrix plan, indexed [m][q][j - 1]."""
-    bases = [_require(evals, base_label(m), n_rows) for m in range(n)]
-    hybrids = {}
-    for m in range(n):
-        for q in range(n):
-            if q == m:
-                continue
-            hybrids[m, q] = [
-                _require(evals, hybrid_label(base_label(m), base_label(q), j), n_rows)
-                for j in range(1, k + 1)
-            ]
-    return bases, hybrids
+    y = _outputs(evals, "owen", 3, k)
+    variance = _checked_variance(y[:2], "matrices A and B")
+    f_ba, f_cb = y[2:].reshape(2, k, -1)   # hybrids B_A(j), C_B(j)
+    numerator = variance - np.mean((y[1] - f_cb) * (f_ba - y[0]), axis=1)
+    return _estimate("owen", 3, y.shape[1], numerator, variance)
 
 
 def multimatrix_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
@@ -212,32 +234,7 @@ def multimatrix_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     variance of the first base matrix, the historical convention for the
     squared-difference family.
     """
-    if n < 2:
-        raise EstimationError("multimatrix estimator needs n >= 2 base matrices")
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    bases, hybrids = _hybrid_sets(evals, k, n, n_rows)
-    variance = _checked_variance(sample_variance(bases[0]), "matrix A")
-    numerator = np.empty(k)
-    per_factor = n * n * (n - 1) // 2 * n_rows
-    for j in range(1, k + 1):
-        acc = 0.0
-        for m in range(n):
-            others = [q for q in range(n) if q != m]
-            for q in others:
-                acc += float(np.sum((bases[m] - hybrids[m, q][j - 1]) ** 2))
-            for a in range(len(others)):
-                for b in range(a + 1, len(others)):
-                    acc += float(
-                        np.sum((hybrids[m, others[a]][j - 1] - hybrids[m, others[b]][j - 1]) ** 2)
-                    )
-        numerator[j - 1] = acc / (2.0 * per_factor)
-    return TotalIndexEstimate(
-        total=numerator / variance,
-        numerator=numerator,
-        variance=variance,
-        effects_used=np.full(k, per_factor),
-    )
+    return _squared_difference_T(evals, "multimatrix", n, k)
 
 
 def lamboni_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
@@ -248,29 +245,14 @@ def lamboni_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     base matrices.  For n = 2 this reduces exactly to the two-matrix
     symmetric squared-difference estimator.
     """
-    if n < 2:
-        raise EstimationError("Lamboni estimator needs n >= 2 base matrices")
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    bases, hybrids = _hybrid_sets(evals, k, n, n_rows)
-    variance = _checked_variance(sample_variance(np.concatenate(bases)), "pooled base matrices")
-    numerator = np.empty(k)
-    for j in range(1, k + 1):
-        acc = 0.0
-        for m in range(n):
-            inner = np.zeros(n_rows)
-            for q in range(n):
-                if q == m:
-                    continue
-                inner += (bases[m] - hybrids[m, q][j - 1]) / (n - 1)
-            acc += float(np.sum(inner**2))
-        numerator[j - 1] = (n - 1) / (n_rows * n * n) * acc
-    return TotalIndexEstimate(
-        total=numerator / variance,
-        numerator=numerator,
-        variance=variance,
-        effects_used=np.full(k, n * (n - 1) * n_rows),
-    )
+    y = _outputs(evals, "lamboni", n, k)
+    N = y.shape[1]
+    variance = _checked_variance(y[:n], "pooled base matrices")
+    # hybrids by base m, donor q != m, factor j
+    hybrids = y[n:].reshape(n, n - 1, k, N)
+    inner = (y[:n, None, None, :] - hybrids).sum(axis=1) / (n - 1)
+    numerator = (n - 1) / (N * n * n) * np.square(inner).sum(axis=(0, 2))
+    return _estimate("lamboni", n, N, numerator, variance)
 
 
 def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
@@ -280,21 +262,9 @@ def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     wrapping the last row onto the first, so one matrix supplies both sides
     of every elementary effect.
     """
-    f_a = _require(evals, "A")
-    n_rows = len(f_a)
-    if n_rows < 2:
+    if len(_require(evals, "A")) < 2:
         raise EstimationError("cyclic estimator needs N >= 2 rows")
-    variance = _checked_variance(sample_variance(f_a), "matrix A")
-    numerator = np.empty(k)
-    for j in range(1, k + 1):
-        f_shift = _require(evals, cyclic_label(j), n_rows)
-        numerator[j - 1] = float(np.mean((f_a - f_shift) ** 2)) / 2.0
-    return TotalIndexEstimate(
-        total=numerator / variance,
-        numerator=numerator,
-        variance=variance,
-        effects_used=np.full(k, n_rows),
-    )
+    return _squared_difference_T(evals, "cyclic_single", 1, k)
 
 
 def run_estimator(spec: DesignSpec, evals: EvaluationSet) -> TotalIndexEstimate:
@@ -335,8 +305,6 @@ def estimate_total_effects(
         return run_estimator(spec, evals)
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
-    if spec.N & (spec.N - 1):
-        raise ValueError("sampled estimation needs N to be a power of two")
     plan = sample_plan(spec, seed=seed, repetition=repetition)
     y = testfns.evaluate(fn, plan.points)
     return run_estimator(spec, plan.split_outputs(y))
@@ -375,6 +343,7 @@ __all__ = [
     "EstimationError",
     "EvaluationSet",
     "TotalIndexEstimate",
+    "checked_vector",
     "cyclic_single_matrix_T",
     "d3_correlation_terms",
     "estimate_csv",

@@ -89,6 +89,18 @@ class TestAdaptiveRun:
         assert est.effects_used.max() == 2**10  # one doubling past 2^p
         assert ledger.runs_spent <= ledger.budget
 
+    @pytest.mark.parametrize(
+        "model,match",
+        [
+            (lambda pts: np.where(pts[:, 0] > 0.5, np.nan, pts[:, 0]), "NaN or infinite"),
+            (lambda pts: pts[:-1, 0], "shape"),
+        ],
+        ids=["nan", "short"],
+    )
+    def test_model_output_checked(self, model, match):
+        with pytest.raises(EstimationError, match=match):
+            adaptive_run(function_spec("A2", 6), 9, seed=1, model=model)
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="k >= 2"):
             adaptive_run(function_spec("C2", 1), 6)

@@ -1,9 +1,16 @@
 """Command-line interface tests; the README examples are exercised here too."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vbsa import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys=None):
@@ -22,6 +29,14 @@ class TestBasics:
             cli.run(["--version"])
         assert exc.value.code == 0
 
+    def test_module_run_prints_no_runtime_warning(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vbsa.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.run(["metrics", "--k", "6", "--budget", "500", "--frobnicate"])
@@ -34,6 +49,11 @@ class TestBasics:
 
 
 class TestMetrics:
+    def test_budget_beyond_the_direction_table(self, tmp_path, capsys):
+        code = cli.run(["metrics", "--k", "12", "--budget", "4000", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "symmetric,4,10,4360,21600,40,," in capsys.readouterr().out
+
     def test_published_budget_table(self, tmp_path, capsys):
         code = cli.run(["metrics", "--k", "6", "--budget", "500", "--out-dir", str(tmp_path)])
         assert code == 0

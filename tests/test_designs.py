@@ -222,6 +222,11 @@ class TestBudgetTable:
         rows = budget_table(6, 500)
         assert all(r.discrepancy is not None and r.discrepancy > 0 for r in rows)
 
+    def test_pools_beyond_the_direction_table_have_no_discrepancy(self):
+        rows = budget_table(12, 4000)
+        assert [r.n for r in rows if r.discrepancy is None] == [7, 10]   # n * 12 > 64 columns
+        assert all(r.discrepancy > 0 for r in rows if r.n * 12 <= 64)
+
     def test_too_small_target_rejected(self):
         with pytest.raises(ValueError, match="below the minimal"):
             budget_table(6, 3)

@@ -2,11 +2,14 @@
 structural properties (scale/shift invariance, null factors, symmetry)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vbsa.designs import DesignSpec, assemble_plan, cyclic_label, hybrid_label
+from vbsa.designs import DesignSpec, assemble_plan, cyclic_label, hybrid_label, plan_layout
 from vbsa.estimators import (
     EstimationError,
     cyclic_single_matrix_T,
@@ -311,6 +314,24 @@ class TestSharedProperties:
         del evals["A"]
         with pytest.raises(EstimationError, match="'A'"):
             runner(evals)
+
+    def test_non_finite_hybrid_raises_estimation_error(self, spec, runner):
+        evals = dict(self._evals(spec))
+        label = plan_layout(spec.kind, spec.n, spec.k)[-1][0]   # the last hybrid
+        evals[label] = evals[label].copy()
+        evals[label][3] = np.nan
+        with pytest.raises(EstimationError, match=re.escape(repr(label))):
+            runner(evals)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_row_permutation_invariance(self, spec, runner, data):
+        if spec.kind == "cyclic_single":
+            pytest.skip("the cyclic design pairs adjacent rows by construction")
+        perm = np.array(data.draw(st.permutations(range(spec.N))))
+        evals = self._evals(spec)
+        permuted = {label: v[perm] for label, v in evals.items()}
+        assert runner(permuted).total == pytest.approx(runner(evals).total, abs=1e-12)
 
     def test_effects_used_matches_pairing_table(self, spec, runner):
         rng = np.random.default_rng(5)
