@@ -7,6 +7,10 @@ important factors can be dropped for good when doubling the sample would
 still leave the next-ranked factor noisier (the sqrt(2) rule).  Runs saved
 on dropped factors let the surviving factors climb beyond ``2**p`` rows while
 staying inside the budget; the cost ledger records what was actually spent.
+
+The warm-up and every doubling run one block: the new rows of A, then each
+active factor's hybrid in ascending j, then a ledger entry.  Outputs and
+elementary effects fill arrays preallocated for ``2**(p + 1)`` rows.
 """
 
 from __future__ import annotations
@@ -93,48 +97,44 @@ def adaptive_run(
         y = model(points) if model is not None else testfns.evaluate(fn, points)
         return checked_vector("model output", y, len(points))
 
-    def eval_hybrid(j: int, lo: int, hi: int) -> np.ndarray:
-        return evaluator(designs.hybrid_matrix(mat_a[lo:hi], mat_b[lo:hi], j))
+    f_a = np.empty(2 ** (p + 1))
+    diffs = np.empty((k, 2 ** (p + 1)))
+    reached = np.zeros(k, dtype=np.int64)   # rows of elementary effects per factor
+    active = tuple(range(1, k + 1))
+    n_rows = spent = 0
+    blocks: list[BlockRecord] = []
 
-    n_rows = 2**warm_exp
-    f_a = list(evaluator(mat_a[:n_rows]))
-    diffs = [list(np.asarray(f_a) - eval_hybrid(j, 0, n_rows)) for j in range(1, k + 1)]
-    spent = (k + 1) * n_rows
-    active = set(range(1, k + 1))
-    stds = std_elementary_effects(diffs)
-    blocks = [BlockRecord(0, n_rows, tuple(sorted(active)), spent, spent, tuple(stds.tolist()))]
-
-    for stage in range(1, k):
-        if rule_enabled and stage <= k - 2:
+    for stage in range(k):   # stage 0 is the warm-up block
+        if rule_enabled and 1 <= stage <= k - 2:
             # decreasing importance, ties broken by ascending factor index
             order = sorted(range(1, k + 1), key=lambda j: (-stds[j - 1], j))
             upper = stds[order[k - stage - 2] - 1]   # rank k - stage - 1
             lower = stds[order[k - stage - 1] - 1]   # rank k - stage
             if upper / math.sqrt(2.0) > lower:
-                for rank in range(k - stage - 1, k):
-                    active.discard(order[rank])
-        new_rows = n_rows
+                active = tuple(j for j in active if j not in order[k - stage - 1 :])
+        new_rows = n_rows if stage else 2**warm_exp
         cost = (1 + len(active)) * new_rows
         if spent + cost > budget:
             break
-        lo, hi = n_rows, n_rows + new_rows
-        f_a.extend(evaluator(mat_a[lo:hi]))
-        for j in sorted(active):
-            diffs[j - 1].extend(np.asarray(f_a[lo:hi]) - eval_hybrid(j, lo, hi))
-        n_rows = hi
+        lo, n_rows = n_rows, n_rows + new_rows
+        f_a[lo:n_rows] = evaluator(mat_a[lo:n_rows])
+        for j in active:
+            hybrid = designs.hybrid_matrix(mat_a[lo:n_rows], mat_b[lo:n_rows], j)
+            diffs[j - 1, lo:n_rows] = f_a[lo:n_rows] - evaluator(hybrid)
+            reached[j - 1] = n_rows
         spent += cost
-        stds = std_elementary_effects(diffs)
-        blocks.append(BlockRecord(stage, n_rows, tuple(sorted(active)), cost, spent, tuple(stds.tolist())))
+        stds = std_elementary_effects([d[:r] for d, r in zip(diffs, reached)])
+        blocks.append(BlockRecord(stage, n_rows, active, cost, spent, tuple(stds.tolist())))
 
-    variance = float(np.var(f_a))
+    variance = float(np.var(f_a[:n_rows]))
     if variance <= 0.0:
         raise EstimationError("zero output variance over evaluated base rows")
-    numerator = np.array([float(np.mean(np.square(diffs[j]))) / 2.0 for j in range(k)])
+    numerator = np.array([float(np.mean(np.square(d[:r]))) / 2.0 for d, r in zip(diffs, reached)])
     estimate = TotalIndexEstimate(
         total=numerator / variance,
         numerator=numerator,
         variance=variance,
-        effects_used=np.array([len(diffs[j]) for j in range(k)]),
+        effects_used=reached,
     )
     return estimate, AdaptiveLedger(budget=budget, blocks=tuple(blocks))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -201,10 +201,6 @@ class EvaluationPlan:
         left, right = (segments[..., None] * spec.N + np.arange(spec.N)).reshape(2, spec.k, -1)
         return {j: (left[j - 1], right[j - 1]) for j in range(1, spec.k + 1)}
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _, _ in self.blocks)
-
     def rows(self, label: str) -> np.ndarray:
         for name, lo, hi in self.blocks:
             if name == label:
@@ -359,14 +355,7 @@ def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[
         if row.n * k <= default_table().max_dimension:
             pool = sobol_block(row.n * k, int(math.log2(row.N)) if row.N > 1 else 0)
             discrepancy = l2_star_discrepancy(np.vstack(pool_matrices(pool.values, row.n, k)))
-        out.append(
-            DesignMetrics(
-                kind=row.kind, n=row.n, N=row.N,
-                total_points=row.total_points, total_effects=row.total_effects,
-                economy=row.economy, explorativity=row.explorativity,
-                discrepancy=discrepancy,
-            )
-        )
+        out.append(replace(row, discrepancy=discrepancy))
     return out
 
 

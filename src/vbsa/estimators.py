@@ -2,10 +2,10 @@
 
 At the boundary every estimator consumes an :class:`EvaluationSet` (model
 outputs keyed by the plan's matrix labels, the form an external model
-returns) and returns a :class:`TotalIndexEstimate`.  Each label is checked
-on the way in: a missing, misshapen or non-finite vector raises
-:class:`EstimationError` naming it.  Inside, the vectors are stacked into one
-``(segments, N)`` array in :func:`designs.plan_layout` order, and every
+returns) and returns a :class:`TotalIndexEstimate`.  The vectors are
+stacked into one ``(segments, N)`` array in :func:`designs.plan_layout`
+order and checked once, as one array: a missing, misshapen or non-finite
+vector raises :class:`EstimationError` naming the first such label.  Every
 estimator is a few array expressions over that array and the couples of
 :func:`designs.factor_segments`, the same design table that lays out the
 plan; ``effects_used`` is the table's couple count times N.  Conventions
@@ -93,22 +93,23 @@ def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
     return vec
 
 
-def _require(evals: EvaluationSet, label: str, n_rows: int | None = None) -> np.ndarray:
-    """Vector ``label`` of the evaluation set, of length ``n_rows`` when given."""
-    try:
-        vec = evals[label]
-    except KeyError:
-        raise EstimationError(f"evaluation set is missing vector {label!r}") from None
-    return checked_vector(label, vec, n_rows)
-
-
 def _outputs(evals: EvaluationSet, kind: str, n: int, k: int) -> np.ndarray:
     """The evaluation set as one ``(segments, N)`` array in :func:`designs.plan_layout` order."""
     if designs.DESIGN_KINDS[kind].n is None and n < 2:
         raise EstimationError(f"{kind} estimator needs n >= 2 base matrices")
     labels = [label for label, *_ in designs.plan_layout(kind, n, k)]
-    first = _require(evals, labels[0])
-    return np.stack([first] + [_require(evals, label, len(first)) for label in labels[1:]])
+    try:
+        y = np.array([evals[label] for label in labels], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        y = None
+    if y is None or y.ndim != 2 or not np.isfinite(y).all():
+        # name the first bad vector, in layout order
+        n_rows = None
+        for label in labels:
+            if label not in evals:
+                raise EstimationError(f"evaluation set is missing vector {label!r}")
+            n_rows = len(checked_vector(label, evals[label], n_rows))
+    return y
 
 
 def _checked_variance(y: np.ndarray, context: str) -> float:
@@ -130,13 +131,13 @@ def _estimate(kind: str, n: int, N: int, numerator: np.ndarray, variance: float)
     )
 
 
-def _squared_difference_T(evals: EvaluationSet, kind: str, n: int, k: int) -> TotalIndexEstimate:
+def _squared_difference_T(y: np.ndarray, kind: str, n: int, k: int) -> TotalIndexEstimate:
     """The squared-difference estimator over the couples of ``kind``'s design table entry.
 
+    ``y`` is the plan's ``(segments, N)`` output array (:func:`_outputs`).
     numerator_j = 1/2 mean over factor j's couples and rows of
     (f(left) - f(right))^2, normalised by the variance of matrix A.
     """
-    y = _outputs(evals, kind, n, k)
     variance = _checked_variance(y[:1], "matrix A")
     left, right = designs.factor_segments(kind, n, k)
     diff = y[left]
@@ -151,7 +152,7 @@ def saltenis_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     numerator_j = 1/(2N) sum_i (f(a_i) - f(a_b,i^(j)))^2, normalised by the
     variance of the independent runs (matrix A).
     """
-    return _squared_difference_T(evals, "asymmetric", 2, k)
+    return _squared_difference_T(_outputs(evals, "asymmetric", 2, k), "asymmetric", 2, k)
 
 
 @dataclass(frozen=True)
@@ -234,7 +235,7 @@ def multimatrix_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     variance of the first base matrix, the historical convention for the
     squared-difference family.
     """
-    return _squared_difference_T(evals, "multimatrix", n, k)
+    return _squared_difference_T(_outputs(evals, "multimatrix", n, k), "multimatrix", n, k)
 
 
 def lamboni_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
@@ -262,9 +263,10 @@ def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     wrapping the last row onto the first, so one matrix supplies both sides
     of every elementary effect.
     """
-    if len(_require(evals, "A")) < 2:
+    y = _outputs(evals, "cyclic_single", 1, k)
+    if y.shape[1] < 2:
         raise EstimationError("cyclic estimator needs N >= 2 rows")
-    return _squared_difference_T(evals, "cyclic_single", 1, k)
+    return _squared_difference_T(y, "cyclic_single", 1, k)
 
 
 def run_estimator(spec: DesignSpec, evals: EvaluationSet) -> TotalIndexEstimate:

@@ -2,9 +2,11 @@
 
 The generator draws points of the Sobol' LP_tau sequence in Gray-code order
 (Antonov-Saleev construction) from an embedded Joe-Kuo direction-number table
-covering 64 dimensions.  The all-zeros origin point is skipped, so block
-``i`` of size ``2**p`` holds sequence positions ``1 .. 2**p`` and every block
-is a prefix of the next larger one.
+covering 64 dimensions: point i is point i - 1 XOR the direction vector of
+the lowest set bit of i, so a block is one cumulative XOR down its rows.
+The all-zeros origin point is skipped, so block ``i`` of size ``2**p`` holds
+sequence positions ``1 .. 2**p`` and every block is a prefix of the next
+larger one.
 """
 
 from __future__ import annotations
@@ -155,16 +157,11 @@ def sobol_block(
     if p > _MAX_P:
         raise ValueError(f"block exponent p = {p} exceeds the supported maximum {_MAX_P}")
 
-    count = 1 << p
-    v = _direction_vectors(dim_count, table)
-    pos = np.arange(1, count + 1, dtype=np.uint64)
-    gray = pos ^ (pos >> np.uint64(1))
-    x = np.zeros((count, dim_count), dtype=np.uint64)
-    for b in range(int(gray.max()).bit_length()):
-        mask = (gray >> np.uint64(b)) & np.uint64(1) == 1
-        if mask.any():
-            x[mask] ^= v[:, b + 1]
-    return SampleMatrix(values=x.astype(np.float64) * 2.0 ** -_MAXBIT, label=label)
+    pos = np.arange(1, (1 << p) + 1, dtype=np.uint64)
+    # pos ^ (pos - 1) has lowest_bit(pos) + 1 set bits: the column of that bit's direction vector
+    x = _direction_vectors(dim_count, table).T[np.bitwise_count(pos ^ (pos - np.uint64(1)))]
+    np.bitwise_xor.accumulate(x, axis=0, out=x)
+    return SampleMatrix(values=np.multiply(x, 2.0 ** -_MAXBIT), label=label)
 
 
 def permute_columns(pool: SampleMatrix, perm: ColumnPermutation) -> SampleMatrix:

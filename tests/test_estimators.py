@@ -316,12 +316,16 @@ class TestSharedProperties:
             runner(evals)
 
     def test_non_finite_hybrid_raises_estimation_error(self, spec, runner):
-        evals = dict(self._evals(spec))
-        label = plan_layout(spec.kind, spec.n, spec.k)[-1][0]   # the last hybrid
-        evals[label] = evals[label].copy()
-        evals[label][3] = np.nan
-        with pytest.raises(EstimationError, match=re.escape(repr(label))):
-            runner(evals)
+        good = self._evals(spec)
+        hybrid = plan_layout(spec.kind, spec.n, spec.k)[-1][0]   # the last hybrid
+        for label, bad in [
+            (hybrid, np.where(np.arange(spec.N) == 3, np.nan, good[hybrid])),
+            ("A", np.where(np.arange(spec.N) == 0, np.inf, good["A"])),
+            (hybrid, good[hybrid][:-1]),        # one row short
+            (hybrid, good[hybrid][:, None]),    # (N, 1)
+        ]:
+            with pytest.raises(EstimationError, match=re.escape(repr(label))):
+                runner(dict(good, **{label: bad}))
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())

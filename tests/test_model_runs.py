@@ -1,0 +1,55 @@
+"""Model-run accounting: the rows a model receives equal the runs reported.
+
+For a real model each row is one expensive run, so the package must never
+evaluate more rows than its ledger or N_T says.  Both checks count at the
+model boundary: the ``adaptive_run`` ``model=`` hook, and ``testfns.evaluate``
+under ``estimate_total_effects``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vbsa import testfns
+from vbsa.adaptive import adaptive_run
+from vbsa.designs import DESIGN_KINDS, DesignSpec, design_metrics
+from vbsa.estimators import estimate_total_effects
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from([f for f in testfns.FAMILIES if f != "G"]),   # G has no default coefficients
+    k=st.integers(2, 6),
+    data=st.data(),
+    seed=st.none() | st.integers(0, 2**32 - 1),
+    repetition=st.integers(0, 50),
+    rule_enabled=st.booleans(),
+)
+def test_adaptive_run_evaluates_the_runs_its_ledger_spends(family, k, data, seed, repetition, rule_enabled):
+    fn = testfns.function_spec(family, k)
+    p = data.draw(st.integers(k - 1, k + 5), label="p")
+    rows = []
+
+    def model(points):
+        rows.append(len(points))
+        return testfns.evaluate(fn, points)
+
+    _, ledger = adaptive_run(fn, p, seed=seed, repetition=repetition, rule_enabled=rule_enabled, model=model)
+    assert sum(rows) == ledger.runs_spent
+
+
+@pytest.mark.parametrize(
+    "kind,n", [(kind, n) for kind, rule in DESIGN_KINDS.items() for n in ([rule.n] if rule.n else [2, 4])]
+)
+def test_estimate_total_effects_evaluates_n_t_rows(kind, n, monkeypatch):
+    spec = DesignSpec(kind=kind, n=n, N=32, k=4)
+    rows = []
+    evaluate = testfns.evaluate
+
+    def counting(fn, points):
+        rows.append(len(points))
+        return evaluate(fn, points)
+
+    monkeypatch.setattr(testfns, "evaluate", counting)
+    estimate_total_effects(spec, fn=testfns.function_spec("A2", 4), seed=1)
+    assert sum(rows) == design_metrics(spec).total_points

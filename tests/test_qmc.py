@@ -31,11 +31,12 @@ class TestSobolBlock:
     def test_first_two_points_in_two_dims(self):
         assert sobol_block(2, 1).values.tolist() == [[0.5, 0.5], [0.75, 0.25]]
 
-    @pytest.mark.parametrize("dim", [1, 2, 6, 36, 64])
+    @pytest.mark.parametrize("dim", range(1, 65))
     def test_matches_reference_generator(self, dim):
+        # positions 1 .. 2^12; the last one reaches direction bit 13
         qmc_scipy = pytest.importorskip("scipy.stats.qmc")
-        ref = qmc_scipy.Sobol(dim, scramble=False).random(257)[1:]  # drop the origin
-        mine = sobol_block(dim, 8).values
+        ref = qmc_scipy.Sobol(dim, scramble=False).random_base2(13)[1 : 2**12 + 1]   # drop the origin
+        mine = sobol_block(dim, 12).values
         assert np.array_equal(mine, ref)
 
     def test_deterministic(self):
