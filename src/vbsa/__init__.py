@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from . import adaptive, bench, designs, estimators, qmc, testfns
 from .adaptive import adaptive_run
 from .bench import ExperimentConfig, EstimatorConfig, convergence_experiment, mae
-from .designs import DesignSpec, assemble_plan, budget_table, design_metrics, hybrid_matrix
+from .designs import DesignSpec, assemble_plan, budget_table, design_metrics
 from .estimators import (
     TotalIndexEstimate,
     cyclic_single_matrix_T,
@@ -43,7 +43,6 @@ __all__ = [
     "evaluate",
     "function_spec",
     "glen_isaacs_d3_T",
-    "hybrid_matrix",
     "l2_star_discrepancy",
     "lamboni_T",
     "mae",

@@ -8,9 +8,13 @@ still leave the next-ranked factor noisier (the sqrt(2) rule).  Runs saved
 on dropped factors let the surviving factors climb beyond ``2**p`` rows while
 staying inside the budget; the cost ledger records what was actually spent.
 
-The warm-up and every doubling run one block: the new rows of A, then each
-active factor's hybrid in ascending j, then a ledger entry.  Outputs and
-elementary effects fill arrays preallocated for ``2**(p + 1)`` rows.
+The rows are segments of the asymmetric plan :func:`vbsa.estimators.sample_plan`
+draws at ``N = 2**(p + 1)``, the most rows a factor can reach.  The warm-up
+and every doubling run one block: the next rows of A, then the same rows of
+each active factor's hybrid A_B(j) in ascending j, then a ledger entry;
+outputs and elementary effects fill arrays preallocated for those rows.
+Holding the plan costs the memory of a plain estimate at ``N = 2**(p + 1)``,
+(k + 1) / 2 times the 2k-column pool it is drawn from.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import designs, qmc, testfns
-from .estimators import EstimationError, TotalIndexEstimate, checked_vector
+from . import testfns
+from .designs import DesignSpec
+from .estimators import EstimationError, TotalIndexEstimate, checked_vector, sample_plan
 
 
 @dataclass(frozen=True)
@@ -86,19 +91,17 @@ def adaptive_run(
         raise ValueError(f"budget exponent p = {p} leaves no warm-up block for k = {k} (need p >= {k - 1})")
 
     budget = (k + 1) * 2**p
-    n_cols = 2 * k
     # The last block can reach 2**(p+1) rows when enough factors were dropped.
-    pool = qmc.sobol_block(n_cols, p + 1)
-    if seed is not None:
-        pool = qmc.permute_columns(pool, qmc.draw_permutation(n_cols, seed, repetition))
-    mat_a, mat_b = designs.pool_matrices(pool.values, 2, k)
+    n_max = 2 ** (p + 1)
+    plan = sample_plan(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)
+    segments = plan.points.reshape(k + 1, n_max, k)   # A, then A_B(j) for j = 1..k
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         y = model(points) if model is not None else testfns.evaluate(fn, points)
         return checked_vector("model output", y, len(points))
 
-    f_a = np.empty(2 ** (p + 1))
-    diffs = np.empty((k, 2 ** (p + 1)))
+    f_a = np.empty(n_max)
+    diffs = np.empty((k, n_max))
     reached = np.zeros(k, dtype=np.int64)   # rows of elementary effects per factor
     active = tuple(range(1, k + 1))
     n_rows = spent = 0
@@ -117,10 +120,9 @@ def adaptive_run(
         if spent + cost > budget:
             break
         lo, n_rows = n_rows, n_rows + new_rows
-        f_a[lo:n_rows] = evaluator(mat_a[lo:n_rows])
+        f_a[lo:n_rows] = evaluator(segments[0, lo:n_rows])
         for j in active:
-            hybrid = designs.hybrid_matrix(mat_a[lo:n_rows], mat_b[lo:n_rows], j)
-            diffs[j - 1, lo:n_rows] = f_a[lo:n_rows] - evaluator(hybrid)
+            diffs[j - 1, lo:n_rows] = f_a[lo:n_rows] - evaluator(segments[j, lo:n_rows])
             reached[j - 1] = n_rows
         spent += cost
         stds = std_elementary_effects([d[:r] for d, r in zip(diffs, reached)])

@@ -215,31 +215,28 @@ def adaptive_experiment(
 ) -> tuple[list[ConvergenceRecord], list[str]]:
     """Adaptive allocation vs the plain asymmetric estimator at full reported cost.
 
-    Both series are reported against the budget ``(k + 1) 2**p``; the runs
-    actually spent by the adaptive strategy appear in the returned ledger
-    lines (see :func:`vbsa.adaptive.ledger_csv_header`).
+    Per p and repetition, the plain series is :func:`estimate_total_effects`
+    at N = 2**p and the adaptive one :func:`vbsa.adaptive.adaptive_run`; both
+    draw their scrambled design through :func:`estimators.sample_plan` with
+    the same seed and repetition, so the plain design is the first 2**p rows
+    of the adaptive one.  Both series are reported against the budget
+    ``(k + 1) 2**p``; the runs actually spent by the adaptive strategy appear
+    in the returned ledger lines (see :func:`vbsa.adaptive.ledger_csv_header`).
     """
     k = fn.k
     analytic_total = testfns.analytic_indices(fn).total
-    plain_cfg = EstimatorConfig(name="saltenis")
     records: list[ConvergenceRecord] = []
     ledger_lines: list[str] = []
-    pool = qmc.sobol_block(2 * k, max(p_values) + 1).values
     for p in p_values:
         budget = (k + 1) * 2**p
+        spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=k)
         for rep in range(repetitions):
-            perm = qmc.draw_permutation(2 * k, seed, rep)
-            pool_r = pool[:, perm.perm]
-            N = 2**p
-            spec = plain_cfg.design(N, k)
-            plan = designs.assemble_plan(spec, designs.pool_matrices(pool_r, spec.n, k, N))
-            y = testfns.evaluate(fn, plan.points)
-            plain = estimators.run_estimator(spec, plan.split_outputs(y))
+            plain = estimators.estimate_total_effects(spec, fn, seed, rep)
             adapted, ledger = adaptive_mod.adaptive_run(fn, p, seed=seed, repetition=rep)
             for name, est in (("saltenis", plain), ("adaptive", adapted)):
                 records.append(
                     ConvergenceRecord(
-                        function=fn.family, estimator=name, n=2, p=p, N=N, n_t=budget,
+                        function=fn.family, estimator=name, n=2, p=p, N=spec.N, n_t=budget,
                         rep=rep, t_hat=est.total,
                         mae=float(np.mean(np.abs(est.total - analytic_total))),
                     )

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmc import _MAX_P, SampleMatrix, default_table, l2_star_discrepancy, sobol_block
+from .qmc import _MAX_DIM, _MAX_P, SampleMatrix, _in_unit_cube, l2_star_discrepancy, sobol_block
 
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
@@ -223,36 +223,23 @@ def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> 
     return [pool[:rows, m * k : (m + 1) * k] for m in range(n)]
 
 
-def hybrid_matrix(base: np.ndarray | SampleMatrix, donor: np.ndarray | SampleMatrix, j: int):
-    """Copy of ``base`` whose column ``j`` (1-based) is taken from ``donor``."""
-    base_vals = base.values if isinstance(base, SampleMatrix) else np.asarray(base, dtype=float)
-    donor_vals = donor.values if isinstance(donor, SampleMatrix) else np.asarray(donor, dtype=float)
-    if base_vals.shape != donor_vals.shape:
-        raise ValueError(f"base shape {base_vals.shape} does not match donor shape {donor_vals.shape}")
-    if not 1 <= j <= base_vals.shape[1]:
-        raise ValueError(f"factor index j = {j} out of range 1..{base_vals.shape[1]}")
-    out = base_vals.copy()
-    out[:, j - 1] = donor_vals[:, j - 1]
-    if isinstance(base, SampleMatrix):
-        donor_name = donor.label if isinstance(donor, SampleMatrix) else "?"
-        return SampleMatrix(values=out, label=hybrid_label(base.label, donor_name, j))
-    return out
-
-
 def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray | SampleMatrix]) -> EvaluationPlan:
     """Assemble the ordered evaluation plan for ``spec``.
 
     The segments of :func:`plan_layout` are written in place into one points
     array: base matrices first (A, B, ...), then hybrids grouped by base
-    matrix, donor and factor, so plans are reproducible row-for-row.
+    matrix, donor and factor, so plans are reproducible row-for-row.  Each
+    base matrix must be (N, k) with every coordinate in [0, 1).
     """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
     mats = []
-    for m in base_matrices:
+    for i, m in enumerate(base_matrices):
         vals = m.values if isinstance(m, SampleMatrix) else np.asarray(m, dtype=float)
         if vals.shape != (spec.N, spec.k):
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
+        if not _in_unit_cube(vals):
+            raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
         mats.append(vals)
 
     N, layout = spec.N, plan_layout(spec.kind, spec.n, spec.k)
@@ -320,11 +307,11 @@ def best_power_of_two(cost_per_row: int, target: int) -> int:
     return min((1 << p for p in range(_MAX_P + 1)), key=lambda n: abs(cost_per_row * n - target))
 
 
-def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[DesignMetrics]:
+def budget_table(k: int, target_nt: int) -> list[DesignMetrics]:
     """Design alternatives meeting an affordable total run count.
 
-    Emits the asymmetric two-matrix row plus, for each base-matrix count in
-    ``n_range``, the symmetric multi-matrix row whose power-of-two N brings
+    Emits the asymmetric two-matrix row plus, for each base-matrix count
+    n = 2..10, the symmetric multi-matrix row whose power-of-two N brings
     N_T closest to ``target_nt``.  When several n land on the same N only the
     closest-to-target row is kept, matching how such trade-off tables are
     usually reported.  Rows carry the L2-star discrepancy of the pooled nN
@@ -339,7 +326,7 @@ def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[
         return design_metrics(DesignSpec(kind=kind, n=n, N=best_power_of_two(per_row, target_nt), k=k))
 
     sym_rows: dict[int, DesignMetrics] = {}
-    for n in n_range:
+    for n in range(2, 11):
         metrics = nearest("multimatrix", n)
         incumbent = sym_rows.get(metrics.N)
         if incumbent is None or abs(metrics.total_points - target_nt) < abs(
@@ -352,7 +339,7 @@ def budget_table(k: int, target_nt: int, n_range: range = range(2, 11)) -> list[
     out = []
     for row in rows:
         discrepancy = None
-        if row.n * k <= default_table().max_dimension:
+        if row.n * k <= _MAX_DIM:
             pool = sobol_block(row.n * k, int(math.log2(row.N)) if row.N > 1 else 0)
             discrepancy = l2_star_discrepancy(np.vstack(pool_matrices(pool.values, row.n, k)))
         out.append(replace(row, discrepancy=discrepancy))
@@ -388,7 +375,6 @@ __all__ = [
     "design_metrics",
     "factor_segments",
     "hybrid_label",
-    "hybrid_matrix",
     "plan_layout",
     "pool_matrices",
     "reference_metrics",

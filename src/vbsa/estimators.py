@@ -288,23 +288,16 @@ def run_estimator(spec: DesignSpec, evals: EvaluationSet) -> TotalIndexEstimate:
 
 
 def estimate_total_effects(
-    spec: DesignSpec,
-    fn: testfns.FunctionSpec | None = None,
-    evals: EvaluationSet | None = None,
-    seed: int | None = None,
-    repetition: int = 0,
+    spec: DesignSpec, fn: testfns.FunctionSpec, seed: int | None = None, repetition: int = 0
 ) -> TotalIndexEstimate:
-    """Library entry point: estimate T-hat from a function or a raw evaluation set.
+    """Library entry point: estimate T-hat of an analytic function.
 
-    With ``fn`` given, draws the Sobol' column pool for the design (optionally
-    scrambled by the per-repetition column permutation derived from ``seed``),
-    assembles the plan, evaluates the function and runs the matching
-    estimator.  With ``evals`` given, skips sampling entirely.
+    Draws the Sobol' design with :func:`sample_plan` (optionally scrambled
+    by the per-repetition column permutation derived from ``seed``),
+    evaluates the function on it and runs the matching estimator.  For
+    outputs computed elsewhere, use :func:`run_estimator` on the evaluation
+    set.
     """
-    if (fn is None) == (evals is None):
-        raise ValueError("provide exactly one of fn or evals")
-    if evals is not None:
-        return run_estimator(spec, evals)
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
     plan = sample_plan(spec, seed=seed, repetition=repetition)
@@ -313,11 +306,13 @@ def estimate_total_effects(
 
 
 def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) -> "designs.EvaluationPlan":
-    """Draw the Sobol' pool for a design and assemble its evaluation plan.
+    """Draw the scrambled Sobol' design of ``spec`` and assemble its evaluation plan.
 
-    Pool columns are optionally scrambled by a seeded per-repetition
-    permutation; the k left-most (permuted) columns form matrix A, the next
-    k matrix B, and so on.
+    The one draw of a single design: the pool is the first N points in
+    n*k dimensions, its columns optionally scrambled by a seeded
+    per-repetition permutation; the k left-most (permuted) columns form
+    matrix A, the next k matrix B, and so on.  Blocks are nested, so a
+    design at N holds the first N rows of the same design at 2N.
     """
     n_cols = spec.n * spec.k
     p = int(spec.N).bit_length() - 1

@@ -14,7 +14,6 @@ from vbsa.designs import (
     cyclic_label,
     design_metrics,
     hybrid_label,
-    hybrid_matrix,
     reference_metrics,
 )
 
@@ -34,29 +33,16 @@ def _random_bases(spec: DesignSpec, seed: int = 0) -> list[np.ndarray]:
     return [rng.random((spec.N, spec.k)) for _ in range(spec.n)]
 
 
-class TestHybridMatrix:
-    def test_takes_single_column_from_donor(self):
-        out = hybrid_matrix(np.array([[1.0, 2.0]]), np.array([[9.0, 8.0]]), j=2)
-        assert out.tolist() == [[1.0, 8.0]]
-
-    def test_donor_equal_to_base_is_identity(self):
-        base = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert np.array_equal(hybrid_matrix(base, base, j=1), base)
-
-    def test_out_of_range_factor_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            hybrid_matrix(np.ones((2, 2)), np.ones((2, 2)), j=3)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            hybrid_matrix(np.ones((2, 2)), np.ones((3, 2)), j=1)
-
-
 class TestAssemblePlan:
     def test_asymmetric_row_count_k6(self):
         spec = DesignSpec(kind="asymmetric", n=2, N=64, k=6)
-        plan = assemble_plan(spec, _random_bases(spec))
+        mat_a, mat_b = _random_bases(spec)
+        plan = assemble_plan(spec, [mat_a, mat_b])
         assert plan.points.shape == (448, 6)
+        for j in range(1, 7):
+            hybrid = plan.rows(hybrid_label("A", "B", j))
+            assert np.array_equal(hybrid[:, j - 1], mat_b[:, j - 1])
+            assert np.array_equal(np.delete(hybrid, j - 1, axis=1), np.delete(mat_a, j - 1, axis=1))
 
     def test_multimatrix_n3_rows_and_effects(self):
         spec = DesignSpec(kind="multimatrix", n=3, N=16, k=6)
@@ -100,6 +86,14 @@ class TestAssemblePlan:
         assert shifted[-1, 0] == base[0, 0]      # wrap: row N borrows row 1
         assert shifted[0, 0] == base[1, 0]
         assert np.array_equal(shifted[:, 1], base[:, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.0])
+    def test_base_outside_unit_cube_rejected(self, bad):
+        spec = DesignSpec(kind="owen", n=3, N=4, k=2)
+        bases = _random_bases(spec)
+        bases[2][3, 1] = bad
+        with pytest.raises(ValueError, match="base matrix 2 .*outside"):
+            assemble_plan(spec, bases)
 
     def test_wrong_base_count_rejected(self):
         spec = DesignSpec(kind="owen", n=3, N=4, k=2)

@@ -387,11 +387,6 @@ class TestEntryPoint:
         routed = run_estimator(spec, evals)
         assert routed.total == pytest.approx(direct.total)
 
-    def test_requires_exactly_one_input(self):
-        spec = DesignSpec(kind="asymmetric", n=2, N=8, k=2)
-        with pytest.raises(ValueError, match="exactly one"):
-            estimate_total_effects(spec)
-
     def test_sampled_estimate_converges(self):
         fn = function_spec("C2", 2)
         spec = DesignSpec(kind="asymmetric", n=2, N=2**13, k=2)

@@ -3,7 +3,7 @@
 For a real model each row is one expensive run, so the package must never
 evaluate more rows than its ledger or N_T says.  Both checks count at the
 model boundary: the ``adaptive_run`` ``model=`` hook, and ``testfns.evaluate``
-under ``estimate_total_effects``.
+under ``estimate_total_effects`` and ``adaptive_experiment``.
 """
 
 import pytest
@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbsa import testfns
-from vbsa.adaptive import adaptive_run
+from vbsa.adaptive import adaptive_run, ledger_csv_header
+from vbsa.bench import adaptive_experiment
 from vbsa.designs import DESIGN_KINDS, DesignSpec, design_metrics
 from vbsa.estimators import estimate_total_effects
 
@@ -38,11 +39,9 @@ def test_adaptive_run_evaluates_the_runs_its_ledger_spends(family, k, data, seed
     assert sum(rows) == ledger.runs_spent
 
 
-@pytest.mark.parametrize(
-    "kind,n", [(kind, n) for kind, rule in DESIGN_KINDS.items() for n in ([rule.n] if rule.n else [2, 4])]
-)
-def test_estimate_total_effects_evaluates_n_t_rows(kind, n, monkeypatch):
-    spec = DesignSpec(kind=kind, n=n, N=32, k=4)
+@pytest.fixture
+def evaluated_rows(monkeypatch):
+    """Row counts of every ``testfns.evaluate`` call made during the test."""
     rows = []
     evaluate = testfns.evaluate
 
@@ -51,5 +50,21 @@ def test_estimate_total_effects_evaluates_n_t_rows(kind, n, monkeypatch):
         return evaluate(fn, points)
 
     monkeypatch.setattr(testfns, "evaluate", counting)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "kind,n", [(kind, n) for kind, rule in DESIGN_KINDS.items() for n in ([rule.n] if rule.n else [2, 4])]
+)
+def test_estimate_total_effects_evaluates_n_t_rows(kind, n, evaluated_rows):
+    spec = DesignSpec(kind=kind, n=n, N=32, k=4)
     estimate_total_effects(spec, fn=testfns.function_spec("A2", 4), seed=1)
-    assert sum(rows) == design_metrics(spec).total_points
+    assert sum(evaluated_rows) == design_metrics(spec).total_points
+
+
+def test_adaptive_experiment_evaluates_the_runs_it_reports(evaluated_rows):
+    records, ledger_lines = adaptive_experiment(testfns.function_spec("A2", 6), range(6, 8), 2, seed=1)
+    plain = sum(r.n_t for r in records if r.estimator == "saltenis" and r.rep is not None)
+    runs_block = ledger_csv_header().split(",").index("runs_block")
+    adaptive = sum(int(line.split(",")[runs_block]) for line in ledger_lines)
+    assert sum(evaluated_rows) == plain + adaptive

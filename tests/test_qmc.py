@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbsa import qmc
+from vbsa._directions import POLY_AND_INIT
 from vbsa.qmc import (
     ColumnPermutation,
-    DirectionNumberTable,
     SampleMatrix,
-    block_to_csv,
-    default_table,
     draw_permutation,
     l2_star_discrepancy,
     permute_columns,
@@ -77,19 +76,13 @@ class TestSobolBlock:
 
 class TestDirectionTable:
     def test_default_covers_64_dimensions(self):
-        assert default_table().max_dimension == 64
+        assert qmc._MAX_DIM == 64 == len(POLY_AND_INIT) + 1
 
-    def test_rejects_even_direction_integer(self):
-        with pytest.raises(ValueError, match="odd"):
-            DirectionNumberTable(polys=(3,), m_init=((2,),))
-
-    def test_rejects_oversized_direction_integer(self):
-        with pytest.raises(ValueError, match="odd"):
-            DirectionNumberTable(polys=(7,), m_init=((1, 5),))  # m_2 = 5 >= 2^2
-
-    def test_rejects_degree_mismatch(self):
-        with pytest.raises(ValueError, match="degree"):
-            DirectionNumberTable(polys=(7,), m_init=((1,),))
+    def test_embedded_entries_are_well_formed(self):
+        for dim, (poly, m_init) in enumerate(POLY_AND_INIT, start=2):
+            assert poly.bit_length() - 1 == len(m_init), f"dimension {dim}: degree and initial integers differ"
+            for i, mi in enumerate(m_init, start=1):
+                assert mi % 2 == 1 and 0 < mi < 2**i, f"dimension {dim}: m_{i} = {mi} must be odd and < 2^{i}"
 
 
 class TestPermuteColumns:
@@ -180,20 +173,15 @@ class TestL2StarDiscrepancy:
             l2_star_discrepancy(np.empty((0, 2)))
 
     def test_points_outside_cube_rejected(self):
-        with pytest.raises(ValueError, match="unit cube"):
-            l2_star_discrepancy(np.array([[1.5, 0.2]]))
+        for bad in ([[1.5, 0.2]], [[np.nan, 0.5], [0.2, 0.3]]):
+            with pytest.raises(ValueError, match="unit cube"):
+                l2_star_discrepancy(np.array(bad))
 
     def test_strictly_positive(self):
         assert l2_star_discrepancy(sobol_block(3, 5)) > 0.0
 
 
-def test_block_to_csv_roundtrip():
-    block = sobol_block(3, 2)
-    text = block_to_csv(block)
-    parsed = np.array([[float(v) for v in line.split(",")] for line in text.strip().splitlines()])
-    assert np.array_equal(parsed, block.values)
-
-
 def test_sample_matrix_rejects_out_of_range_values():
-    with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        SampleMatrix(values=np.array([[1.0, 0.5]]))
+    for bad in (1.0, np.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            SampleMatrix(values=np.array([[bad, 0.5]]))

@@ -40,6 +40,13 @@ estimators.estimate_total_effects(spec, fn=fn, seed=2)
 runs += designs.design_metrics(spec).total_points
 _, ledger = adaptive.adaptive_run(fn, 4, seed=3)
 runs += ledger.runs_spent
+before = dict(tracer.counts)
+records, ledger_lines = bench.adaptive_experiment(fn, range(3, 5), 2, seed=4)
+runs += sum(r.n_t for r in records if r.estimator == "saltenis" and r.rep is not None)
+runs_block = adaptive.ledger_csv_header().split(",").index("runs_block")
+runs += sum(int(line.split(",")[runs_block]) for line in ledger_lines)
+rerouted = {name: tracer.counts.get(name + ".calls", 0) - before.get(name + ".calls", 0)
+            for name in ("adaptive.adaptive_run", "estimators.sample_plan", "estimators.estimate_total_effects")}
 
 metrics = layer_metrics(tracer, 1.0, runs)
 calls = {f"{layer}.{attr}": metrics[f"{layer}.{attr}.calls"] for layer, attr, _ in TRACED}
@@ -47,6 +54,7 @@ print(json.dumps({
     "unresolved": unresolved,
     "errors": [e.message for e in errors],
     "calls": calls,
+    "rerouted": rerouted,
     "evaluated_rows": metrics["testfns.evaluate.rows"],
     "reported_runs": runs,
 }))
@@ -65,4 +73,6 @@ def test_traced_names_resolve_and_count_every_layer():
     estimator_calls = {name: n for name, n in out["calls"].items() if name.endswith("_T")}
     assert len(estimator_calls) == 6
     assert all(n > 0 for n in estimator_calls.values()), estimator_calls
+    # adaptive_experiment draws both of its series through sample_plan
+    assert all(n > 0 for n in out["rerouted"].values()), out["rerouted"]
     assert out["evaluated_rows"] == out["reported_runs"]
