@@ -27,7 +27,7 @@ import numpy as np
 
 from . import testfns
 from .designs import DesignSpec
-from .estimators import EstimationError, TotalIndexEstimate, checked_vector, sample_plan
+from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, checked_vector, sample_plan
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ def adaptive_run(
         stds = std_elementary_effects([d[:r] for d, r in zip(diffs, reached)])
         blocks.append(BlockRecord(stage, n_rows, active, cost, spent, tuple(stds.tolist())))
 
-    variance = float(np.var(f_a[:n_rows]))
-    if variance <= 0.0:
-        raise EstimationError("zero output variance over evaluated base rows")
+    variance = _checked_variance(f_a[:n_rows], "evaluated base rows")
     numerator = np.array([float(np.mean(np.square(d[:r]))) / 2.0 for d, r in zip(diffs, reached)])
     estimate = TotalIndexEstimate(
         total=numerator / variance,

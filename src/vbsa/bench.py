@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ValueError("p range is empty")
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        repeated = [e for i, e in enumerate(self.estimators) if e in self.estimators[:i]]
+        if repeated:
+            raise ValueError(f"estimator {repeated[0].name!r} with n = {repeated[0].n} is listed twice")
 
     @property
     def p_values(self) -> range:

@@ -163,6 +163,15 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
     raise AssertionError
 
 
+def _write(out_dir: str | Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``out_dir/name``, making the directory first; return the path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(text)
+    return path
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     fn = _function_from_args(args)
     names = [s.strip() for s in args.estimators.split(",") if s.strip()]
@@ -171,7 +180,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for name in names:
         # an unknown name gets one config, which EstimatorConfig rejects
         fixed_n = bench.ESTIMATOR_DESIGNS.get(name, (None, 2))[1]
-        n_list = [fixed_n] if fixed_n is not None else [max(n, 2) for n in n_values]
+        n_list = [fixed_n] if fixed_n is not None else n_values
         configs.extend(bench.EstimatorConfig(name=name, n=n) for n in n_list)
     cfg = bench.ExperimentConfig(
         function=fn, estimators=tuple(configs),
@@ -183,11 +192,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         written = bench.export(records, args.out_dir, fmt=args.format,
                                title=f"{fn.family}, k={fn.k}, {args.reps} repetitions")
     if errors:
-        err_dir = Path(args.out_dir)
-        err_dir.mkdir(parents=True, exist_ok=True)
-        err_path = err_dir / "errors.csv"
-        err_path.write_text(bench.errors_csv(errors))
-        written.append(err_path)
+        written.append(_write(args.out_dir, "errors.csv", bench.errors_csv(errors)))
     print(f"benchmarked {fn.family} (k={fn.k}) with {len(configs)} estimator(s), "
           f"p = {args.p_min}..{args.p_max}, {args.reps} repetitions")
     for r in records:
@@ -207,10 +212,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     spec = designs.DesignSpec(kind=args.design, n=n, N=args.N, k=args.k)
     result = estimators.estimate_total_effects(spec, fn=fn, seed=args.seed, repetition=args.rep)
     csv_text = estimators.estimate_csv(result)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "estimate.csv"
-    path.write_text(csv_text)
+    path = _write(args.out_dir, "estimate.csv", csv_text)
     print(csv_text, end="")
     print(f"V_hat = {result.variance!r}")
     print(f"wrote {path}")
@@ -220,12 +222,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     rows = designs.budget_table(args.k, args.budget)
     csv_text = designs.budget_table_csv(rows)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "budget_table.csv"
-    table_path.write_text(csv_text)
-    scatter_path = out / "design_scatter.svg"
-    scatter_path.write_text(bench.design_scatter_svg(rows, args.k))
+    table_path = _write(args.out_dir, "budget_table.csv", csv_text)
+    scatter_path = _write(args.out_dir, "design_scatter.svg", bench.design_scatter_svg(rows, args.k))
     print(csv_text, end="")
     print(f"wrote {table_path}")
     print(f"wrote {scatter_path}")
@@ -251,11 +249,7 @@ def _cmd_analytic_index(args: argparse.Namespace) -> int:
     csv_text = testfns.indices_csv(fn)
     print(csv_text, end="")
     if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "analytic_indices.csv"
-        path.write_text(csv_text)
-        print(f"wrote {path}")
+        print(f"wrote {_write(args.out_dir, 'analytic_indices.csv', csv_text)}")
     return EXIT_OK
 
 
@@ -264,13 +258,10 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
     records, ledger_lines = bench.adaptive_experiment(
         fn, range(args.p_min, args.p_max + 1), args.reps, args.seed
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = bench.export(records, out, fmt=args.format, basename="adaptive_convergence",
+    written = bench.export(records, args.out_dir, fmt=args.format, basename="adaptive_convergence",
                            title=f"adaptive vs plain, {fn.family}, k={fn.k}")
-    ledger_path = out / "adaptive_ledger.csv"
-    ledger_path.write_text(adaptive.ledger_csv_header() + "\n" + "\n".join(ledger_lines) + "\n")
-    written.append(ledger_path)
+    ledger = adaptive.ledger_csv_header() + "\n" + "\n".join(ledger_lines) + "\n"
+    written.append(_write(args.out_dir, "adaptive_ledger.csv", ledger))
     for r in records:
         if r.rep is None:
             print(f"  {r.estimator} p={r.p} budget={r.n_t}: MAE = {r.mae:.6g}")

@@ -7,12 +7,11 @@ holds and the (base, donor) couples whose hybrids follow them.  From that
 entry :func:`plan_layout` derives the ordered segments of the plan, and from
 the layout come the three things a design is used for: the points
 (:func:`assemble_plan`), the elementary effects, i.e. couples of segments
-differing only in factor j (:func:`factor_segments`, read by the estimators
-and :attr:`EvaluationPlan.pairs`), and the cost metrics
-(:func:`design_metrics`).  Competing designs are compared through their
-economy ``e = E_T / N_T`` (elementary effects per model run) and
-explorativity ``chi = nN / N_T`` (fraction of non-repeated coordinates among
-all coordinates the design consumes).
+differing only in factor j (:func:`factor_segments`, read by the
+estimators), and the cost metrics (:func:`design_metrics`).  Competing
+designs are compared through their economy ``e = E_T / N_T`` (elementary
+effects per model run) and explorativity ``chi = nN / N_T`` (fraction of
+non-repeated coordinates among all coordinates the design consumes).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmc import _MAX_DIM, _MAX_P, SampleMatrix, _in_unit_cube, l2_star_discrepancy, sobol_block
+from .qmc import _MAX_DIM, _MAX_P, _in_unit_cube, l2_star_discrepancy, sobol_block
 
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
@@ -181,38 +180,24 @@ class DesignMetrics:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """All points a design requires, with provenance labels and effect pairings.
+    """All points a design requires, as the spec and its points alone.
 
-    The plan is the segments of :func:`plan_layout` stacked in order, N
-    rows each.  ``blocks`` maps a matrix label to its half-open row span in
-    ``points``.  ``pairs[j]`` holds two index arrays (left, right) of rows
-    forming the elementary-effect couples assigned to factor ``j``
-    (1-based); it is derived from the layout on first access.
+    ``points`` stacks the segments of :func:`plan_layout` in order, N rows
+    each: segment s is ``points.reshape(segments, N, k)[s]``.  The couples of
+    segments the estimators read are :func:`factor_segments`.
     """
 
     spec: DesignSpec
     points: np.ndarray
-    blocks: tuple[tuple[str, int, int], ...]
-
-    @functools.cached_property
-    def pairs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        spec = self.spec
-        segments = np.array(factor_segments(spec.kind, spec.n, spec.k))   # (2, k, couples)
-        left, right = (segments[..., None] * spec.N + np.arange(spec.N)).reshape(2, spec.k, -1)
-        return {j: (left[j - 1], right[j - 1]) for j in range(1, spec.k + 1)}
-
-    def rows(self, label: str) -> np.ndarray:
-        for name, lo, hi in self.blocks:
-            if name == label:
-                return self.points[lo:hi]
-        raise KeyError(f"no matrix labelled {label!r} in plan")
 
     def split_outputs(self, y: np.ndarray) -> dict[str, np.ndarray]:
         """Slice a vector of model outputs over the whole plan by matrix label."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.points.shape[0],):
             raise ValueError(f"output vector length {y.shape} does not match plan size {self.points.shape[0]}")
-        return {label: y[lo:hi] for label, lo, hi in self.blocks}
+        spec = self.spec
+        layout = plan_layout(spec.kind, spec.n, spec.k)
+        return {label: row for (label, *_), row in zip(layout, y.reshape(len(layout), spec.N))}
 
 
 def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> list[np.ndarray]:
@@ -223,7 +208,7 @@ def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> 
     return [pool[:rows, m * k : (m + 1) * k] for m in range(n)]
 
 
-def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray | SampleMatrix]) -> EvaluationPlan:
+def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> EvaluationPlan:
     """Assemble the ordered evaluation plan for ``spec``.
 
     The segments of :func:`plan_layout` are written in place into one points
@@ -235,7 +220,7 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray | SampleMatri
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
     mats = []
     for i, m in enumerate(base_matrices):
-        vals = m.values if isinstance(m, SampleMatrix) else np.asarray(m, dtype=float)
+        vals = np.asarray(m, dtype=float)
         if vals.shape != (spec.N, spec.k):
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         if not _in_unit_cube(vals):
@@ -250,8 +235,7 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray | SampleMatri
             out[:, j - 1] = np.roll(mats[m][:, j - 1], -1)
         elif donor is not None:
             out[:, j - 1] = mats[donor][:, j - 1]
-    blocks = tuple((label, s * N, (s + 1) * N) for s, (label, *_) in enumerate(layout))
-    return EvaluationPlan(spec=spec, points=points, blocks=blocks)
+    return EvaluationPlan(spec=spec, points=points)
 
 
 def design_metrics(spec: DesignSpec) -> DesignMetrics:

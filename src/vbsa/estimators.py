@@ -22,7 +22,7 @@ the R ``sensitivity`` package; the many-matrix generalisation is Lamboni
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -51,14 +51,6 @@ class TotalIndexEstimate:
         return len(self.total)
 
 
-def sample_variance(f: np.ndarray) -> float:
-    """Population (1/N) variance of an output vector."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or len(f) < 2:
-        raise EstimationError("variance needs a one-dimensional vector of length >= 2")
-    return float(np.var(f))
-
-
 def _rho(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise product-moment correlation over the last axis, with matched normalisation."""
     du = u - u.mean(axis=-1, keepdims=True)
@@ -68,15 +60,6 @@ def _rho(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise EstimationError("correlation of a constant vector is undefined")
     # clip guards float round-off only; the estimator itself satisfies |rho| <= 1
     return np.clip(np.vecdot(du, dv) / np.sqrt(su * sv), -1.0, 1.0)
-
-
-def pearson_rho(u: np.ndarray, v: np.ndarray) -> float:
-    """Product-moment correlation with matched normalisation (|rho| <= 1)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1 or len(u) < 2:
-        raise EstimationError("correlation needs two equal-length vectors of length >= 2")
-    return float(_rho(u, v))
 
 
 def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
@@ -113,8 +96,10 @@ def _outputs(evals: EvaluationSet, kind: str, n: int, k: int) -> np.ndarray:
 
 
 def _checked_variance(y: np.ndarray, context: str) -> float:
-    """V-hat(Y) over the rows of ``y`` pooled; it must be positive."""
-    v = sample_variance(y.ravel())
+    """Population (1/N) V-hat(Y) over all values of ``y``: at least two, not all equal."""
+    if y.size < 2:
+        raise EstimationError("variance needs a one-dimensional vector of length >= 2")
+    v = float(np.var(y))
     if v <= 0.0:
         raise EstimationError(f"zero output variance in {context}; indices undefined")
     return v
@@ -155,26 +140,16 @@ def saltenis_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     return _squared_difference_T(_outputs(evals, "asymmetric", 2, k), "asymmetric", 2, k)
 
 
-@dataclass(frozen=True)
-class CorrelationTerms:
-    """The per-factor correlations feeding the D3 estimator.
+def _d3_terms(y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The per-factor correlations feeding the D3 estimator, as length-k arrays.
 
-    ``c_d_minus_j`` is the symmetrised correlation over couples differing only
-    in coordinate j, ``c_d_j`` over couples sharing only coordinate j, and
-    ``p_j`` the spurious correlation over couples sharing no columns.  The
-    corrected terms remove the spurious channel:
-    corrected = (raw - p_j * raw_other) / (1 - p_j^2).
+    Returns ``(c_dmj, c_dj, p_j, c_aj, c_amj)``: ``c_dmj`` is the symmetrised
+    correlation over couples differing only in coordinate j, ``c_dj`` over
+    couples sharing only coordinate j, and ``p_j`` the spurious correlation
+    over couples sharing no columns.  The corrected terms remove the spurious
+    channel, corrected = (raw - p_j * raw_other) / (1 - p_j^2): ``c_aj`` from
+    raw ``c_dmj`` and ``c_amj`` from raw ``c_dj``.
     """
-
-    c_d_minus_j: float
-    c_d_j: float
-    p_j: float
-    c_a_j: float          # corrected, from raw c_d_minus_j
-    c_a_minus_j: float    # corrected, from raw c_d_j
-
-
-def _d3_terms(y: np.ndarray, k: int) -> CorrelationTerms:
-    """D3 correlation terms of every factor at once (fields hold length-k arrays)."""
     f_a, f_b = y[0], y[1]
     f_ab, f_ba = y[2:].reshape(2, k, -1)
     c_dmj = 0.5 * (_rho(f_a, f_ab) + _rho(f_b, f_ba))
@@ -183,34 +158,22 @@ def _d3_terms(y: np.ndarray, k: int) -> CorrelationTerms:
     if np.any(np.abs(p_j) >= 1.0):
         j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
         raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
-    return CorrelationTerms(
-        c_d_minus_j=c_dmj,
-        c_d_j=c_dj,
-        p_j=p_j,
-        c_a_j=(c_dmj - p_j * c_dj) / (1.0 - p_j**2),
-        c_a_minus_j=(c_dj - p_j * c_dmj) / (1.0 - p_j**2),
-    )
-
-
-def d3_correlation_terms(evals: EvaluationSet, k: int, j: int) -> CorrelationTerms:
-    """Correlation terms of the D3 estimator for factor ``j`` (1-based)."""
-    if not 1 <= j <= k:
-        raise EstimationError(f"factor index j = {j} out of range 1..{k}")
-    terms = _d3_terms(_outputs(evals, "symmetric2", 2, k), k)
-    return CorrelationTerms(*(float(v[j - 1]) for v in astuple(terms)))
+    c_aj = (c_dmj - p_j * c_dj) / (1.0 - p_j**2)
+    c_amj = (c_dj - p_j * c_dmj) / (1.0 - p_j**2)
+    return c_dmj, c_dj, p_j, c_aj, c_amj
 
 
 def glen_isaacs_d3_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     """Correlation-based D3 estimator on the symmetric two-matrix design.
 
-    T-hat_j = 1 - c_d_minus_j + p_j c_a_j / (1 - c_a_j c_a_minus_j) with the
-    terms of :func:`d3_correlation_terms`; the correction vanishes as the
-    spurious correlation p_j -> 0, leaving 1 - c_d_minus_j -> T_j.
+    T-hat_j = 1 - c_dmj + p_j c_aj / (1 - c_aj c_amj) with the terms of
+    :func:`_d3_terms`; the correction vanishes as the spurious correlation
+    p_j -> 0, leaving 1 - c_dmj -> T_j.
     """
     y = _outputs(evals, "symmetric2", 2, k)
     variance = _checked_variance(y[:2], "matrices A and B")
-    t = _d3_terms(y, k)
-    total = 1.0 - t.c_d_minus_j + t.p_j * t.c_a_j / (1.0 - t.c_a_j * t.c_a_minus_j)
+    c_dmj, _, p_j, c_aj, c_amj = _d3_terms(y, k)
+    total = 1.0 - c_dmj + p_j * c_aj / (1.0 - c_aj * c_amj)
     return _estimate("symmetric2", 2, y.shape[1], total * variance, variance)
 
 
@@ -336,20 +299,17 @@ def estimate_csv(estimate: TotalIndexEstimate) -> str:
 
 
 __all__ = [
-    "CorrelationTerms",
     "EstimationError",
     "EvaluationSet",
     "TotalIndexEstimate",
     "checked_vector",
     "cyclic_single_matrix_T",
-    "d3_correlation_terms",
     "estimate_csv",
     "estimate_total_effects",
     "glen_isaacs_d3_T",
     "lamboni_T",
     "multimatrix_T",
     "owen_T",
-    "pearson_rho",
     "run_estimator",
     "sample_plan",
     "saltenis_T",

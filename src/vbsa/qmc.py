@@ -58,10 +58,9 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class ColumnPermutation:
-    """A bijection over pool column indices together with the seed that drew it."""
+    """A bijection over pool column indices."""
 
     perm: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.perm, dtype=np.intp)
@@ -81,7 +80,7 @@ def draw_permutation(n_columns: int, seed: int, repetition: int = 0) -> ColumnPe
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(repetition,))
     perm = np.random.default_rng(ss).permutation(n_columns)
-    return ColumnPermutation(perm=perm, seed=seed)
+    return ColumnPermutation(perm=perm)
 
 
 @functools.cache

@@ -113,26 +113,21 @@ def evaluate(fn: FunctionSpec, x: np.ndarray) -> np.ndarray:
     raise AssertionError(f"unhandled family {fam}")
 
 
-def _multiplicative_indices(mu: np.ndarray, var: np.ndarray) -> AnalyticIndices:
-    """Exact indices for f = prod_j g_j(x_j) with per-factor mean/variance.
+def _multiplicative_indices(var: np.ndarray) -> AnalyticIndices:
+    """Exact indices for f = prod_j g_j(x_j) with E[g_j] = 1 and per-factor variances.
 
-    With m_j = mu_j^2 and s_j = mu_j^2 + var_j:
-    V = prod s_j - prod m_j,  S_j V = var_j prod_{l != j} m_l,
-    T_j V = var_j prod_{l != j} s_l.
+    With s_j = 1 + var_j:
+    V = prod s_j - 1,  S_j V = var_j,  T_j V = var_j prod_{l != j} s_l.
     """
-    m = mu**2
-    s = m + var
-    v_total = float(np.prod(s) - np.prod(m))
+    s = 1.0 + var
+    v_total = float(np.prod(s) - 1.0)
     if v_total <= 0:
         raise ValueError("function has zero output variance; indices undefined")
-    k = len(mu)
-    first = np.empty(k)
+    k = len(var)
     total = np.empty(k)
     for j in range(k):
-        others = np.delete(np.arange(k), j)
-        first[j] = var[j] * np.prod(m[others]) / v_total
-        total[j] = var[j] * np.prod(s[others]) / v_total
-    return AnalyticIndices(variance=v_total, first_order=first, total=total)
+        total[j] = var[j] * np.prod(s[np.arange(k) != j]) / v_total
+    return AnalyticIndices(variance=v_total, first_order=var / v_total, total=total)
 
 
 def _a1_indices(k: int) -> AnalyticIndices:
@@ -174,22 +169,14 @@ def analytic_indices(fn: FunctionSpec) -> AnalyticIndices:
         return _a1_indices(k)
     if fn.family in ("A2", "A3", "B3", "C1", "G"):
         a = np.asarray(fn.coefficients)
-        mu = np.ones(k)
-        var = (1.0 / 3.0) / (1.0 + a) ** 2
-        return _multiplicative_indices(mu, var)
+        return _multiplicative_indices((1.0 / 3.0) / (1.0 + a) ** 2)
     if fn.family == "B1":
-        mu = np.ones(k)
-        var = np.full(k, (1.0 / 12.0) / (k - 0.5) ** 2)
-        return _multiplicative_indices(mu, var)
+        return _multiplicative_indices(np.full(k, (1.0 / 12.0) / (k - 0.5) ** 2))
     if fn.family == "B2":
         # g_j = (1 + 1/k) x^(1/k): E[g] = 1, E[g^2] = (k+1)^2 / (k (k+2)).
-        mu = np.ones(k)
-        var = np.full(k, 1.0 / (k * (k + 2.0)))
-        return _multiplicative_indices(mu, var)
+        return _multiplicative_indices(np.full(k, 1.0 / (k * (k + 2.0))))
     if fn.family == "C2":
-        mu = np.ones(k)
-        var = np.full(k, 1.0 / 3.0)
-        return _multiplicative_indices(mu, var)
+        return _multiplicative_indices(np.full(k, 1.0 / 3.0))
     raise ValueError(f"no analytic indices for family {fn.family!r}")
 
 

@@ -67,6 +67,10 @@ class TestConvergenceExperiment:
         defaults.update(kw)
         return ExperimentConfig(**defaults)
 
+    def test_repeated_estimator_rejected(self):
+        with pytest.raises(ValueError, match="'multimatrix' with n = 3 is listed twice"):
+            self._cfg(estimators=(EstimatorConfig("multimatrix", 3), EstimatorConfig("multimatrix", 3)))
+
     def test_record_cardinality(self):
         records, errors = convergence_experiment(self._cfg())
         assert not errors

@@ -155,6 +155,22 @@ class TestBench:
         text = (tmp_path / "convergence.csv").read_text()
         assert ",lamboni,2," in text and ",lamboni,3," in text
 
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_n_below_two_rejected(self, tmp_path, capsys, n):
+        code = cli.run(["bench", "--function", "C2", "--k", "2", "--estimators", "lamboni", "--n", n,
+                        "--p-min", "4", "--p-max", "4", "--reps", "2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "needs n >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
+    @pytest.mark.parametrize("estimators,n", [("lamboni", "2,2"), ("saltenis,saltenis", "2")])
+    def test_repeated_design_rejected(self, tmp_path, capsys, estimators, n):
+        code = cli.run(["bench", "--function", "C2", "--k", "2", "--estimators", estimators, "--n", n,
+                        "--p-min", "4", "--p-max", "4", "--reps", "2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestAdaptiveCommand:
     def test_writes_ledger_and_convergence(self, tmp_path):

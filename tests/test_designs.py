@@ -13,7 +13,9 @@ from vbsa.designs import (
     budget_table_csv,
     cyclic_label,
     design_metrics,
+    factor_segments,
     hybrid_label,
+    plan_layout,
     reference_metrics,
 )
 
@@ -33,6 +35,21 @@ def _random_bases(spec: DesignSpec, seed: int = 0) -> list[np.ndarray]:
     return [rng.random((spec.N, spec.k)) for _ in range(spec.n)]
 
 
+def _segment(plan, label: str) -> np.ndarray:
+    """The rows of the plan segment ``label``, found by its position in the layout."""
+    spec = plan.spec
+    labels = [name for name, *_ in plan_layout(spec.kind, spec.n, spec.k)]
+    return plan.points.reshape(len(labels), spec.N, spec.k)[labels.index(label)]
+
+
+def _couples(plan) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right points of every elementary-effect couple, ``(k, couples, N, k)`` each."""
+    spec = plan.spec
+    left, right = factor_segments(spec.kind, spec.n, spec.k)
+    segments = plan.points.reshape(-1, spec.N, spec.k)
+    return segments[left], segments[right]
+
+
 class TestAssemblePlan:
     def test_asymmetric_row_count_k6(self):
         spec = DesignSpec(kind="asymmetric", n=2, N=64, k=6)
@@ -40,7 +57,7 @@ class TestAssemblePlan:
         plan = assemble_plan(spec, [mat_a, mat_b])
         assert plan.points.shape == (448, 6)
         for j in range(1, 7):
-            hybrid = plan.rows(hybrid_label("A", "B", j))
+            hybrid = _segment(plan, hybrid_label("A", "B", j))
             assert np.array_equal(hybrid[:, j - 1], mat_b[:, j - 1])
             assert np.array_equal(np.delete(hybrid, j - 1, axis=1), np.delete(mat_a, j - 1, axis=1))
 
@@ -48,7 +65,8 @@ class TestAssemblePlan:
         spec = DesignSpec(kind="multimatrix", n=3, N=16, k=6)
         plan = assemble_plan(spec, _random_bases(spec))
         assert plan.points.shape[0] == 624
-        assert sum(len(left) for left, _ in plan.pairs.values()) == 864
+        left, _ = _couples(plan)
+        assert left[..., 0].size == 864   # effects: factors x couples x rows
 
     def test_owen_row_count(self):
         spec = DesignSpec(kind="owen", n=3, N=4, k=2)
@@ -63,17 +81,19 @@ class TestAssemblePlan:
     @pytest.mark.parametrize("spec", ALL_PLAN_SPECS, ids=lambda s: f"{s.kind}-n{s.n}")
     def test_pairs_differ_in_exactly_the_assigned_coordinate(self, spec):
         plan = assemble_plan(spec, _random_bases(spec, seed=7))
-        for j, (left, right) in plan.pairs.items():
-            delta = plan.points[left] != plan.points[right]
+        left, right = _couples(plan)
+        assert left.shape[1] > 0
+        for j in range(1, spec.k + 1):
+            delta = left[j - 1] != right[j - 1]
             expected = np.zeros(spec.k, dtype=bool)
             expected[j - 1] = True
-            assert np.array_equal(delta, np.tile(expected, (len(left), 1)))
+            assert np.array_equal(delta, np.broadcast_to(expected, delta.shape))
 
     @pytest.mark.parametrize("spec", ALL_PLAN_SPECS, ids=lambda s: f"{s.kind}-n{s.n}")
     def test_economy_identity(self, spec):
         plan = assemble_plan(spec, _random_bases(spec))
         metrics = design_metrics(spec)
-        pair_count = sum(len(left) for left, _ in plan.pairs.values())
+        pair_count = _couples(plan)[0][..., 0].size
         assert Fraction(pair_count, plan.points.shape[0]) == Fraction(
             metrics.total_effects, metrics.total_points
         )
@@ -82,7 +102,7 @@ class TestAssemblePlan:
         spec = DesignSpec(kind="cyclic_single", n=1, N=4, k=2)
         base = _random_bases(spec)[0]
         plan = assemble_plan(spec, [base])
-        shifted = plan.rows(cyclic_label(1))
+        shifted = _segment(plan, cyclic_label(1))
         assert shifted[-1, 0] == base[0, 0]      # wrap: row N borrows row 1
         assert shifted[0, 0] == base[1, 0]
         assert np.array_equal(shifted[:, 1], base[:, 1])

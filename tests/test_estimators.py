@@ -6,25 +6,25 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vbsa.designs import DesignSpec, assemble_plan, cyclic_label, hybrid_label, plan_layout
+from vbsa.designs import DesignSpec, assemble_plan, cyclic_label, factor_segments, hybrid_label, plan_layout
 from vbsa.estimators import (
     EstimationError,
+    _d3_terms,
+    _outputs,
+    _rho,
     cyclic_single_matrix_T,
-    d3_correlation_terms,
     estimate_csv,
     estimate_total_effects,
     glen_isaacs_d3_T,
     lamboni_T,
     multimatrix_T,
     owen_T,
-    pearson_rho,
     run_estimator,
     sample_plan,
     saltenis_T,
-    sample_variance,
 )
 from vbsa.testfns import analytic_indices, function_spec
 
@@ -36,37 +36,40 @@ def _plan_evals(spec: DesignSpec, f, seed=3):
     return plan.split_outputs(f(plan.points))
 
 
+def _saltenis_variance(f_a: list[float]) -> float:
+    return saltenis_T({"A": np.array(f_a), hybrid_label("A", "B", 1): np.zeros(len(f_a))}, 1).variance
+
+
 class TestSampleVariance:
-    def test_constant_vector(self):
-        assert sample_variance(np.array([2.0, 2.0, 2.0])) == 0.0
+    """V-hat(Y) is the population (1/N) variance (constant A: TestSaltenis::test_zero_variance_rejected)."""
 
     def test_two_values(self):
-        assert sample_variance(np.array([0.0, 1.0])) == pytest.approx(0.25)
+        assert _saltenis_variance([0.0, 1.0]) == pytest.approx(0.25)
 
     def test_three_values(self):
-        assert sample_variance(np.array([1.0, 2.0, 3.0])) == pytest.approx(2 / 3)
+        assert _saltenis_variance([1.0, 2.0, 3.0]) == pytest.approx(2 / 3)
 
     def test_short_vector_rejected(self):
-        with pytest.raises(EstimationError):
-            sample_variance(np.array([1.0]))
+        with pytest.raises(EstimationError, match="length >= 2"):
+            _saltenis_variance([1.0])
 
 
 class TestPearsonRho:
     def test_self_correlation(self):
         u = np.array([0.3, 1.4, -2.0, 5.0])
-        assert pearson_rho(u, u) == pytest.approx(1.0)
+        assert _rho(u, u) == pytest.approx(1.0)
 
     def test_anti_correlation(self):
         u = np.array([0.3, 1.4, -2.0])
-        assert pearson_rho(u, -u) == pytest.approx(-1.0)
+        assert _rho(u, -u) == pytest.approx(-1.0)
 
     def test_hand_case(self):
         # cov = ((-1)(-1) + 0*1 + 1*0)/3 = 1/3; sd_u sd_v = 2/3, so rho = 1/2.
-        assert pearson_rho(np.array([1.0, 2, 3]), np.array([1.0, 3, 2])) == pytest.approx(0.5)
+        assert _rho(np.array([1.0, 2, 3]), np.array([1.0, 3, 2])) == pytest.approx(0.5)
 
     def test_constant_vector_rejected(self):
         with pytest.raises(EstimationError, match="constant"):
-            pearson_rho(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+            _rho(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
 
 
 class TestSaltenis:
@@ -133,23 +136,19 @@ class TestGlenIsaacs:
         spec = DesignSpec(kind="symmetric2", n=2, N=4096, k=2)
         evals = _plan_evals(spec, lambda pts: np.sin(6 * pts[:, 1]))
         est = glen_isaacs_d3_T(evals, 2)
-        t = d3_correlation_terms(evals, 2, 1)
-        assert t.c_d_minus_j == pytest.approx(1.0, abs=1e-12)
-        expected = t.p_j * t.c_a_j / (1 - t.c_a_j * t.c_a_minus_j)
+        c_dmj, _, p_j, c_aj, c_amj = (t[0] for t in _d3_terms(_outputs(evals, "symmetric2", 2, 2), 2))
+        assert c_dmj == pytest.approx(1.0, abs=1e-12)
+        expected = p_j * c_aj / (1 - c_aj * c_amj)
         assert est.total[0] == pytest.approx(expected, abs=1e-12)
         assert abs(est.total[0]) < 0.05
 
     def test_correction_identity(self):
         spec = DesignSpec(kind="symmetric2", n=2, N=64, k=3)
         evals = _plan_evals(spec, lambda pts: pts.sum(axis=1) ** 2)
-        for j in (1, 2, 3):
-            t = d3_correlation_terms(evals, 3, j)
-            assert t.c_a_j == pytest.approx(
-                (t.c_d_minus_j - t.p_j * t.c_d_j) / (1 - t.p_j**2), abs=1e-14
-            )
-            assert t.c_a_minus_j == pytest.approx(
-                (t.c_d_j - t.p_j * t.c_d_minus_j) / (1 - t.p_j**2), abs=1e-14
-            )
+        c_dmj, c_dj, p_j, c_aj, c_amj = _d3_terms(_outputs(evals, "symmetric2", 2, 3), 3)
+        assert c_aj.shape == (3,)
+        assert c_aj == pytest.approx((c_dmj - p_j * c_dj) / (1 - p_j**2), abs=1e-14)
+        assert c_amj == pytest.approx((c_dj - p_j * c_dmj) / (1 - p_j**2), abs=1e-14)
 
 
 class TestOwen:
@@ -274,10 +273,15 @@ class TestSharedProperties:
     def _evals(self, spec):
         return _plan_evals(spec, lambda pts: np.exp(pts[:, 0]) + pts.prod(axis=1), seed=5)
 
-    def test_scale_equivariance(self, spec, runner):
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1), b=st.floats(-10.0, 10.0))
+    @example(a=3.7, b=0.0)
+    @example(a=1.0, b=2.5)
+    def test_scale_equivariance(self, spec, runner, a, b):
+        """T-hat is unchanged by y -> a*y + b for any a != 0 and shift b."""
         evals = self._evals(spec)
-        scaled = {label: 3.7 * v for label, v in evals.items()}
-        assert runner(scaled).total == pytest.approx(runner(evals).total, abs=1e-12)
+        moved = {label: a * v + b for label, v in evals.items()}
+        assert runner(moved).total == pytest.approx(runner(evals).total, abs=1e-12)
 
     def test_shift_invariance(self, spec, runner):
         evals = self._evals(spec)
@@ -303,11 +307,24 @@ class TestSharedProperties:
         assert permuted[0] == pytest.approx(direct[1], abs=1e-14)
         assert permuted[1] == pytest.approx(direct[0], abs=1e-14)
 
-    def test_squared_difference_numerators_nonnegative(self, spec, runner):
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_squared_difference_numerators_nonnegative(self, spec, runner, data):
+        """Squared-difference estimators give T-hat >= 0 for any finite, non-constant outputs."""
         if spec.kind in ("symmetric2", "owen"):
             pytest.skip("correlation/product estimators may go negative at finite N")
-        est = runner(self._evals(spec))
+        layout = plan_layout(spec.kind, spec.n, spec.k)
+        values = st.floats(-1e6, 1e6, allow_subnormal=False)
+        size = len(layout) * spec.N
+        y = np.array(data.draw(st.lists(values, min_size=size, max_size=size))).reshape(len(layout), spec.N)
+        evals = {label: row for (label, *_), row in zip(layout, y)}
+        try:
+            est = runner(evals)
+        except EstimationError as exc:   # constant base outputs have no index
+            assert "zero output variance" in str(exc)
+            assume(False)
         assert np.all(est.numerator >= 0.0)
+        assert np.all(est.total >= 0.0)
 
     def test_missing_base_vector_raises_estimation_error(self, spec, runner):
         evals = dict(self._evals(spec))
@@ -343,8 +360,10 @@ class TestSharedProperties:
         plan = assemble_plan(spec, bases)
         evals = plan.split_outputs(np.exp(plan.points[:, 0]) + plan.points.prod(axis=1))
         est = runner(evals)
+        left, _ = factor_segments(spec.kind, spec.n, spec.k)
+        couple_rows = plan.points.reshape(-1, spec.N, spec.k)[left]   # (k, couples, N, k)
         for j in range(1, spec.k + 1):
-            assert est.effects_used[j - 1] == len(plan.pairs[j][0])
+            assert est.effects_used[j - 1] == len(couple_rows[j - 1].reshape(-1, spec.k))
 
 
 @pytest.mark.slow
