@@ -13,8 +13,8 @@ draws at ``N = 2**(p + 1)``, the most rows a factor can reach.  The warm-up
 and every doubling run one block: the next rows of A, then the same rows of
 each active factor's hybrid A_B(j) in ascending j, then a ledger entry;
 outputs and elementary effects fill arrays preallocated for those rows.
-Holding the plan costs the memory of a plain estimate at ``N = 2**(p + 1)``,
-(k + 1) / 2 times the 2k-column pool it is drawn from.
+The whole plan is held, (k + 1) / 2 times the 2k-column pool it is drawn
+from; a plain estimate holds only one chunk of whole segments at a time.
 """
 
 from __future__ import annotations

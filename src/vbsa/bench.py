@@ -142,9 +142,7 @@ def _rep_records(
             N = matched[(est.name, est.n, p)]
             spec = est.design(N, k)
             try:
-                plan = designs.assemble_plan(spec, designs.pool_matrices(pool_r, spec.n, k, N))
-                y = testfns.evaluate(cfg.function, plan.points)
-                result = estimators.run_estimator(spec, plan.split_outputs(y))
+                result = estimators._estimate_on(spec, cfg.function, designs.pool_matrices(pool_r, spec.n, k, N))
                 records.append(
                     ConvergenceRecord(
                         function=cfg.function.family,
@@ -220,11 +218,11 @@ def adaptive_experiment(
 
     Per p and repetition, the plain series is :func:`estimate_total_effects`
     at N = 2**p and the adaptive one :func:`vbsa.adaptive.adaptive_run`; both
-    draw their scrambled design through :func:`estimators.sample_plan` with
-    the same seed and repetition, so the plain design is the first 2**p rows
-    of the adaptive one.  Both series are reported against the budget
-    ``(k + 1) 2**p``; the runs actually spent by the adaptive strategy appear
-    in the returned ledger lines (see :func:`vbsa.adaptive.ledger_csv_header`).
+    draw the bases of :func:`estimators.sample_plan` with the same seed and
+    repetition (the plain series evaluates them in whole-segment chunks), so
+    the plain design is the first 2**p rows of the adaptive one.  Both are
+    reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
+    spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
     """
     k = fn.k
     analytic_total = testfns.analytic_indices(fn).total

@@ -8,7 +8,8 @@ entry :func:`plan_layout` derives the ordered segments of the plan, and from
 the layout come the three things a design is used for: the points
 (:func:`assemble_plan`), the elementary effects, i.e. couples of segments
 differing only in factor j (:func:`factor_segments`, read by the
-estimators), and the cost metrics (:func:`design_metrics`).  Competing
+estimators), and the cost metrics (:func:`design_metrics`).  Internal
+evaluation goes by chunks of whole segments (:func:`_plan_outputs`).  Competing
 designs are compared through their economy ``e = E_T / N_T`` (elementary
 effects per model run) and explorativity ``chi = nN / N_T`` (fraction of
 non-repeated coordinates among all coordinates the design consumes).
@@ -195,9 +196,12 @@ class EvaluationPlan:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.points.shape[0],):
             raise ValueError(f"output vector length {y.shape} does not match plan size {self.points.shape[0]}")
-        spec = self.spec
-        layout = plan_layout(spec.kind, spec.n, spec.k)
-        return {label: row for (label, *_), row in zip(layout, y.reshape(len(layout), spec.N))}
+        return _labelled(self.spec, y.reshape(-1, self.spec.N))
+
+
+def _labelled(spec: DesignSpec, y: np.ndarray) -> dict[str, np.ndarray]:
+    """The rows of a ``(segments, N)`` output array, keyed by their :func:`plan_layout` labels."""
+    return {label: row for (label, *_), row in zip(plan_layout(spec.kind, spec.n, spec.k), y)}
 
 
 def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> list[np.ndarray]:
@@ -208,14 +212,8 @@ def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> 
     return [pool[:rows, m * k : (m + 1) * k] for m in range(n)]
 
 
-def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> EvaluationPlan:
-    """Assemble the ordered evaluation plan for ``spec``.
-
-    The segments of :func:`plan_layout` are written in place into one points
-    array: base matrices first (A, B, ...), then hybrids grouped by base
-    matrix, donor and factor, so plans are reproducible row-for-row.  Each
-    base matrix must be (N, k) with every coordinate in [0, 1).
-    """
+def _segment_chunks(spec: DesignSpec, base_matrices: list[np.ndarray], per_chunk: int):
+    """Check the bases, then write runs of ``per_chunk`` segments into one buffer, yielding (first, chunk)."""
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
     mats = []
@@ -226,16 +224,40 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
         mats.append(vals)
+    layout = plan_layout(spec.kind, spec.n, spec.k)
+    buffer = np.empty((min(per_chunk, len(layout)), spec.N, spec.k))
+    for lo in range(0, len(layout), per_chunk):
+        chunk = buffer[: len(layout[lo : lo + per_chunk])]
+        for (_, m, donor, j), out in zip(layout[lo : lo + per_chunk], chunk):
+            out[...] = mats[m]
+            if donor == SHIFT:
+                out[:, j - 1] = np.roll(mats[m][:, j - 1], -1)
+            elif donor is not None:
+                out[:, j - 1] = mats[donor][:, j - 1]
+        yield lo, chunk
 
-    N, layout = spec.N, plan_layout(spec.kind, spec.n, spec.k)
-    points = np.empty((len(layout) * N, spec.k))
-    for (_, m, donor, j), out in zip(layout, points.reshape(len(layout), N, spec.k)):
-        out[...] = mats[m]
-        if donor == SHIFT:
-            out[:, j - 1] = np.roll(mats[m][:, j - 1], -1)
-        elif donor is not None:
-            out[:, j - 1] = mats[donor][:, j - 1]
-    return EvaluationPlan(spec=spec, points=points)
+
+def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> EvaluationPlan:
+    """Assemble the ordered evaluation plan for ``spec``, every point of it in one array.
+
+    The :func:`plan_layout` segments: base matrices first (A, B, ...), then
+    hybrids grouped by base matrix, donor and factor, so plans are
+    reproducible row-for-row.  Each base matrix is (N, k) in [0, 1).
+    """
+    ((_, points),) = _segment_chunks(spec, base_matrices, len(plan_layout(spec.kind, spec.n, spec.k)))
+    return EvaluationPlan(spec=spec, points=points.reshape(-1, spec.k))
+
+
+# Rows per model call of _plan_outputs; a longer segment is one call alone.
+_CHUNK_ROWS = 2**17
+
+
+def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> np.ndarray:
+    """``model``'s (segments, N) outputs over the plan, one call per ``max(N, _CHUNK_ROWS)`` rows of segments."""
+    y = np.empty((len(plan_layout(spec.kind, spec.n, spec.k)), spec.N))
+    for lo, chunk in _segment_chunks(spec, base_matrices, max(1, _CHUNK_ROWS // spec.N)):
+        y[lo : lo + len(chunk)] = model(chunk.reshape(-1, spec.k)).reshape(len(chunk), spec.N)
+    return y
 
 
 def design_metrics(spec: DesignSpec) -> DesignMetrics:

@@ -8,10 +8,11 @@ order and checked once, as one array: a missing, misshapen or non-finite
 vector raises :class:`EstimationError` naming the first such label.  Every
 estimator is a few array expressions over that array and the couples of
 :func:`designs.factor_segments`, the same design table that lays out the
-plan; ``effects_used`` is the table's couple count times N.  Conventions
-fixed for reproducibility: variances are population (1/N) moments; Pearson
-correlations use matched numerator/denominator normalisation so |rho| <= 1;
-negative estimates from the Owen and Glen-Isaacs formulas are reported as-is.
+plan; ``effects_used`` is the table's couple count times N; N >= 2.
+Internal evaluation goes by chunks of whole segments.  Conventions fixed
+for reproducibility: variances are population (1/N) moments; Pearson
+correlations match numerator/denominator normalisation so |rho| <= 1; Owen
+and Glen-Isaacs report negative estimates as-is.
 
 Estimator provenance: the squared-difference form goes back to Saltenis and
 Dzemyda (1982) and Jansen (1999); the correlation-based D3 follows Glen and
@@ -92,13 +93,13 @@ def _outputs(evals: EvaluationSet, kind: str, n: int, k: int) -> np.ndarray:
             if label not in evals:
                 raise EstimationError(f"evaluation set is missing vector {label!r}")
             n_rows = len(checked_vector(label, evals[label], n_rows))
+    if y.shape[1] < 2:
+        raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {y.shape[1]})")
     return y
 
 
 def _checked_variance(y: np.ndarray, context: str) -> float:
-    """Population (1/N) V-hat(Y) over all values of ``y``: at least two, not all equal."""
-    if y.size < 2:
-        raise EstimationError("variance needs a one-dimensional vector of length >= 2")
+    """Population (1/N) V-hat(Y) over all values of ``y``, which must not all be equal."""
     v = float(np.var(y))
     if v <= 0.0:
         raise EstimationError(f"zero output variance in {context}; indices undefined")
@@ -226,10 +227,7 @@ def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     wrapping the last row onto the first, so one matrix supplies both sides
     of every elementary effect.
     """
-    y = _outputs(evals, "cyclic_single", 1, k)
-    if y.shape[1] < 2:
-        raise EstimationError("cyclic estimator needs N >= 2 rows")
-    return _squared_difference_T(y, "cyclic_single", 1, k)
+    return _squared_difference_T(_outputs(evals, "cyclic_single", 1, k), "cyclic_single", 1, k)
 
 
 def run_estimator(spec: DesignSpec, evals: EvaluationSet) -> TotalIndexEstimate:
@@ -255,17 +253,21 @@ def estimate_total_effects(
 ) -> TotalIndexEstimate:
     """Library entry point: estimate T-hat of an analytic function.
 
-    Draws the Sobol' design with :func:`sample_plan` (optionally scrambled
-    by the per-repetition column permutation derived from ``seed``),
-    evaluates the function on it and runs the matching estimator.  For
-    outputs computed elsewhere, use :func:`run_estimator` on the evaluation
-    set.
+    Draws the Sobol' bases of :func:`sample_plan` (optionally scrambled by
+    the per-repetition column permutation derived from ``seed``), evaluates
+    the function on the plan in chunks of whole segments of at most
+    ``max(N, 2**17)`` rows and runs the matching estimator.  For outputs
+    computed elsewhere, use :func:`run_estimator` on the evaluation set.
     """
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
-    plan = sample_plan(spec, seed=seed, repetition=repetition)
-    y = testfns.evaluate(fn, plan.points)
-    return run_estimator(spec, plan.split_outputs(y))
+    return _estimate_on(spec, fn, _draw_bases(spec, seed, repetition))
+
+
+def _estimate_on(spec: DesignSpec, fn: testfns.FunctionSpec, base_matrices: list[np.ndarray]) -> TotalIndexEstimate:
+    """T-hat of ``fn`` over the plan of ``spec`` on these bases, evaluated in whole-segment chunks."""
+    y = designs._plan_outputs(spec, base_matrices, lambda points: testfns.evaluate(fn, points))
+    return run_estimator(spec, designs._labelled(spec, y))
 
 
 def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) -> "designs.EvaluationPlan":
@@ -275,8 +277,14 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     n*k dimensions, its columns optionally scrambled by a seeded
     per-repetition permutation; the k left-most (permuted) columns form
     matrix A, the next k matrix B, and so on.  Blocks are nested, so a
-    design at N holds the first N rows of the same design at 2N.
+    design at N holds the first N rows of the same design at 2N.  The plan
+    holds every point, for external models; internal evaluation is chunked.
     """
+    return designs.assemble_plan(spec, _draw_bases(spec, seed, repetition))
+
+
+def _draw_bases(spec: DesignSpec, seed: int | None, repetition: int) -> list[np.ndarray]:
+    """The n base matrices of :func:`sample_plan`'s draw."""
     n_cols = spec.n * spec.k
     p = int(spec.N).bit_length() - 1
     if 1 << p != spec.N:
@@ -284,7 +292,7 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     pool = qmc.sobol_block(n_cols, p)
     if seed is not None:
         pool = qmc.permute_columns(pool, qmc.draw_permutation(n_cols, seed, repetition))
-    return designs.assemble_plan(spec, designs.pool_matrices(pool.values, spec.n, spec.k))
+    return designs.pool_matrices(pool.values, spec.n, spec.k)
 
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:

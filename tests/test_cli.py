@@ -95,6 +95,12 @@ class TestEstimate:
                         "--N", "63", "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_single_row_plan_fails_naming_n(self, tmp_path, capsys):
+        code = cli.run(["estimate", "--function", "A2", "--k", "6", "--design", "lamboni",
+                        "--N", "1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "estimators need N >= 2 rows per matrix (got N = 1)" in capsys.readouterr().err
+
 
 class TestDiscrepancy:
     def test_block_discrepancy(self, capsys):

@@ -3,13 +3,23 @@ structural properties (scale/shift invariance, null factors, symmetry)."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vbsa.designs import DesignSpec, assemble_plan, cyclic_label, factor_segments, hybrid_label, plan_layout
+from vbsa.designs import (
+    DESIGN_KINDS,
+    DesignSpec,
+    assemble_plan,
+    cyclic_label,
+    design_metrics,
+    factor_segments,
+    hybrid_label,
+    plan_layout,
+)
 from vbsa.estimators import (
     EstimationError,
     _d3_terms,
@@ -26,7 +36,11 @@ from vbsa.estimators import (
     sample_plan,
     saltenis_T,
 )
-from vbsa.testfns import analytic_indices, function_spec
+from vbsa.testfns import analytic_indices, evaluate, function_spec
+
+
+# every plan kind, at both n = 2 and n = 4 for the kinds of free n
+PLAN_CASES = [(kind, n) for kind, rule in DESIGN_KINDS.items() for n in ([rule.n] if rule.n else [2, 4])]
 
 
 def _plan_evals(spec: DesignSpec, f, seed=3):
@@ -50,7 +64,7 @@ class TestSampleVariance:
         assert _saltenis_variance([1.0, 2.0, 3.0]) == pytest.approx(2 / 3)
 
     def test_short_vector_rejected(self):
-        with pytest.raises(EstimationError, match="length >= 2"):
+        with pytest.raises(EstimationError, match=re.escape("N >= 2 rows per matrix (got N = 1)")):
             _saltenis_variance([1.0])
 
 
@@ -153,14 +167,15 @@ class TestGlenIsaacs:
 
 class TestOwen:
     def test_hand_correction_term(self):
+        # every estimator needs N >= 2, so the one hand-checked row is repeated
         evals = {
-            "A": np.array([1.0]),
-            "B": np.array([2.0]),
-            hybrid_label("B", "A", 1): np.array([3.0]),
-            hybrid_label("C", "B", 1): np.array([0.0]),
+            "A": np.array([1.0, 1.0]),
+            "B": np.array([2.0, 2.0]),
+            hybrid_label("B", "A", 1): np.array([3.0, 3.0]),
+            hybrid_label("C", "B", 1): np.array([0.0, 0.0]),
         }
         est = owen_T(evals, 1)
-        # the subtracted product term is (2 - 0)(3 - 1)/1 = 4
+        # the subtracted product term is (2 - 0)(3 - 1) = 4 on each row
         assert est.variance - est.numerator[0] == pytest.approx(4.0)
 
     def test_null_factor_small_at_large_n(self):
@@ -254,7 +269,7 @@ class TestCyclic:
         assert est.numerator[0] == pytest.approx(0.125)
 
     def test_single_row_rejected(self):
-        with pytest.raises(EstimationError, match="N >= 2"):
+        with pytest.raises(EstimationError, match=re.escape("N >= 2 rows per matrix (got N = 1)")):
             cyclic_single_matrix_T({"A": np.array([0.5]), cyclic_label(1): np.array([0.5])}, 1)
 
 
@@ -426,3 +441,47 @@ class TestEntryPoint:
         lines = estimate_csv(est).strip().splitlines()
         assert lines[0] == "factor,T_hat,numerator,effects_used"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    def test_single_row_plan_names_n(self, kind, n):
+        spec = DesignSpec(kind=kind, n=n, N=1, k=3)
+        with pytest.raises(EstimationError, match=re.escape("estimators need N >= 2 rows per matrix (got N = 1)")):
+            estimate_total_effects(spec, fn=function_spec("A2", 3), seed=1)
+
+
+class TestStreamedEvaluation:
+    """``estimate_total_effects`` evaluates in whole-segment chunks, never the assembled plan."""
+
+    @staticmethod
+    def _assert_equals_assembled(spec, fn, seed):
+        streamed = estimate_total_effects(spec, fn=fn, seed=seed, repetition=2)
+        plan = sample_plan(spec, seed=seed, repetition=2)
+        assembled = run_estimator(spec, plan.split_outputs(evaluate(fn, plan.points)))
+        assert np.array_equal(streamed.total, assembled.total)
+        assert np.array_equal(streamed.numerator, assembled.numerator)
+        assert streamed.variance == assembled.variance
+        assert np.array_equal(streamed.effects_used, assembled.effects_used)
+
+    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    def test_equals_assembled_plan(self, kind, n):
+        self._assert_equals_assembled(DesignSpec(kind=kind, n=n, N=64, k=3), function_spec("A2", 3), seed=5)
+
+    @pytest.mark.parametrize(
+        "kind,n,N,k",
+        [("asymmetric", 2, 2**17, 2), ("owen", 3, 2**16, 2), ("lamboni", 4, 2**14, 3), ("cyclic_single", 1, 2**16, 3)],
+    )
+    def test_equals_assembled_plan_over_several_chunks(self, kind, n, N, k):
+        spec = DesignSpec(kind=kind, n=n, N=N, k=k)
+        assert design_metrics(spec).total_points > 2**17
+        self._assert_equals_assembled(spec, function_spec("B1", k), seed=1)
+
+    def test_peak_memory_below_the_full_points_array(self):
+        spec = DesignSpec(kind="asymmetric", n=2, N=2**16, k=12)
+        fn = function_spec("B1", 12)
+        tracemalloc.start()
+        try:
+            estimate_total_effects(spec, fn=fn, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design_metrics(spec).total_points * spec.k * 8

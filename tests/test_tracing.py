@@ -73,6 +73,6 @@ def test_traced_names_resolve_and_count_every_layer():
     estimator_calls = {name: n for name, n in out["calls"].items() if name.endswith("_T")}
     assert len(estimator_calls) == 6
     assert all(n > 0 for n in estimator_calls.values()), estimator_calls
-    # adaptive_experiment draws both of its series through sample_plan
+    # adaptive_experiment's plain series runs estimate_total_effects and its adaptive one sample_plan
     assert all(n > 0 for n in out["rerouted"].values()), out["rerouted"]
     assert out["evaluated_rows"] == out["reported_runs"]
