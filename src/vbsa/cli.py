@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +233,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_discrepancy(args: argparse.Namespace) -> int:
     if args.csv is not None:
-        pts = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():   # an empty file fails in the discrepancy check instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(args.csv, delimiter=",", ndmin=2)
     else:
         if args.dims is None or args.p is None:
             print("discrepancy: provide --dims and --p, or --csv", file=sys.stderr)

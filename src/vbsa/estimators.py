@@ -99,9 +99,13 @@ def _outputs(evals: EvaluationSet, kind: str, n: int, k: int) -> np.ndarray:
 
 
 def _checked_variance(y: np.ndarray, context: str) -> float:
-    """Population (1/N) V-hat(Y) over all values of ``y``, which must not all be equal."""
+    """Population (1/N) V-hat(Y) over all values of ``y``, which must not all be equal.
+
+    Equal values whose mean does not round exactly leave rounding noise (three
+    0.1s give 1.9e-34), so a variance up to (4 eps max|y|)^2 counts as zero.
+    """
     v = float(np.var(y))
-    if v <= 0.0:
+    if v <= (4.0 * np.finfo(float).eps * max(float(y.max()), -float(y.min()))) ** 2:
         raise EstimationError(f"zero output variance in {context}; indices undefined")
     return v
 

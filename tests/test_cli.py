@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,23 @@ class TestDiscrepancy:
 
     def test_missing_arguments(self, capsys):
         assert cli.run(["discrepancy"]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "non-empty"),
+        ("0.1,0.2\nnan,0.3\n", "unit cube"),
+        ("0.1,0.2\n1.5,0.3\n", "unit cube"),
+    ], ids=["empty", "nan-row", "out-of-cube-row"])
+    def test_bad_csv_fails_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a leaked numpy warning fails the test
+            code = cli.run(["discrepancy", "--csv", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("vbsa discrepancy: ") and message in lines[0]
 
 
 class TestBench:

@@ -67,6 +67,20 @@ class TestSampleVariance:
         with pytest.raises(EstimationError, match=re.escape("N >= 2 rows per matrix (got N = 1)")):
             _saltenis_variance([1.0])
 
+    @pytest.mark.parametrize("kind, n, runner, context, value", [
+        ("asymmetric", 2, lambda e: saltenis_T(e, 1), "matrix A", 0.1),
+        ("owen", 3, lambda e: owen_T(e, 1), "matrices A and B", 0.1),
+        ("lamboni", 3, lambda e: lamboni_T(e, 1, 3), "pooled base matrices", 0.9),
+    ], ids=["saltenis", "owen", "lamboni"])
+    def test_constant_outputs_with_inexact_mean_rejected(self, kind, n, runner, context, value):
+        """Equal base outputs whose np.var is rounding noise (1e-34 to 1e-32), not 0."""
+        layout = plan_layout(kind, n, 1)
+        evals = {label: np.full(3, value) if donor is None else np.array([0.1, 0.2, 0.3])
+                 for label, _, donor, _ in layout}
+        assert float(np.var([evals[label] for label, _, donor, _ in layout if donor is None])) > 0.0
+        with pytest.raises(EstimationError, match=f"zero output variance in {context};"):
+            runner(evals)
+
 
 class TestPearsonRho:
     def test_self_correlation(self):

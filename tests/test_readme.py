@@ -37,7 +37,17 @@ def test_readme_has_cli_examples():
     assert len(_cli_commands()) >= 5
 
 
-@pytest.mark.parametrize("command", _cli_commands(), ids=lambda c: c.split()[1])
+def _example_ids(commands):
+    """The subcommand name; repeated subcommands get a counter from their second example on."""
+    ids, seen = [], {}
+    for command in commands:
+        name = command.split()[1]
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("command", _cli_commands(), ids=_example_ids(_cli_commands()))
 def test_readme_cli_examples_run(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argv = command.split()[1:]
