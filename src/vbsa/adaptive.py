@@ -103,6 +103,7 @@ def adaptive_run(
     f_a = np.empty(n_max)
     diffs = np.empty((k, n_max))
     reached = np.zeros(k, dtype=np.int64)   # rows of elementary effects per factor
+    stds = np.empty(k)   # their spreads; only the factors a block grew are recomputed
     active = tuple(range(1, k + 1))
     n_rows = spent = 0
     blocks: list[BlockRecord] = []
@@ -125,7 +126,8 @@ def adaptive_run(
             diffs[j - 1, lo:n_rows] = f_a[lo:n_rows] - evaluator(segments[j, lo:n_rows])
             reached[j - 1] = n_rows
         spent += cost
-        stds = std_elementary_effects([d[:r] for d, r in zip(diffs, reached)])
+        grown = [j - 1 for j in active]
+        stds[grown] = std_elementary_effects(diffs[grown, :n_rows])
         blocks.append(BlockRecord(stage, n_rows, active, cost, spent, tuple(stds.tolist())))
 
     variance = _checked_variance(f_a[:n_rows], "evaluated base rows")

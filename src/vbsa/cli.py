@@ -235,7 +235,13 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
     if args.csv is not None:
         with warnings.catch_warnings():   # an empty file fails in the discrepancy check instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            pts = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+            try:
+                pts = np.loadtxt(args.csv, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                # numpy's own text advises `usecols`, which this command does not take
+                if "number of columns changed" not in str(exc):
+                    raise
+                raise ValueError(f"rows of {args.csv} have different numbers of values") from None
     else:
         if args.dims is None or args.p is None:
             print("discrepancy: provide --dims and --p, or --csv", file=sys.stderr)

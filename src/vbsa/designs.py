@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -196,12 +196,8 @@ class EvaluationPlan:
         y = np.asarray(y, dtype=float)
         if y.shape != (self.points.shape[0],):
             raise ValueError(f"output vector length {y.shape} does not match plan size {self.points.shape[0]}")
-        return _labelled(self.spec, y.reshape(-1, self.spec.N))
-
-
-def _labelled(spec: DesignSpec, y: np.ndarray) -> dict[str, np.ndarray]:
-    """The rows of a ``(segments, N)`` output array, keyed by their :func:`plan_layout` labels."""
-    return {label: row for (label, *_), row in zip(plan_layout(spec.kind, spec.n, spec.k), y)}
+        layout = plan_layout(self.spec.kind, self.spec.n, self.spec.k)
+        return {label: row for (label, *_), row in zip(layout, y.reshape(-1, self.spec.N))}
 
 
 def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> list[np.ndarray]:
@@ -212,8 +208,46 @@ def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> 
     return [pool[:rows, m * k : (m + 1) * k] for m in range(n)]
 
 
+@functools.lru_cache(maxsize=256)
+def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
+    """The writes of each chunk of ``per_chunk`` :func:`plan_layout` segments.
+
+    One ``(first, size, base_runs, donor_runs)`` per chunk, with segments
+    counted from the chunk's first.  A base run ``(a, b, m)`` is segments
+    a..b-1, which all start as base matrix m; a donor run ``(a, b, m, donor,
+    col)`` is consecutive hybrids of one couple, segment a + i taking column
+    col + i of ``donor`` (of m rotated up one row for :data:`SHIFT`).
+    """
+
+    def runs(segments, key) -> list[tuple]:
+        out, a = [], 0
+        for value, group in groupby(segments, key):
+            out.append((a, a + len(list(group)), value))
+            a = out[-1][1]
+        return out
+
+    layout = plan_layout(kind, n, k)
+    chunks = []
+    for lo in range(0, len(layout), per_chunk):
+        segments = layout[lo : lo + per_chunk]
+        base_runs = tuple(runs(segments, lambda segment: segment[1]))
+        # a couple's hybrids are consecutive, in ascending j
+        donor_runs = tuple(
+            (a, b, m, donor, segments[a][3] - 1)
+            for a, b, (m, donor) in runs(segments, lambda segment: segment[1:3])
+            if donor is not None
+        )
+        chunks.append((lo, len(segments), base_runs, donor_runs))
+    return tuple(chunks)
+
+
 def _segment_chunks(spec: DesignSpec, base_matrices: list[np.ndarray], per_chunk: int):
-    """Check the bases, then write runs of ``per_chunk`` segments into one buffer, yielding (first, chunk)."""
+    """Check the bases, then write runs of ``per_chunk`` segments into one buffer, yielding (first, chunk).
+
+    Each run of segments sharing a base is one slice fill, and each couple's
+    run of hybrids writes its donor columns through one strided diagonal view
+    of the buffer, so the Python work per chunk is per run, not per segment.
+    """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
     mats = []
@@ -224,16 +258,27 @@ def _segment_chunks(spec: DesignSpec, base_matrices: list[np.ndarray], per_chunk
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
         mats.append(vals)
-    layout = plan_layout(spec.kind, spec.n, spec.k)
-    buffer = np.empty((min(per_chunk, len(layout)), spec.N, spec.k))
-    for lo in range(0, len(layout), per_chunk):
-        chunk = buffer[: len(layout[lo : lo + per_chunk])]
-        for (_, m, donor, j), out in zip(layout[lo : lo + per_chunk], chunk):
-            out[...] = mats[m]
+    per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k)))
+    buffer = np.empty((per_chunk, spec.N, spec.k))
+    seg_stride, row_stride, col_stride = buffer.strides
+    for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk):
+        chunk = buffer[:size]
+        for a, b, m in base_runs:
+            # a base may be a strided pool view; copies of the contiguous first segment are cheap
+            chunk[a] = mats[m]
+            chunk[a + 1 : b] = chunk[a]
+        for a, b, m, donor, col in donor_runs:
+            # element [i, r] is row r, column col + i of segment a + i
+            diag = np.ndarray(
+                (b - a, spec.N), buffer=buffer, offset=a * seg_stride + col * col_stride,
+                strides=(seg_stride + col_stride, row_stride),
+            )
             if donor == SHIFT:
-                out[:, j - 1] = np.roll(mats[m][:, j - 1], -1)
-            elif donor is not None:
-                out[:, j - 1] = mats[donor][:, j - 1]
+                columns = mats[m][:, col : col + b - a].T
+                diag[:, :-1] = columns[:, 1:]
+                diag[:, -1] = columns[:, 0]
+            else:
+                diag[...] = mats[donor][:, col : col + b - a].T
         yield lo, chunk
 
 

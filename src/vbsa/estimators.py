@@ -1,18 +1,19 @@
-"""Total-effect index estimators over labelled evaluation vectors.
+"""Total-effect index estimators over the outputs of an evaluation plan.
 
-At the boundary every estimator consumes an :class:`EvaluationSet` (model
-outputs keyed by the plan's matrix labels, the form an external model
-returns) and returns a :class:`TotalIndexEstimate`.  The vectors are
-stacked into one ``(segments, N)`` array in :func:`designs.plan_layout`
-order and checked once, as one array: a missing, misshapen or non-finite
-vector raises :class:`EstimationError` naming the first such label.  Every
-estimator is a few array expressions over that array and the couples of
-:func:`designs.factor_segments`, the same design table that lays out the
-plan; ``effects_used`` is the table's couple count times N; N >= 2.
-Internal evaluation goes by chunks of whole segments.  Conventions fixed
-for reproducibility: variances are population (1/N) moments; Pearson
-correlations match numerator/denominator normalisation so |rho| <= 1; Owen
-and Glen-Isaacs report negative estimates as-is.
+Every estimator returns a :class:`TotalIndexEstimate` and reads the outputs
+in either of two forms: the ``(segments, N)`` float array whose rows follow
+:func:`designs.plan_layout` (what internal evaluation produces, read without
+a copy), or an :class:`EvaluationSet` keyed by the plan's matrix labels (what
+``EvaluationPlan.split_outputs`` gives an external model), stacked into that
+array.  The array is checked once: a missing, misshapen or non-finite row
+raises :class:`EstimationError` naming the first such label, with the same
+text for both forms.  Every estimator is a few array expressions over that
+array and the couples of :func:`designs.factor_segments`, the same design
+table that lays out the plan; ``effects_used`` is the table's couple count
+times N; N >= 2.  Internal evaluation goes by chunks of whole segments.
+Conventions fixed for reproducibility: variances are population (1/N)
+moments; Pearson correlations match numerator/denominator normalisation so
+|rho| <= 1; Owen and Glen-Isaacs report negative estimates as-is.
 
 Estimator provenance: the squared-difference form goes back to Saltenis and
 Dzemyda (1982) and Jansen (1999); the correlation-based D3 follows Glen and
@@ -32,6 +33,8 @@ from . import designs, qmc, testfns
 from .designs import DesignSpec
 
 EvaluationSet = Mapping[str, np.ndarray]
+# what an estimator reads: an evaluation set or the (segments, N) output array
+Outputs = EvaluationSet | np.ndarray
 
 
 class EstimationError(ValueError):
@@ -52,15 +55,22 @@ class TotalIndexEstimate:
         return len(self.total)
 
 
-def _rho(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise product-moment correlation over the last axis, with matched normalisation."""
-    du = u - u.mean(axis=-1, keepdims=True)
-    dv = v - v.mean(axis=-1, keepdims=True)
-    su, sv = np.vecdot(du, du), np.vecdot(dv, dv)
-    if np.any(su == 0.0) or np.any(sv == 0.0):
+def _row_correlations(y: np.ndarray):
+    """Product-moment correlation between rows of ``y``, with matched normalisation.
+
+    Every row is centred and its norm taken once; the returned ``rho(u, v)``
+    correlates rows (or slices of rows) u and v over the last axis.
+    """
+    d = y - y.mean(axis=1, keepdims=True)
+    norms = np.vecdot(d, d)
+    if np.any(norms == 0.0):
         raise EstimationError("correlation of a constant vector is undefined")
-    # clip guards float round-off only; the estimator itself satisfies |rho| <= 1
-    return np.clip(np.vecdot(du, dv) / np.sqrt(su * sv), -1.0, 1.0)
+
+    def rho(u, v) -> np.ndarray:
+        # clip guards float round-off only; the estimator itself satisfies |rho| <= 1
+        return np.clip(np.vecdot(d[u], d[v]) / np.sqrt(norms[u] * norms[v]), -1.0, 1.0)
+
+    return rho
 
 
 def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
@@ -77,22 +87,38 @@ def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
     return vec
 
 
-def _outputs(evals: EvaluationSet, kind: str, n: int, k: int) -> np.ndarray:
-    """The evaluation set as one ``(segments, N)`` array in :func:`designs.plan_layout` order."""
+def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
+    """The outputs as one ``(segments, N)`` array in :func:`designs.plan_layout` order.
+
+    ``evals`` is an evaluation set, stacked here, or already that array, used
+    as it is (a C-contiguous float array is not copied).  Either way a bad
+    row raises the same :class:`EstimationError`, naming its layout label.
+    """
     if designs.DESIGN_KINDS[kind].n is None and n < 2:
         raise EstimationError(f"{kind} estimator needs n >= 2 base matrices")
-    labels = [label for label, *_ in designs.plan_layout(kind, n, k)]
-    try:
-        y = np.array([evals[label] for label in labels], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        y = None
-    if y is None or y.ndim != 2 or not np.isfinite(y).all():
-        # name the first bad vector, in layout order
-        n_rows = None
-        for label in labels:
-            if label not in evals:
-                raise EstimationError(f"evaluation set is missing vector {label!r}")
-            n_rows = len(checked_vector(label, evals[label], n_rows))
+    layout = designs.plan_layout(kind, n, k)
+    if isinstance(evals, np.ndarray):
+        y = np.ascontiguousarray(evals, dtype=float)
+        if y.ndim != 2 or len(y) > len(layout):
+            raise EstimationError(f"output array has shape {y.shape}, expected ({len(layout)}, N)")
+        if len(y) < len(layout):
+            raise EstimationError(f"evaluation set is missing vector {layout[len(y)][0]!r}")
+    else:
+        try:
+            y = np.array([evals[label] for label, *_ in layout], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            y = None
+        if y is None or y.ndim != 2:
+            # name the first missing or misshapen vector, in layout order
+            n_rows = None
+            for label, *_ in layout:
+                if label not in evals:
+                    raise EstimationError(f"evaluation set is missing vector {label!r}")
+                n_rows = len(checked_vector(label, evals[label], n_rows))
+    finite = np.isfinite(y)
+    if not finite.all():
+        bad = int(np.argmin(finite.all(axis=1)))
+        raise EstimationError(f"vector {layout[bad][0]!r} holds NaN or infinite values")
     if y.shape[1] < 2:
         raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {y.shape[1]})")
     return y
@@ -130,13 +156,14 @@ def _squared_difference_T(y: np.ndarray, kind: str, n: int, k: int) -> TotalInde
     """
     variance = _checked_variance(y[:1], "matrix A")
     left, right = designs.factor_segments(kind, n, k)
-    diff = y[left]
-    diff -= y[right]
+    diff = y[right]
+    # asymmetric and cyclic: every left segment is matrix A, so broadcast its row
+    np.subtract(y[left] if left.any() else y[0], diff, out=diff)
     numerator = np.square(diff, out=diff).sum(axis=(1, 2)) / (2.0 * diff[0].size)
     return _estimate(kind, n, y.shape[1], numerator, variance)
 
 
-def saltenis_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
+def saltenis_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     """Squared-difference estimator on the asymmetric design (A plus A_B(j)).
 
     numerator_j = 1/(2N) sum_i (f(a_i) - f(a_b,i^(j)))^2, normalised by the
@@ -155,11 +182,11 @@ def _d3_terms(y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     channel, corrected = (raw - p_j * raw_other) / (1 - p_j^2): ``c_aj`` from
     raw ``c_dmj`` and ``c_amj`` from raw ``c_dj``.
     """
-    f_a, f_b = y[0], y[1]
-    f_ab, f_ba = y[2:].reshape(2, k, -1)
-    c_dmj = 0.5 * (_rho(f_a, f_ab) + _rho(f_b, f_ba))
-    c_dj = 0.5 * (_rho(f_b, f_ab) + _rho(f_a, f_ba))
-    p_j = 0.5 * (_rho(f_a, f_b) + _rho(f_ab, f_ba))
+    rho = _row_correlations(y)
+    a, b, ab, ba = 0, 1, slice(2, 2 + k), slice(2 + k, 2 + 2 * k)   # A, B, A_B(j), B_A(j)
+    c_dmj = 0.5 * (rho(a, ab) + rho(b, ba))
+    c_dj = 0.5 * (rho(b, ab) + rho(a, ba))
+    p_j = 0.5 * (rho(a, b) + rho(ab, ba))
     if np.any(np.abs(p_j) >= 1.0):
         j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
         raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
@@ -168,7 +195,7 @@ def _d3_terms(y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     return c_dmj, c_dj, p_j, c_aj, c_amj
 
 
-def glen_isaacs_d3_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
+def glen_isaacs_d3_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     """Correlation-based D3 estimator on the symmetric two-matrix design.
 
     T-hat_j = 1 - c_dmj + p_j c_aj / (1 - c_aj c_amj) with the terms of
@@ -182,7 +209,7 @@ def glen_isaacs_d3_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     return _estimate("symmetric2", 2, y.shape[1], total * variance, variance)
 
 
-def owen_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
+def owen_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     """Three-matrix product estimator on the Owen design (A, B, B_A(j), C_B(j)).
 
     numerator_j = V-hat(Y) - 1/N sum_i (f(b_i) - f(c_b,i^(j)))(f(b_a,i^(j)) - f(a_i)),
@@ -195,7 +222,7 @@ def owen_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     return _estimate("owen", 3, y.shape[1], numerator, variance)
 
 
-def multimatrix_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
+def multimatrix_T(evals: Outputs, k: int, n: int) -> TotalIndexEstimate:
     """Squared-difference estimator over every coupling of an n-matrix plan.
 
     Uses all base-hybrid couples plus same-base hybrid-hybrid couples, i.e.
@@ -206,7 +233,7 @@ def multimatrix_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     return _squared_difference_T(_outputs(evals, "multimatrix", n, k), "multimatrix", n, k)
 
 
-def lamboni_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
+def lamboni_T(evals: Outputs, k: int, n: int) -> TotalIndexEstimate:
     """Lamboni's many-matrix estimator: variance of donor-averaged differences.
 
     numerator_j = (n-1)/(N n^2) sum_i sum_m [ sum_{q != m} (f(h_m,i) -
@@ -224,7 +251,7 @@ def lamboni_T(evals: EvaluationSet, k: int, n: int) -> TotalIndexEstimate:
     return _estimate("lamboni", n, N, numerator, variance)
 
 
-def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
+def cyclic_single_matrix_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     """Squared-difference estimator on the single-matrix cyclic plan.
 
     Pairs row i of A with row i whose coordinate j is borrowed from row i+1,
@@ -234,8 +261,8 @@ def cyclic_single_matrix_T(evals: EvaluationSet, k: int) -> TotalIndexEstimate:
     return _squared_difference_T(_outputs(evals, "cyclic_single", 1, k), "cyclic_single", 1, k)
 
 
-def run_estimator(spec: DesignSpec, evals: EvaluationSet) -> TotalIndexEstimate:
-    """Dispatch the estimator matching a design kind over an evaluation set."""
+def run_estimator(spec: DesignSpec, evals: Outputs) -> TotalIndexEstimate:
+    """Dispatch the estimator matching a design kind over an evaluation set or ``(segments, N)`` array."""
     kind = spec.kind
     if kind == "asymmetric":
         return saltenis_T(evals, spec.k)
@@ -261,7 +288,7 @@ def estimate_total_effects(
     the per-repetition column permutation derived from ``seed``), evaluates
     the function on the plan in chunks of whole segments of at most
     ``max(N, 2**17)`` rows and runs the matching estimator.  For outputs
-    computed elsewhere, use :func:`run_estimator` on the evaluation set.
+    computed elsewhere, use :func:`run_estimator` on their array or evaluation set.
     """
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
@@ -271,7 +298,7 @@ def estimate_total_effects(
 def _estimate_on(spec: DesignSpec, fn: testfns.FunctionSpec, base_matrices: list[np.ndarray]) -> TotalIndexEstimate:
     """T-hat of ``fn`` over the plan of ``spec`` on these bases, evaluated in whole-segment chunks."""
     y = designs._plan_outputs(spec, base_matrices, lambda points: testfns.evaluate(fn, points))
-    return run_estimator(spec, designs._labelled(spec, y))
+    return run_estimator(spec, y)
 
 
 def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) -> "designs.EvaluationPlan":
@@ -313,6 +340,7 @@ def estimate_csv(estimate: TotalIndexEstimate) -> str:
 __all__ = [
     "EstimationError",
     "EvaluationSet",
+    "Outputs",
     "TotalIndexEstimate",
     "checked_vector",
     "cyclic_single_matrix_T",

@@ -131,7 +131,8 @@ class TestDiscrepancy:
         ("", "non-empty"),
         ("0.1,0.2\nnan,0.3\n", "unit cube"),
         ("0.1,0.2\n1.5,0.3\n", "unit cube"),
-    ], ids=["empty", "nan-row", "out-of-cube-row"])
+        ("0.1,0.2\n0.3\n", "different numbers of values"),
+    ], ids=["empty", "nan-row", "out-of-cube-row", "ragged"])
     def test_bad_csv_fails_with_one_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "pts.csv"
         path.write_text(text)

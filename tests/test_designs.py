@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from vbsa.designs import (
+    DESIGN_KINDS,
     PLAN_KINDS,
+    SHIFT,
     DesignSpec,
+    _chunk_runs,
+    _segment_chunks,
     assemble_plan,
     budget_table,
     budget_table_csv,
@@ -16,6 +20,7 @@ from vbsa.designs import (
     factor_segments,
     hybrid_label,
     plan_layout,
+    pool_matrices,
     reference_metrics,
 )
 
@@ -127,6 +132,48 @@ class TestAssemblePlan:
         split = plan.split_outputs(y)
         assert set(split) == {"A", hybrid_label("A", "B", 1), hybrid_label("A", "B", 2)}
         assert split["A"].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def _per_segment_reference(spec: DesignSpec, bases: list[np.ndarray]) -> np.ndarray:
+    """Every plan segment written on its own, as its layout entry describes it."""
+    segments = []
+    for _, m, donor, j in plan_layout(spec.kind, spec.n, spec.k):
+        segment = np.array(bases[m], dtype=float)
+        if donor == SHIFT:
+            segment[:, j - 1] = np.roll(bases[m][:, j - 1], -1)
+        elif donor is not None:
+            segment[:, j - 1] = bases[donor][:, j - 1]
+        segments.append(segment)
+    return np.array(segments)
+
+
+class TestSegmentChunks:
+    """The run-wise segment writer equals writing each segment on its own."""
+
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind, rule in DESIGN_KINDS.items()
+                                         for n in ([rule.n] if rule.n else [2, 3])])
+    @pytest.mark.parametrize("N", [2, 3, 64])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_equals_per_segment_reference(self, kind, n, N, k):
+        spec = DesignSpec(kind=kind, n=n, N=N, k=k)
+        # strided views of one pool, as the sweeps pass them
+        bases = pool_matrices(np.random.default_rng(N * k + n).random((N, n * k)), n, k)
+        expected = _per_segment_reference(spec, bases)
+        segments = len(expected)
+        # 5 and k + 1 split couples' hybrids mid-run; `segments` is one chunk
+        for per_chunk in sorted({1, 2, 5, k + 1, segments}):
+            chunks = [(lo, chunk.copy()) for lo, chunk in _segment_chunks(spec, bases, per_chunk)]
+            assert [lo for lo, _ in chunks] == list(range(0, segments, per_chunk))
+            assert np.array_equal(np.concatenate([chunk for _, chunk in chunks]), expected)
+
+    def test_one_write_per_run(self):
+        # multimatrix n = 6: 6 bases and 30 couples, so 12 base runs and 30 donor runs over 186 segments
+        ((first, size, base_runs, donor_runs),) = _chunk_runs("multimatrix", 6, 6, 186)
+        assert (first, size, len(base_runs), len(donor_runs)) == (0, 186, 12, 30)
+        # a chunk boundary inside a couple splits its run: A_B(1..4) then A_B(5..6)
+        assert [runs[3] for runs in _chunk_runs("asymmetric", 2, 6, 5)] == [
+            ((1, 5, 0, 1, 0),), ((0, 2, 0, 1, 4),)
+        ]
 
 
 class TestDesignSpecValidation:

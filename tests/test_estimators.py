@@ -24,7 +24,7 @@ from vbsa.estimators import (
     EstimationError,
     _d3_terms,
     _outputs,
-    _rho,
+    _row_correlations,
     cyclic_single_matrix_T,
     estimate_csv,
     estimate_total_effects,
@@ -82,6 +82,10 @@ class TestSampleVariance:
             runner(evals)
 
 
+def _rho(u, v):
+    return _row_correlations(np.array([u, v]))(0, 1)
+
+
 class TestPearsonRho:
     def test_self_correlation(self):
         u = np.array([0.3, 1.4, -2.0, 5.0])
@@ -98,6 +102,11 @@ class TestPearsonRho:
     def test_constant_vector_rejected(self):
         with pytest.raises(EstimationError, match="constant"):
             _rho(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+
+    def test_row_slices_match_single_rows(self):
+        y = np.random.default_rng(5).random((5, 16))
+        rho = _row_correlations(y)
+        assert np.array_equal(rho(0, slice(1, 5)), [rho(0, j) for j in range(1, 5)])
 
 
 class TestSaltenis:
@@ -499,3 +508,53 @@ class TestStreamedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < design_metrics(spec).total_points * spec.k * 8
+
+
+class TestArrayEntry:
+    """Estimators read the ``(segments, N)`` output array as they read its labelled rows."""
+
+    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    def test_equals_labelled_rows(self, kind, n):
+        spec = DesignSpec(kind=kind, n=n, N=32, k=3)
+        plan = sample_plan(spec, seed=2)
+        y = evaluate(function_spec("A2", 3), plan.points)
+        from_array = run_estimator(spec, y.reshape(-1, spec.N))
+        from_dict = run_estimator(spec, plan.split_outputs(y))
+        assert np.array_equal(from_array.total, from_dict.total)
+        assert np.array_equal(from_array.numerator, from_dict.numerator)
+        assert from_array.variance == from_dict.variance
+        assert np.array_equal(from_array.effects_used, from_dict.effects_used)
+
+    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    @pytest.mark.parametrize("fault", ["nan", "inf", "missing_segment", "single_row"])
+    def test_same_error_text_as_labelled_rows(self, kind, n, fault):
+        spec = DesignSpec(kind=kind, n=n, N=8, k=3)
+        layout = plan_layout(kind, n, 3)
+        y = np.random.default_rng(1).random((len(layout), 8))
+        if fault == "nan":
+            y[-2, 3] = np.nan
+        elif fault == "inf":
+            y[1, 0] = -np.inf
+        elif fault == "missing_segment":
+            y = y[:-1]
+        else:
+            y = y[:, :1]
+        labelled = {label: row for (label, *_), row in zip(layout, y)}
+        with pytest.raises(EstimationError) as from_dict:
+            run_estimator(spec, labelled)
+        with pytest.raises(EstimationError) as from_array:
+            run_estimator(spec, y)
+        assert str(from_array.value) == str(from_dict.value)
+
+    def test_extra_segment_rejected(self):
+        spec = DesignSpec(kind="asymmetric", n=2, N=8, k=2)
+        with pytest.raises(EstimationError, match=re.escape("output array has shape (4, 8), expected (3, N)")):
+            run_estimator(spec, np.random.default_rng(0).random((4, 8)))
+
+    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    def test_float_array_used_in_place_and_left_unchanged(self, kind, n):
+        y = np.random.default_rng(0).random((len(plan_layout(kind, n, 2)), 16))
+        before = y.copy()
+        assert _outputs(y, kind, n, 2) is y
+        run_estimator(DesignSpec(kind=kind, n=n, N=16, k=2), y)
+        assert np.array_equal(y, before)
