@@ -58,12 +58,12 @@ class AdaptiveLedger:
         return self.budget - self.runs_spent
 
 
-def std_elementary_effects(diffs: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Per-factor population standard deviation of elementary-effect differences."""
-    diffs = [np.asarray(d, dtype=float) for d in diffs]
-    if any(d.ndim != 1 or len(d) < 2 for d in diffs):
+def std_elementary_effects(diffs: np.ndarray) -> np.ndarray:
+    """Population standard deviation of each row of a ``(factors, rows)`` array of elementary-effect differences."""
+    diffs = np.asarray(diffs, dtype=float)
+    if diffs.ndim != 2 or diffs.shape[1] < 2:
         raise EstimationError("elementary-effect vectors need length >= 2")
-    return np.array([np.std(d) for d in diffs])
+    return np.std(diffs, axis=1)
 
 
 def adaptive_run(

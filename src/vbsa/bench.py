@@ -128,13 +128,12 @@ def matched_block_size(config: EstimatorConfig, k: int, reference_cost: int) -> 
 def _rep_records(
     cfg: ExperimentConfig,
     analytic_total: np.ndarray,
-    pool: np.ndarray,
+    pool: qmc.SampleMatrix,
     matched: dict[tuple[str, int, int], int],
     rep: int,
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
     k = cfg.function.k
-    perm = qmc.draw_permutation(pool.shape[1], cfg.seed, rep)
-    pool_r = pool[:, perm.perm]
+    pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.n_cols, cfg.seed, rep)).values
     records: list[ConvergenceRecord] = []
     errors: list[CellError] = []
     for p in cfg.p_values:
@@ -142,7 +141,7 @@ def _rep_records(
             N = matched[(est.name, est.n, p)]
             spec = est.design(N, k)
             try:
-                result = estimators._estimate_on(spec, cfg.function, designs.pool_matrices(pool_r, spec.n, k, N))
+                result = estimators._estimate_on(spec, cfg.function, designs.pool_matrices(pool_r[:N], spec.n, k))
                 records.append(
                     ConvergenceRecord(
                         function=cfg.function.family,
@@ -166,9 +165,11 @@ def convergence_experiment(
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
     """Run the full repetition/block sweep; deterministic for a given config.
 
-    Repetitions may run on several threads; records are merged in repetition
-    order afterwards so the output never depends on scheduling.
+    Repetitions may run on ``workers`` threads; records are merged in
+    repetition order afterwards so the output never depends on scheduling.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     k = cfg.function.k
     analytic_total = testfns.analytic_indices(cfg.function).total
     matched = {
@@ -178,7 +179,7 @@ def convergence_experiment(
     }
     n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
     p_pool = max(cfg.p_max, int(math.log2(max(matched.values()))))
-    pool = qmc.sobol_block(n_max * k, p_pool).values
+    pool = qmc.sobol_block(n_max * k, p_pool)
 
     reps = range(cfg.repetitions)
     if workers > 1:
@@ -224,6 +225,10 @@ def adaptive_experiment(
     reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if not p_values:
+        raise ValueError("p range is empty")
     k = fn.k
     analytic_total = testfns.analytic_indices(fn).total
     records: list[ConvergenceRecord] = []

@@ -200,12 +200,9 @@ class EvaluationPlan:
         return {label: row for (label, *_), row in zip(layout, y.reshape(-1, self.spec.N))}
 
 
-def pool_matrices(pool: np.ndarray, n: int, k: int, rows: int | None = None) -> list[np.ndarray]:
-    """The n base matrices of a column pool: columns m*k .. (m+1)*k - 1 feed matrix m.
-
-    ``rows`` keeps only the first rows of each (the nested 2**p prefix).
-    """
-    return [pool[:rows, m * k : (m + 1) * k] for m in range(n)]
+def pool_matrices(pool: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """The n base matrices of a column pool: columns m*k .. (m+1)*k - 1 feed matrix m."""
+    return [pool[:, m * k : (m + 1) * k] for m in range(n)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -241,23 +238,13 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
     return tuple(chunks)
 
 
-def _segment_chunks(spec: DesignSpec, base_matrices: list[np.ndarray], per_chunk: int):
-    """Check the bases, then write runs of ``per_chunk`` segments into one buffer, yielding (first, chunk).
+def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int):
+    """Write runs of ``per_chunk`` segments into one buffer, yielding (first, chunk).
 
-    Each run of segments sharing a base is one slice fill, and each couple's
-    run of hybrids writes its donor columns through one strided diagonal view
-    of the buffer, so the Python work per chunk is per run, not per segment.
+    No checks: ``mats`` come checked, by :func:`assemble_plan` or as a pool's cuts (:func:`_plan_outputs`).  Each
+    run of segments sharing a base is one slice fill, and each couple's run of hybrids writes its donor columns
+    through one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment.
     """
-    if len(base_matrices) != spec.n:
-        raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
-    mats = []
-    for i, m in enumerate(base_matrices):
-        vals = np.asarray(m, dtype=float)
-        if vals.shape != (spec.N, spec.k):
-            raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
-        if not _in_unit_cube(vals):
-            raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
-        mats.append(vals)
     per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k)))
     buffer = np.empty((per_chunk, spec.N, spec.k))
     seg_stride, row_stride, col_stride = buffer.strides
@@ -287,9 +274,17 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
 
     The :func:`plan_layout` segments: base matrices first (A, B, ...), then
     hybrids grouped by base matrix, donor and factor, so plans are
-    reproducible row-for-row.  Each base matrix is (N, k) in [0, 1).
+    reproducible row-for-row.  Each base matrix must be (N, k) in [0, 1).
     """
-    ((_, points),) = _segment_chunks(spec, base_matrices, len(plan_layout(spec.kind, spec.n, spec.k)))
+    if len(base_matrices) != spec.n:
+        raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
+    mats = [np.asarray(m, dtype=float) for m in base_matrices]
+    for i, vals in enumerate(mats):
+        if vals.shape != (spec.N, spec.k):
+            raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
+        if not _in_unit_cube(vals):
+            raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
+    ((_, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
     return EvaluationPlan(spec=spec, points=points.reshape(-1, spec.k))
 
 
@@ -298,7 +293,11 @@ _CHUNK_ROWS = 2**17
 
 
 def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> np.ndarray:
-    """``model``'s (segments, N) outputs over the plan, one call per ``max(N, _CHUNK_ROWS)`` rows of segments."""
+    """``model``'s (segments, N) outputs over the plan, one call per ``max(N, _CHUNK_ROWS)`` rows of segments.
+
+    Unchecked precondition: the bases are column cuts of a checked ``SampleMatrix`` pool, from
+    ``estimators._draw_bases`` or ``bench._rep_records``.
+    """
     y = np.empty((len(plan_layout(spec.kind, spec.n, spec.k)), spec.N))
     for lo, chunk in _segment_chunks(spec, base_matrices, max(1, _CHUNK_ROWS // spec.N)):
         y[lo : lo + len(chunk)] = model(chunk.reshape(-1, spec.k)).reshape(len(chunk), spec.N)

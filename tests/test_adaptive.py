@@ -5,8 +5,8 @@ import pytest
 
 from vbsa.adaptive import adaptive_run, ledger_csv_header, ledger_csv_rows, std_elementary_effects
 from vbsa.designs import DesignSpec
-from vbsa.estimators import EstimationError, estimate_total_effects
-from vbsa.testfns import function_spec
+from vbsa.estimators import EstimationError, estimate_csv, estimate_total_effects
+from vbsa.testfns import evaluate, function_spec
 
 
 class TestStdElementaryEffects:
@@ -20,8 +20,12 @@ class TestStdElementaryEffects:
         assert std_elementary_effects([np.zeros(8)])[0] == 0.0
 
     def test_short_vector_rejected(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match="length >= 2"):
             std_elementary_effects([np.array([1.0])])
+
+    def test_rows_match_per_vector_std(self):
+        diffs = np.random.default_rng(3).standard_normal((6, 37))
+        assert np.array_equal(std_elementary_effects(diffs), [np.std(d) for d in diffs])
 
 
 class TestAdaptiveRun:
@@ -88,6 +92,23 @@ class TestAdaptiveRun:
         est, ledger = adaptive_run(fn, 9, seed=1, repetition=0)
         assert est.effects_used.max() == 2**10  # one doubling past 2^p
         assert ledger.runs_spent <= ledger.budget
+
+    def test_hook_that_overwrites_its_input(self):
+        # the hook receives plan rows; scribbling on them after evaluating must not change the run
+        fn = function_spec("A2", 6)
+
+        def clean(pts):
+            return evaluate(fn, pts)
+
+        def scribbling(pts):
+            y = evaluate(fn, pts)
+            pts[...] = 0.5
+            return y
+
+        est, ledger = adaptive_run(fn, 9, seed=1, repetition=2, model=clean)
+        est_w, ledger_w = adaptive_run(fn, 9, seed=1, repetition=2, model=scribbling)
+        assert estimate_csv(est_w) == estimate_csv(est)
+        assert ledger_w == ledger
 
     @pytest.mark.parametrize(
         "model,match",

@@ -96,6 +96,11 @@ class TestConvergenceExperiment:
         threaded, _ = convergence_experiment(cfg, workers=4)
         assert records_csv(serial) == records_csv(threaded)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            convergence_experiment(self._cfg(), workers=workers)
+
     def test_error_cells_do_not_abort_the_sweep(self):
         # tiny matched blocks are degenerate for the correlation estimator
         # (N = 1 duplicates the all-halves first row; N = 2 pins |rho| = 1),
@@ -148,6 +153,15 @@ class TestAdaptiveExperiment:
         aggs = [r for r in records if r.rep is None]
         assert len(aggs) == 4  # 2 estimators x 2 block sizes
         assert ledgers and all(int(line.split(",")[7]) >= int(line.split(",")[6]) for line in ledgers)
+
+    @pytest.mark.parametrize(
+        "p_values,repetitions,message",
+        [(range(7, 9), 0, "repetitions must be >= 1"), (range(6, 6), 2, "p range is empty")],
+        ids=["no-repetitions", "empty-p-range"],
+    )
+    def test_empty_sweep_rejected(self, p_values, repetitions, message):
+        with pytest.raises(ValueError, match=message):
+            adaptive_experiment(function_spec("A2", 6), p_values, repetitions, seed=2)
 
 
 class TestExport:

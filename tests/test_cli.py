@@ -196,6 +196,13 @@ class TestBench:
         assert "listed twice" in capsys.readouterr().err
         assert not (tmp_path / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        code = cli.run(self.ARGS + ["--workers", workers, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["vbsa bench: workers must be >= 1"]
+        assert not (tmp_path / "convergence.csv").exists()
+
 
 class TestAdaptiveCommand:
     def test_writes_ledger_and_convergence(self, tmp_path):
@@ -207,6 +214,18 @@ class TestAdaptiveCommand:
         assert ledger[0] == "p,rep,stage,rows,active_factors,runs_block,runs_total,budget"
         assert len(ledger) > 1
         assert (tmp_path / "adaptive_convergence.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--p-min", "7", "--p-max", "8", "--reps", "0"], "repetitions must be >= 1"),
+         (["--p-min", "6", "--p-max", "5", "--reps", "2"], "p range is empty")],
+        ids=["no-repetitions", "empty-p-range"],
+    )
+    def test_empty_sweep_rejected(self, tmp_path, capsys, flags, message):
+        code = cli.run(["adaptive", "--function", "A2", "--k", "6", *flags, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"vbsa adaptive: {message}"]
+        assert not (tmp_path / "adaptive_ledger.csv").exists()
 
 
 class TestConfigFile:

@@ -125,6 +125,13 @@ class TestAssemblePlan:
         with pytest.raises(ValueError, match="base matrices"):
             assemble_plan(spec, _random_bases(spec)[:2])
 
+    def test_wrong_base_shape_rejected(self):
+        spec = DesignSpec(kind="owen", n=3, N=4, k=2)
+        bases = _random_bases(spec)
+        bases[1] = bases[1][:3]
+        with pytest.raises(ValueError, match=r"base matrix shape \(3, 2\) does not match \(N, k\) = \(4, 2\)"):
+            assemble_plan(spec, bases)
+
     def test_split_outputs_by_label(self):
         spec = DesignSpec(kind="asymmetric", n=2, N=4, k=2)
         plan = assemble_plan(spec, _random_bases(spec))

@@ -34,6 +34,7 @@ for name in bench.ESTIMATOR_NAMES:
     roster.append(bench.EstimatorConfig(name, n=3 if fixed_n is None else fixed_n))
 cfg = bench.ExperimentConfig(function=fn, estimators=tuple(roster), p_min=4, p_max=4, repetitions=2, seed=1)
 records, errors = bench.convergence_experiment(cfg)
+sweep_permutations = tracer.counts.get("qmc.permute_columns.calls", 0)
 runs = sum(r.n_t for r in records if r.rep is not None)
 spec = designs.DesignSpec(kind="owen", n=3, N=16, k=3)
 estimators.estimate_total_effects(spec, fn=fn, seed=2)
@@ -55,6 +56,7 @@ print(json.dumps({
     "errors": [e.message for e in errors],
     "calls": calls,
     "rerouted": rerouted,
+    "sweep_permutations": sweep_permutations,
     "evaluated_rows": metrics["testfns.evaluate.rows"],
     "reported_runs": runs,
 }))
@@ -76,3 +78,5 @@ def test_traced_names_resolve_and_count_every_layer():
     # adaptive_experiment's plain series runs estimate_total_effects and its adaptive one sample_plan
     assert all(n > 0 for n in out["rerouted"].values()), out["rerouted"]
     assert out["evaluated_rows"] == out["reported_runs"]
+    # the sweep scrambles its pool through qmc.permute_columns, once per repetition
+    assert out["sweep_permutations"] == 2
