@@ -184,8 +184,9 @@ class EvaluationPlan:
     """All points a design requires, as the spec and its points alone.
 
     ``points`` stacks the segments of :func:`plan_layout` in order, N rows
-    each: segment s is ``points.reshape(segments, N, k)[s]``.  The couples of
-    segments the estimators read are :func:`factor_segments`.
+    each: segment s is ``points.reshape(segments, N, k)[s]``, Fortran-ordered like
+    the read-only chunks a model gets from :func:`_plan_outputs`.  The couples
+    of segments the estimators read are :func:`factor_segments`.
     """
 
     spec: DesignSpec
@@ -207,53 +208,63 @@ def pool_matrices(pool: np.ndarray, n: int, k: int) -> list[np.ndarray]:
 
 @functools.lru_cache(maxsize=256)
 def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
-    """The writes of each chunk of ``per_chunk`` :func:`plan_layout` segments.
+    """The writes of each chunk of ``per_chunk`` :func:`plan_layout` segments into one reused buffer.
 
     One ``(first, size, base_runs, donor_runs)`` per chunk, with segments
     counted from the chunk's first.  A base run ``(a, b, m)`` is segments
     a..b-1, which all start as base matrix m; a donor run ``(a, b, m, donor,
     col)`` is consecutive hybrids of one couple, segment a + i taking column
-    col + i of ``donor`` (of m rotated up one row for :data:`SHIFT`).
+    col + i of ``donor`` (of m rotated up one row for :data:`SHIFT`).  A
+    buffer slot that holds the same base as in the previous chunk gets no
+    base run: a leading donor run with ``donor == m`` restores the column the
+    previous chunk's donor wrote there, so the slot takes 2N values, not kN.
     """
 
-    def runs(segments, key) -> list[tuple]:
+    def runs(keys) -> list[tuple]:
         out, a = [], 0
-        for value, group in groupby(segments, key):
-            out.append((a, a + len(list(group)), value))
-            a = out[-1][1]
+        for key, group in groupby(keys):
+            b = a + len(list(group))
+            if key is not None:
+                out.append((a, b, key))
+            a = b
         return out
 
     layout = plan_layout(kind, n, k)
-    chunks = []
+    chunks, last = [], []   # (base, donor column or None) of each slot, as the previous chunk left it
     for lo in range(0, len(layout), per_chunk):
         segments = layout[lo : lo + per_chunk]
-        base_runs = tuple(runs(segments, lambda segment: segment[1]))
+        now = [(m, None if donor is None else j - 1) for _, m, donor, j in segments]
+        kept = [s < len(last) and last[s][0] == m for s, (m, _) in enumerate(now)]
+        base_runs = tuple(runs([None if keep else m for keep, (m, _) in zip(kept, now)]))
+        # a kept slot's restored column steps one per slot along a run, like a couple's donor columns
+        restores = runs([(m, last[s][1] - s) if kept[s] and last[s][1] is not None else None
+                         for s, (m, _) in enumerate(now)])
         # a couple's hybrids are consecutive, in ascending j
-        donor_runs = tuple(
-            (a, b, m, donor, segments[a][3] - 1)
-            for a, b, (m, donor) in runs(segments, lambda segment: segment[1:3])
-            if donor is not None
-        )
+        hybrids = runs([None if donor is None else (m, donor) for _, m, donor, _ in segments])
+        donor_runs = tuple([(a, b, m, m, a + shift) for a, b, (m, shift) in restores]
+                           + [(a, b, m, donor, segments[a][3] - 1) for a, b, (m, donor) in hybrids])
         chunks.append((lo, len(segments), base_runs, donor_runs))
+        last = now
     return tuple(chunks)
 
 
 def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int):
-    """Write runs of ``per_chunk`` segments into one buffer, yielding (first, chunk).
+    """Write runs of ``per_chunk`` segments into one reused ``(k, per_chunk, N)`` buffer, yielding (first, chunk).
 
-    No checks: ``mats`` come checked, by :func:`assemble_plan` or as a pool's cuts (:func:`_plan_outputs`).  Each
-    run of segments sharing a base is one slice fill, and each couple's run of hybrids writes its donor columns
-    through one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment.
+    ``chunk[:, s]`` is segment first + s with each factor's column one contiguous row, so
+    ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  No checks: ``mats`` come
+    checked, by :func:`assemble_plan` or as a pool's cuts (:func:`_plan_outputs`).  Each run of segments sharing
+    a base is one broadcast from the base, and each couple's run of hybrids writes its donor columns through one
+    strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment; a slot that
+    keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
     """
     per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k)))
-    buffer = np.empty((per_chunk, spec.N, spec.k))
-    seg_stride, row_stride, col_stride = buffer.strides
+    buffer = np.empty((spec.k, per_chunk, spec.N))
+    col_stride, seg_stride, row_stride = buffer.strides
     for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk):
-        chunk = buffer[:size]
+        chunk = buffer[:, :size]
         for a, b, m in base_runs:
-            # a base may be a strided pool view; copies of the contiguous first segment are cheap
-            chunk[a] = mats[m]
-            chunk[a + 1 : b] = chunk[a]
+            chunk[:, a:b] = mats[m].T[:, None, :]
         for a, b, m, donor, col in donor_runs:
             # element [i, r] is row r, column col + i of segment a + i
             diag = np.ndarray(
@@ -261,11 +272,11 @@ def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int):
                 strides=(seg_stride + col_stride, row_stride),
             )
             if donor == SHIFT:
-                columns = mats[m][:, col : col + b - a].T
+                columns = mats[m].T[col : col + b - a]
                 diag[:, :-1] = columns[:, 1:]
                 diag[:, -1] = columns[:, 0]
             else:
-                diag[...] = mats[donor][:, col : col + b - a].T
+                diag[...] = mats[donor].T[col : col + b - a]
         yield lo, chunk
 
 
@@ -275,6 +286,8 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
     The :func:`plan_layout` segments: base matrices first (A, B, ...), then
     hybrids grouped by base matrix, donor and factor, so plans are
     reproducible row-for-row.  Each base matrix must be (N, k) in [0, 1).
+    ``points`` is the Fortran-ordered ``(rows, k)`` view of the writer's
+    one-chunk buffer (:func:`_segment_chunks`): each factor's column is contiguous.
     """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
@@ -285,7 +298,7 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
     ((_, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
-    return EvaluationPlan(spec=spec, points=points.reshape(-1, spec.k))
+    return EvaluationPlan(spec=spec, points=points.reshape(spec.k, -1).T)
 
 
 # Rows per model call of _plan_outputs; a longer segment is one call alone.
@@ -295,12 +308,15 @@ _CHUNK_ROWS = 2**17
 def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> np.ndarray:
     """``model``'s (segments, N) outputs over the plan, one call per ``max(N, _CHUNK_ROWS)`` rows of segments.
 
+    The model gets each chunk as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.
     Unchecked precondition: the bases are column cuts of a checked ``SampleMatrix`` pool, from
     ``estimators._draw_bases`` or ``bench._rep_records``.
     """
     y = np.empty((len(plan_layout(spec.kind, spec.n, spec.k)), spec.N))
     for lo, chunk in _segment_chunks(spec, base_matrices, max(1, _CHUNK_ROWS // spec.N)):
-        y[lo : lo + len(chunk)] = model(chunk.reshape(-1, spec.k)).reshape(len(chunk), spec.N)
+        points = chunk.reshape(spec.k, -1).T
+        points.flags.writeable = False
+        y[lo : lo + chunk.shape[1]] = model(points).reshape(chunk.shape[1], spec.N)
     return y
 
 

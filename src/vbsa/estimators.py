@@ -286,9 +286,10 @@ def estimate_total_effects(
 
     Draws the Sobol' bases of :func:`sample_plan` (optionally scrambled by
     the per-repetition column permutation derived from ``seed``), evaluates
-    the function on the plan in chunks of whole segments of at most
-    ``max(N, 2**17)`` rows and runs the matching estimator.  For outputs
-    computed elsewhere, use :func:`run_estimator` on their array or evaluation set.
+    the function on the plan in chunks of whole segments, each a read-only,
+    Fortran-ordered ``(rows, k)`` array of at most ``max(N, 2**17)`` rows,
+    and runs the matching estimator.  For outputs computed elsewhere, use
+    :func:`run_estimator` on their array or evaluation set.
     """
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")

@@ -3,9 +3,10 @@
 The generator draws points of the Sobol' LP_tau sequence in Gray-code order
 (Antonov-Saleev construction) from the embedded Joe-Kuo direction numbers
 of 64 dimensions: point i is point i - 1 XOR the direction vector of the
-lowest set bit of i, so a block is one cumulative XOR down its rows.  The
-direction vectors of all 64 dimensions are built once, on first use, and
-every block reads its leading columns; there are no custom tables.
+lowest set bit of i, so a block is one cumulative XOR along each dimension's
+contiguous row of a ``(dims, rows)`` array; its transpose is the F-ordered
+``(rows, dims)`` block.  The direction vectors of all 64 dimensions are built
+once, on first use, and every block reads its leading rows; no custom tables.
 The all-zeros origin point is skipped, so block ``i`` of size ``2**p`` holds
 sequence positions ``1 .. 2**p`` and every block is a prefix of the next
 larger one.  The L2-star discrepancy is Warnock's exact formula, its pair term
@@ -87,10 +88,10 @@ def draw_permutation(n_columns: int, seed: int, repetition: int = 0) -> ColumnPe
 
 @functools.cache
 def _direction_vectors() -> np.ndarray:
-    """Read-only direction vectors V[bit, dim] of every dimension, uint64 scaled by 2**_MAXBIT."""
-    v = np.zeros((_MAXBIT + 1, _MAX_DIM), dtype=np.uint64)
+    """Read-only direction vectors V[dim, bit] of every dimension, uint64 scaled by 2**_MAXBIT."""
+    v = np.zeros((_MAX_DIM, _MAXBIT + 1), dtype=np.uint64)
     for i in range(1, _MAXBIT + 1):
-        v[i, 0] = 1 << (_MAXBIT - i)
+        v[0, i] = 1 << (_MAXBIT - i)
     for d, (poly, m_init) in enumerate(POLY_AND_INIT, start=1):
         s = poly.bit_length() - 1
         a = (poly - (1 << s) - 1) >> 1
@@ -101,7 +102,7 @@ def _direction_vectors() -> np.ndarray:
             row[i] = row[i - s] ^ (row[i - s] >> s)
             for t in range(1, s):
                 row[i] ^= ((a >> (s - 1 - t)) & 1) * row[i - t]
-        v[:, d] = row
+        v[d] = row
     v.flags.writeable = False
     return v
 
@@ -110,7 +111,7 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
     """First ``2**p`` Sobol' points (origin skipped) in ``dim_count`` dimensions.
 
     Deterministic, and nested: the block for ``p`` is the leading slice of the
-    block for ``p + 1``.
+    block for ``p + 1``.  The values are F-ordered: ``.values.T`` is C-contiguous.
     """
     if dim_count < 1:
         raise ValueError("dim_count must be positive")
@@ -122,19 +123,19 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
         raise ValueError(f"block exponent p = {p} exceeds the supported maximum {_MAX_P}")
 
     pos = np.arange(1, (1 << p) + 1, dtype=np.uint64)
-    # pos ^ (pos - 1) has lowest_bit(pos) + 1 set bits: the row of that bit's direction vector
-    x = _direction_vectors()[:, :dim_count][np.bitwise_count(pos ^ (pos - np.uint64(1)))]
-    np.bitwise_xor.accumulate(x, axis=0, out=x)
-    return SampleMatrix(values=np.multiply(x, 2.0 ** -_MAXBIT))
+    # pos ^ (pos - 1) has lowest_bit(pos) + 1 set bits: the column of that bit's direction vectors
+    x = np.take(_direction_vectors()[:dim_count], np.bitwise_count(pos ^ (pos - np.uint64(1))), axis=1)
+    np.bitwise_xor.accumulate(x, axis=1, out=x)
+    return SampleMatrix(values=np.multiply(x, 2.0 ** -_MAXBIT).T)
 
 
 def permute_columns(pool: SampleMatrix, perm: ColumnPermutation) -> SampleMatrix:
-    """Reorder pool columns: output column ``i`` is input column ``perm[i]``."""
+    """Reorder pool columns: output column ``i`` is input column ``perm[i]``; F-ordered, like the pool."""
     if len(perm) != pool.n_cols:
         raise ValueError(
             f"permutation length {len(perm)} does not match pool column count {pool.n_cols}"
         )
-    return SampleMatrix(values=pool.values[:, perm.perm])
+    return SampleMatrix(values=pool.values.T[perm.perm].T)
 
 
 def l2_star_discrepancy(points: SampleMatrix | np.ndarray) -> float:

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vbsa import designs
 from vbsa.designs import (
     DESIGN_KINDS,
     PLAN_KINDS,
     SHIFT,
     DesignSpec,
     _chunk_runs,
+    _plan_outputs,
     _segment_chunks,
     assemble_plan,
     budget_table,
@@ -23,6 +25,8 @@ from vbsa.designs import (
     pool_matrices,
     reference_metrics,
 )
+from vbsa.estimators import _draw_bases
+from vbsa.testfns import FAMILIES, evaluate, function_spec
 
 ALL_PLAN_SPECS = [
     DesignSpec(kind="asymmetric", n=2, N=8, k=3),
@@ -33,6 +37,9 @@ ALL_PLAN_SPECS = [
     DesignSpec(kind="lamboni", n=3, N=4, k=3),
     DesignSpec(kind="cyclic_single", n=1, N=8, k=3),
 ]
+
+# every kind, at each fixed base-matrix count or at n = 2 and 3
+KIND_NS = [(kind, n) for kind, rule in DESIGN_KINDS.items() for n in ([rule.n] if rule.n else [2, 3])]
 
 
 def _random_bases(spec: DesignSpec, seed: int = 0) -> list[np.ndarray]:
@@ -157,30 +164,106 @@ def _per_segment_reference(spec: DesignSpec, bases: list[np.ndarray]) -> np.ndar
 class TestSegmentChunks:
     """The run-wise segment writer equals writing each segment on its own."""
 
-    @pytest.mark.parametrize("kind,n", [(kind, n) for kind, rule in DESIGN_KINDS.items()
-                                         for n in ([rule.n] if rule.n else [2, 3])])
+    @pytest.mark.parametrize("kind,n", KIND_NS)
     @pytest.mark.parametrize("N", [2, 3, 64])
     @pytest.mark.parametrize("k", [1, 2, 6])
     def test_equals_per_segment_reference(self, kind, n, N, k):
         spec = DesignSpec(kind=kind, n=n, N=N, k=k)
-        # strided views of one pool, as the sweeps pass them
-        bases = pool_matrices(np.random.default_rng(N * k + n).random((N, n * k)), n, k)
-        expected = _per_segment_reference(spec, bases)
-        segments = len(expected)
-        # 5 and k + 1 split couples' hybrids mid-run; `segments` is one chunk
-        for per_chunk in sorted({1, 2, 5, k + 1, segments}):
-            chunks = [(lo, chunk.copy()) for lo, chunk in _segment_chunks(spec, bases, per_chunk)]
-            assert [lo for lo, _ in chunks] == list(range(0, segments, per_chunk))
-            assert np.array_equal(np.concatenate([chunk for _, chunk in chunks]), expected)
+        pool = np.random.default_rng(N * k + n).random((N, n * k))
+        # column cuts of an F-ordered pool, as the Sobol' draws pass them, and of a C-ordered one
+        for bases in (pool_matrices(np.asfortranarray(pool), n, k), pool_matrices(pool, n, k)):
+            expected = _per_segment_reference(spec, bases).transpose(2, 0, 1)   # (k, segments, N)
+            segments = expected.shape[1]
+            # 1 keeps a slot's base across chunks wherever a couple's hybrids follow their base;
+            # 5 and k + 1 split couples' hybrids mid-run; `segments` is one chunk
+            for per_chunk in sorted({1, 2, 5, k + 1, segments}):
+                chunks = [(lo, chunk.copy()) for lo, chunk in _segment_chunks(spec, bases, per_chunk)]
+                assert [lo for lo, _ in chunks] == list(range(0, segments, per_chunk))
+                assert np.array_equal(np.concatenate([chunk for _, chunk in chunks], axis=1), expected)
 
     def test_one_write_per_run(self):
         # multimatrix n = 6: 6 bases and 30 couples, so 12 base runs and 30 donor runs over 186 segments
         ((first, size, base_runs, donor_runs),) = _chunk_runs("multimatrix", 6, 6, 186)
         assert (first, size, len(base_runs), len(donor_runs)) == (0, 186, 12, 30)
-        # a chunk boundary inside a couple splits its run: A_B(1..4) then A_B(5..6)
-        assert [runs[3] for runs in _chunk_runs("asymmetric", 2, 6, 5)] == [
-            ((1, 5, 0, 1, 0),), ((0, 2, 0, 1, 4),)
+        # a chunk boundary inside a couple splits its run: A_B(1..4) then A_B(5..6); both slots of
+        # the second chunk keep base A, so it writes no base run and first restores slot 1's column 1
+        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 6, 5)] == [
+            (((0, 5, 0),), ((1, 5, 0, 1, 0),)),
+            ((), ((1, 2, 0, 0, 0), (0, 2, 0, 1, 4))),
         ]
+
+    def test_slot_keeping_its_base_restores_then_writes_one_column(self):
+        # one segment per chunk: A, then A_B(1..3) in the same slot
+        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 3, 1)] == [
+            (((0, 1, 0),), ()),
+            ((), ((0, 1, 0, 1, 0),)),
+            ((), ((0, 1, 0, 0, 0), (0, 1, 0, 1, 1))),
+            ((), ((0, 1, 0, 0, 1), (0, 1, 0, 1, 2))),
+        ]
+
+    def test_slot_changing_its_base_is_rewritten_whole(self):
+        # owen, two segments per chunk: [A, B], [B_A(1), B_A(2)], [C_B(1), C_B(2)]
+        assert [runs[2:] for runs in _chunk_runs("owen", 3, 2, 2)] == [
+            (((0, 1, 0), (1, 2, 1)), ()),
+            (((0, 1, 1),), ((0, 2, 1, 0, 0),)),   # slot 1 keeps B, which no donor touched
+            (((0, 2, 2),), ((0, 2, 2, 1, 0),)),
+        ]
+
+
+class TestPlanOutputs:
+    """What the model receives from the chunked writer, and what it returns."""
+
+    def test_model_receives_read_only_column_major_rows_of_the_plan(self, monkeypatch):
+        monkeypatch.setattr(designs, "_CHUNK_ROWS", 16)   # N = 8: two segments per chunk, then the remainder
+        for spec in ALL_PLAN_SPECS:
+            spec = DesignSpec(spec.kind, spec.n, 8, spec.k)
+            bases = _draw_bases(spec, 1, 0)
+            received = []
+
+            def model(points):
+                assert points.ndim == 2 and points.shape[1] == spec.k
+                assert not points.flags.writeable and points.strides[0] == points.itemsize
+                received.append(points.copy())
+                return points.sum(axis=1)
+
+            y = _plan_outputs(spec, bases, model)
+            plan_points = assemble_plan(spec, bases).points
+            assert [len(rows) for rows in received[:-1]] == [16] * (len(received) - 1)
+            assert np.array_equal(np.concatenate(received), plan_points)
+            assert np.array_equal(y.ravel(), plan_points.sum(axis=1))
+
+    def test_model_writing_into_its_input_raises(self):
+        spec = DesignSpec("asymmetric", 2, 8, 3)
+
+        def model(points):
+            points[:, 0] = 0.5
+            return points[:, 0]
+
+        with pytest.raises(ValueError, match="read-only"):
+            _plan_outputs(spec, _draw_bases(spec, 1, 0), model)
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "G"])   # G has no default coefficients
+    def test_outputs_equal_row_major_evaluation_bit_for_bit(self, family):
+        cases = [(kind, n, N, k) for kind, n in KIND_NS for k in (1, 2, 6) for N in (2, 64, 2**10)]
+        for kind, n, N, k in cases + [("asymmetric", 2, 2**17, 2)]:   # the last: three one-segment chunks
+            fn, spec = function_spec(family, k), DesignSpec(kind, n, N, k)
+            bases = _draw_bases(spec, 1, 0)
+            expected = evaluate(fn, np.ascontiguousarray(assemble_plan(spec, bases).points)).reshape(-1, N)
+            got = _plan_outputs(spec, bases, lambda points: evaluate(fn, points))
+            assert got.tobytes() == expected.tobytes(), (kind, n, N, k)
+
+    @pytest.mark.parametrize("k", [9, 12, 16])
+    def test_a1_beyond_eight_factors_within_four_ulp(self, k):
+        # A1 sums k terms per row, pairwise along a contiguous row but in order down a column-major
+        # chunk; every term is a prefix product in [0, 1), so the sum moves by a few ulp of 1
+        fn = function_spec("A1", k)
+        for kind, n in KIND_NS:
+            for N in (2**10, 2**12):
+                spec = DesignSpec(kind, n, N, k)
+                bases = _draw_bases(spec, 1, 0)
+                expected = evaluate(fn, np.ascontiguousarray(assemble_plan(spec, bases).points)).reshape(-1, N)
+                got = _plan_outputs(spec, bases, lambda points: evaluate(fn, points))
+                assert np.max(np.abs(got - expected)) <= 4 * np.spacing(1.0), (kind, N)
 
 
 class TestDesignSpecValidation:

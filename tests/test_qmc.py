@@ -54,6 +54,13 @@ class TestSobolBlock:
             small = sobol_block(dim, p).values
             assert np.array_equal(small, big[: 2**p])
 
+    @pytest.mark.parametrize("dim,p", [(1, 0), (6, 5), (36, 10), (64, 3)])
+    def test_block_is_column_major(self, dim, p):
+        # each dimension's column is one contiguous row of values.T, and so of every pool cut
+        block = sobol_block(dim, p).values
+        assert block.T.flags.c_contiguous
+        assert permute_columns(sobol_block(dim, p), draw_permutation(dim, 9, 2)).values.T.flags.c_contiguous
+
     def test_values_in_unit_interval_and_no_zero_row(self):
         block = sobol_block(36, 6).values
         assert block.min() >= 0.0 and block.max() < 1.0
