@@ -81,7 +81,7 @@ def adaptive_run(
     every factor, reproducing the plain asymmetric estimator on the same
     scrambled sequence.  ``model`` substitutes an arbitrary evaluator of the
     same dimension (points array in, output vector out) for the analytic
-    family, e.g. a wrapped external code.
+    family, e.g. a wrapped external code; it gets read-only views of the plan.
     """
     k = fn.k
     if k < 2:

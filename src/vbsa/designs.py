@@ -184,8 +184,8 @@ class EvaluationPlan:
     """All points a design requires, as the spec and its points alone.
 
     ``points`` stacks the segments of :func:`plan_layout` in order, N rows
-    each: segment s is ``points.reshape(segments, N, k)[s]``, Fortran-ordered like
-    the read-only chunks a model gets from :func:`_plan_outputs`.  The couples
+    each: segment s is ``points.reshape(segments, N, k)[s]``, read-only and
+    Fortran-ordered like the chunks a model gets from :func:`_plan_outputs`.  The couples
     of segments the estimators read are :func:`factor_segments`.
     """
 
@@ -286,7 +286,7 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
     The :func:`plan_layout` segments: base matrices first (A, B, ...), then
     hybrids grouped by base matrix, donor and factor, so plans are
     reproducible row-for-row.  Each base matrix must be (N, k) in [0, 1).
-    ``points`` is the Fortran-ordered ``(rows, k)`` view of the writer's
+    ``points`` is the read-only, Fortran-ordered ``(rows, k)`` view of the writer's
     one-chunk buffer (:func:`_segment_chunks`): each factor's column is contiguous.
     """
     if len(base_matrices) != spec.n:
@@ -298,7 +298,9 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
     ((_, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
-    return EvaluationPlan(spec=spec, points=points.reshape(spec.k, -1).T)
+    points = points.reshape(spec.k, -1).T
+    points.flags.writeable = False
+    return EvaluationPlan(spec=spec, points=points)
 
 
 # Rows per model call of _plan_outputs; a longer segment is one call alone.

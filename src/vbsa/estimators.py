@@ -321,10 +321,8 @@ def _draw_bases(spec: DesignSpec, seed: int | None, repetition: int) -> list[np.
     p = int(spec.N).bit_length() - 1
     if 1 << p != spec.N:
         raise ValueError("N must be a power of two to draw generator blocks")
-    pool = qmc.sobol_block(n_cols, p)
-    if seed is not None:
-        pool = qmc.permute_columns(pool, qmc.draw_permutation(n_cols, seed, repetition))
-    return designs.pool_matrices(pool.values, spec.n, spec.k)
+    perm = None if seed is None else qmc.draw_permutation(n_cols, seed, repetition)
+    return designs.pool_matrices(qmc.sobol_block(n_cols, p, perm).values, spec.n, spec.k)
 
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:

@@ -2,11 +2,16 @@
 
 The generator draws points of the Sobol' LP_tau sequence in Gray-code order
 (Antonov-Saleev construction) from the embedded Joe-Kuo direction numbers
-of 64 dimensions: point i is point i - 1 XOR the direction vector of the
-lowest set bit of i, so a block is one cumulative XOR along each dimension's
-contiguous row of a ``(dims, rows)`` array; its transpose is the F-ordered
-``(rows, dims)`` block.  The direction vectors of all 64 dimensions are built
-once, on first use, and every block reads its leading rows; no custom tables.
+of 64 dimensions.  Gray-code order is reflected, so a block is built by
+doubling: position 0 is the origin, and positions ``h .. 2h - 1`` are
+positions ``h - 1 .. 0`` XOR the direction vector of bit ``log2(h) + 1``,
+one vectorised XOR over each dimension's contiguous row of a ``(dims, rows)``
+``uint64`` array.  Its words are the bits of the floats ``2**20 + m 2**-32``,
+so one exact in-place subtraction turns it into the points, and the
+transpose is the F-ordered ``(rows, dims)`` block.  The direction
+vectors of all 64 dimensions are built once, on first use, and every block
+reads its leading rows; no custom tables.  A column-scrambled block reads
+them in permuted order instead, which gives the permuted block without a copy.
 The all-zeros origin point is skipped, so block ``i`` of size ``2**p`` holds
 sequence positions ``1 .. 2**p`` and every block is a prefix of the next
 larger one.  The L2-star discrepancy is Warnock's exact formula, its pair term
@@ -26,6 +31,8 @@ from ._directions import POLY_AND_INIT
 _MAXBIT = 32  # direction integers are scaled by 2**32; exact in float64
 _MAX_P = 24   # 2**24 points keep all coordinates exactly representable
 _MAX_DIM = len(POLY_AND_INIT) + 1   # dimension 1 carries no table entry
+_OFFSET = 2.0 ** (52 - _MAXBIT)   # the float whose unit in the last place is 2**-_MAXBIT
+_OFFSET_BITS = np.float64(_OFFSET).view(np.uint64)
 
 
 def _in_unit_cube(values: np.ndarray, closed: bool = False) -> bool:
@@ -107,11 +114,13 @@ def _direction_vectors() -> np.ndarray:
     return v
 
 
-def sobol_block(dim_count: int, p: int) -> SampleMatrix:
+def sobol_block(dim_count: int, p: int, perm: ColumnPermutation | None = None) -> SampleMatrix:
     """First ``2**p`` Sobol' points (origin skipped) in ``dim_count`` dimensions.
 
     Deterministic, and nested: the block for ``p`` is the leading slice of the
     block for ``p + 1``.  The values are F-ordered: ``.values.T`` is C-contiguous.
+    With ``perm``, column ``i`` is generated from dimension ``perm[i]``'s direction
+    vectors: bit for bit ``permute_columns(sobol_block(dim_count, p), perm)``.
     """
     if dim_count < 1:
         raise ValueError("dim_count must be positive")
@@ -121,20 +130,36 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
         raise ValueError("block exponent p must be >= 0")
     if p > _MAX_P:
         raise ValueError(f"block exponent p = {p} exceeds the supported maximum {_MAX_P}")
+    v = _direction_vectors()[:dim_count]
+    if perm is not None:
+        _check_length(perm, dim_count)
+        v = v[perm.perm]
 
-    pos = np.arange(1, (1 << p) + 1, dtype=np.uint64)
-    # pos ^ (pos - 1) has lowest_bit(pos) + 1 set bits: the column of that bit's direction vectors
-    x = np.take(_direction_vectors()[:dim_count], np.bitwise_count(pos ^ (pos - np.uint64(1))), axis=1)
-    np.bitwise_xor.accumulate(x, axis=1, out=x)
-    return SampleMatrix(values=np.multiply(x, 2.0 ** -_MAXBIT).T)
+    n = 1 << p
+    # Column i holds position i + 1 as the bits of the float 2**20 + integer * 2**-32 (ulp 2**-32),
+    # so scaling to [0, 1) is one exact in-place subtraction of 2**20.
+    x = np.empty((dim_count, n), dtype=np.uint64)
+    x[:, 0] = v[:, 1] | _OFFSET_BITS   # position 1: the origin XOR direction bit 1
+    for bit in range(2, p + 1):   # positions h .. 2h-1 mirror h-1 .. 0 across direction bit log2(h) + 1
+        h = 1 << (bit - 1)
+        np.bitwise_xor(x[:, h - 2 :: -1], v[:, bit, None], out=x[:, h - 1 : 2 * h - 2])
+        x[:, 2 * h - 2] = v[:, bit] | _OFFSET_BITS   # the mirror of the origin
+    if p:
+        np.bitwise_xor(x[:, n - 2], v[:, p + 1], out=x[:, n - 1])   # position 2**p
+    values = x.view(np.float64)
+    values -= _OFFSET
+    return SampleMatrix(values=values.T)
+
+
+def _check_length(perm: ColumnPermutation, n_cols: int) -> None:
+    """Reject a permutation that does not map exactly ``n_cols`` pool columns."""
+    if len(perm) != n_cols:
+        raise ValueError(f"permutation length {len(perm)} does not match pool column count {n_cols}")
 
 
 def permute_columns(pool: SampleMatrix, perm: ColumnPermutation) -> SampleMatrix:
     """Reorder pool columns: output column ``i`` is input column ``perm[i]``; F-ordered, like the pool."""
-    if len(perm) != pool.n_cols:
-        raise ValueError(
-            f"permutation length {len(perm)} does not match pool column count {pool.n_cols}"
-        )
+    _check_length(perm, pool.n_cols)
     return SampleMatrix(values=pool.values.T[perm.perm].T)
 
 

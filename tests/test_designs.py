@@ -228,6 +228,7 @@ class TestPlanOutputs:
 
             y = _plan_outputs(spec, bases, model)
             plan_points = assemble_plan(spec, bases).points
+            assert not plan_points.flags.writeable
             assert [len(rows) for rows in received[:-1]] == [16] * (len(received) - 1)
             assert np.array_equal(np.concatenate(received), plan_points)
             assert np.array_equal(y.ravel(), plan_points.sum(axis=1))

@@ -42,6 +42,25 @@ class TestSobolBlock:
         mine = sobol_block(dim, 12).values
         assert np.array_equal(mine, ref)
 
+    @pytest.mark.parametrize("dim", [1, 13, 36])
+    def test_matches_reference_generator_through_bit_18(self, dim):
+        # positions 1 .. 2^17: every doubling step, and the last position reaches direction bit 18
+        qmc_scipy = pytest.importorskip("scipy.stats.qmc")
+        ref = qmc_scipy.Sobol(dim, scramble=False).random_base2(18)[1 : 2**17 + 1]
+        assert np.array_equal(sobol_block(dim, 17).values, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 12), st.integers(0, 2**32 - 1), st.integers(0, 1000))
+    def test_permuted_block_is_the_permuted_copy(self, dim, p, seed, repetition):
+        perm = draw_permutation(dim, seed, repetition)
+        scrambled = sobol_block(dim, p, perm).values
+        assert np.array_equal(scrambled, permute_columns(sobol_block(dim, p), perm).values)
+        assert scrambled.T.flags.c_contiguous
+
+    def test_permutation_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="permutation length 5 does not match pool column count 6"):
+            sobol_block(6, 3, ColumnPermutation(np.arange(5)))
+
     def test_deterministic(self):
         a = sobol_block(12, 7).values
         b = sobol_block(12, 7).values
