@@ -129,7 +129,7 @@ def _rep_records(
     cfg: ExperimentConfig,
     analytic_total: np.ndarray,
     pool: qmc.SampleMatrix,
-    matched: dict[tuple[str, int, int], int],
+    matched: dict[tuple[str, int, int], tuple[DesignSpec, int]],
     rep: int,
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
     k = cfg.function.k
@@ -138,18 +138,17 @@ def _rep_records(
     errors: list[CellError] = []
     for p in cfg.p_values:
         for est in cfg.estimators:
-            N = matched[(est.name, est.n, p)]
-            spec = est.design(N, k)
+            spec, n_t = matched[(est.name, est.n, p)]
             try:
-                result = estimators._estimate_on(spec, cfg.function, designs.pool_matrices(pool_r[:N], spec.n, k))
+                result = estimators._estimate_on(spec, cfg.function, designs.pool_matrices(pool_r[: spec.N], spec.n, k))
                 records.append(
                     ConvergenceRecord(
                         function=cfg.function.family,
                         estimator=est.name,
                         n=est.n,
                         p=p,
-                        N=N,
-                        n_t=designs.design_metrics(spec).total_points,
+                        N=spec.N,
+                        n_t=n_t,
                         rep=rep,
                         t_hat=result.total,
                         mae=float(np.mean(np.abs(result.total - analytic_total))),
@@ -172,13 +171,13 @@ def convergence_experiment(
         raise ValueError("workers must be >= 1")
     k = cfg.function.k
     analytic_total = testfns.analytic_indices(cfg.function).total
-    matched = {
-        (e.name, e.n, p): matched_block_size(e, k, (k + 1) * 2**p)
-        for e in cfg.estimators
-        for p in cfg.p_values
-    }
+    matched = {}   # (estimator, n, p) -> the design at the matched N and its N_T
+    for e in cfg.estimators:
+        for p in cfg.p_values:
+            spec = e.design(matched_block_size(e, k, (k + 1) * 2**p), k)
+            matched[(e.name, e.n, p)] = spec, designs.design_metrics(spec).total_points
     n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
-    p_pool = max(cfg.p_max, int(math.log2(max(matched.values()))))
+    p_pool = max(cfg.p_max, int(math.log2(max(spec.N for spec, _ in matched.values()))))
     pool = qmc.sobol_block(n_max * k, p_pool)
 
     reps = range(cfg.repetitions)
@@ -199,10 +198,14 @@ def _with_aggregates(
     records: list[ConvergenceRecord], series: list[tuple[str, int]], p_values: range, analytic_total: np.ndarray
 ) -> list[ConvergenceRecord]:
     """Per-repetition records followed by one MAE aggregate per (estimator, n) series and p."""
+    cells: dict[tuple[str, int, int], list[ConvergenceRecord]] = {}
+    for r in records:
+        if r.rep is not None:
+            cells.setdefault((r.estimator, r.n, r.p), []).append(r)
     aggregates = []
     for name, n in series:
         for p in p_values:
-            cell = [r for r in records if (r.estimator, r.n, r.p) == (name, n, p) and r.rep is not None]
+            cell = cells.get((name, n, p))
             if cell:
                 agg_mae = mae(np.vstack([r.t_hat for r in cell]), analytic_total)
                 aggregates.append(replace(cell[0], rep=None, t_hat=None, mae=agg_mae))
@@ -220,7 +223,7 @@ def adaptive_experiment(
     Per p and repetition, the plain series is :func:`estimate_total_effects`
     at N = 2**p and the adaptive one :func:`vbsa.adaptive.adaptive_run`; both
     draw the bases of :func:`estimators.sample_plan` with the same seed and
-    repetition (the plain series evaluates them in whole-segment chunks), so
+    repetition (the plain series evaluates them in cache-sized plan tiles), so
     the plain design is the first 2**p rows of the adaptive one.  Both are
     reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).

@@ -9,10 +9,12 @@ the layout come the three things a design is used for: the points
 (:func:`assemble_plan`), the elementary effects, i.e. couples of segments
 differing only in factor j (:func:`factor_segments`, read by the
 estimators), and the cost metrics (:func:`design_metrics`).  Internal
-evaluation goes by chunks of whole segments (:func:`_plan_outputs`).  Competing
-designs are compared through their economy ``e = E_T / N_T`` (elementary
-effects per model run) and explorativity ``chi = nN / N_T`` (fraction of
-non-repeated coordinates among all coordinates the design consumes).
+evaluation goes by cache-sized tiles of at most ``_TILE_VALUES`` values
+(rows x k): whole segments when they fit, else row ranges of one segment
+(:func:`_plan_outputs`).  Competing designs are compared through their
+economy ``e = E_T / N_T`` (elementary effects per model run) and
+explorativity ``chi = nN / N_T`` (fraction of non-repeated coordinates
+among all coordinates the design consumes).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .qmc import _MAX_DIM, _MAX_P, _in_unit_cube, l2_star_discrepancy, sobol_block
+from .qmc import _MAX_DIM, _MAX_P, _TILE_VALUES, _in_unit_cube, l2_star_discrepancy, sobol_block
 
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
@@ -185,7 +187,7 @@ class EvaluationPlan:
 
     ``points`` stacks the segments of :func:`plan_layout` in order, N rows
     each: segment s is ``points.reshape(segments, N, k)[s]``, read-only and
-    Fortran-ordered like the chunks a model gets from :func:`_plan_outputs`.  The couples
+    Fortran-ordered like the tiles a model gets from :func:`_plan_outputs`.  The couples
     of segments the estimators read are :func:`factor_segments`.
     """
 
@@ -217,7 +219,7 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
     col + i of ``donor`` (of m rotated up one row for :data:`SHIFT`).  A
     buffer slot that holds the same base as in the previous chunk gets no
     base run: a leading donor run with ``donor == m`` restores the column the
-    previous chunk's donor wrote there, so the slot takes 2N values, not kN.
+    previous chunk's donor wrote there, so the slot takes two columns, not k.
     """
 
     def runs(keys) -> list[tuple]:
@@ -248,36 +250,45 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
     return tuple(chunks)
 
 
-def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int):
-    """Write runs of ``per_chunk`` segments into one reused ``(k, per_chunk, N)`` buffer, yielding (first, chunk).
+def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int, rows: int | None = None):
+    """Write runs of ``per_chunk`` segments, ``rows`` rows at a time, into one reused buffer; yield (first, r0, chunk).
 
-    ``chunk[:, s]`` is segment first + s with each factor's column one contiguous row, so
-    ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  No checks: ``mats`` come
-    checked, by :func:`assemble_plan` or as a pool's cuts (:func:`_plan_outputs`).  Each run of segments sharing
-    a base is one broadcast from the base, and each couple's run of hybrids writes its donor columns through one
-    strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment; a slot that
-    keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
+    ``chunk[:, s]`` is rows r0 .. r0 + ``chunk.shape[2]`` - 1 of segment first + s, each factor's column one
+    contiguous row, so ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  Row
+    ranges of ``rows`` (all N when None) go outer and chunks inner, so consecutive chunks hold the same rows; the
+    first chunk of each range writes its bases in full.  No checks: ``mats`` come checked, by
+    :func:`assemble_plan` or as a pool's cuts (:func:`_plan_outputs`).  Each run of segments sharing a base is
+    one broadcast from the base, and each couple's run of hybrids writes its donor columns through one strided
+    diagonal view of the buffer, so the Python work per chunk is per run, not per segment; a slot that keeps its
+    base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
     """
+    N = spec.N
+    rows = N if rows is None else rows
     per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k)))
-    buffer = np.empty((spec.k, per_chunk, spec.N))
-    col_stride, seg_stride, row_stride = buffer.strides
-    for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk):
-        chunk = buffer[:, :size]
-        for a, b, m in base_runs:
-            chunk[:, a:b] = mats[m].T[:, None, :]
-        for a, b, m, donor, col in donor_runs:
-            # element [i, r] is row r, column col + i of segment a + i
-            diag = np.ndarray(
-                (b - a, spec.N), buffer=buffer, offset=a * seg_stride + col * col_stride,
-                strides=(seg_stride + col_stride, row_stride),
-            )
-            if donor == SHIFT:
-                columns = mats[m].T[col : col + b - a]
-                diag[:, :-1] = columns[:, 1:]
-                diag[:, -1] = columns[:, 0]
-            else:
-                diag[...] = mats[donor].T[col : col + b - a]
-        yield lo, chunk
+    storage = np.empty(spec.k * per_chunk * rows)
+    for r0 in range(0, N, rows):
+        h = min(rows, N - r0)
+        wraps = r0 + h == N   # the SHIFT donor's last row is row 0
+        buffer = storage[: spec.k * per_chunk * h].reshape(spec.k, per_chunk, h)
+        col_stride, seg_stride, row_stride = buffer.strides
+        for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk):
+            chunk = buffer[:, :size]
+            for a, b, m in base_runs:
+                chunk[:, a:b] = mats[m].T[:, None, r0 : r0 + h]
+            for a, b, m, donor, col in donor_runs:
+                # element [i, r] is row r0 + r, column col + i of segment a + i
+                diag = np.ndarray(
+                    (b - a, h), buffer=buffer, offset=a * seg_stride + col * col_stride,
+                    strides=(seg_stride + col_stride, row_stride),
+                )
+                if donor == SHIFT:
+                    columns = mats[m].T[col : col + b - a]
+                    diag[:, : h - wraps] = columns[:, r0 + 1 : r0 + h + 1]
+                    if wraps:
+                        diag[:, -1] = columns[:, 0]
+                else:
+                    diag[...] = mats[donor].T[col : col + b - a, r0 : r0 + h]
+            yield lo, r0, chunk
 
 
 def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> EvaluationPlan:
@@ -297,28 +308,30 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
-    ((_, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
+    ((_, _, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
     points = points.reshape(spec.k, -1).T
     points.flags.writeable = False
     return EvaluationPlan(spec=spec, points=points)
 
 
-# Rows per model call of _plan_outputs; a longer segment is one call alone.
-_CHUNK_ROWS = 2**17
-
-
 def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> np.ndarray:
-    """``model``'s (segments, N) outputs over the plan, one call per ``max(N, _CHUNK_ROWS)`` rows of segments.
+    """``model``'s (segments, N) outputs over the plan, in tiles of at most ``_TILE_VALUES`` values (rows x k).
 
-    The model gets each chunk as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.
+    A tile is as many whole segments as fit; when one segment does not fit, its rows are cut into the fewest
+    equal ranges that do, and a tile is one range of one segment.  Every plan row is evaluated exactly once.
+    The model gets each tile as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.
     Unchecked precondition: the bases are column cuts of a checked ``SampleMatrix`` pool, from
     ``estimators._draw_bases`` or ``bench._rep_records``.
     """
-    y = np.empty((len(plan_layout(spec.kind, spec.n, spec.k)), spec.N))
-    for lo, chunk in _segment_chunks(spec, base_matrices, max(1, _CHUNK_ROWS // spec.N)):
-        points = chunk.reshape(spec.k, -1).T
+    N, k = spec.N, spec.k
+    y = np.empty((len(plan_layout(spec.kind, spec.n, k)), N))
+    ranges = -(-N // max(1, _TILE_VALUES // k))
+    rows = -(-N // ranges)
+    for lo, r0, chunk in _segment_chunks(spec, base_matrices, max(1, _TILE_VALUES // (rows * k)), rows):
+        points = chunk.reshape(k, -1).T
         points.flags.writeable = False
-        y[lo : lo + chunk.shape[1]] = model(points).reshape(chunk.shape[1], spec.N)
+        size, h = chunk.shape[1:]
+        y[lo : lo + size, r0 : r0 + h] = model(points).reshape(size, h)
     return y
 
 

@@ -10,7 +10,7 @@ raises :class:`EstimationError` naming the first such label, with the same
 text for both forms.  Every estimator is a few array expressions over that
 array and the couples of :func:`designs.factor_segments`, the same design
 table that lays out the plan; ``effects_used`` is the table's couple count
-times N; N >= 2.  Internal evaluation goes by chunks of whole segments.
+times N; N >= 2.  Internal evaluation goes by cache-sized plan tiles.
 Conventions fixed for reproducibility: variances are population (1/N)
 moments; Pearson correlations match numerator/denominator normalisation so
 |rho| <= 1; Owen and Glen-Isaacs report negative estimates as-is.
@@ -286,9 +286,10 @@ def estimate_total_effects(
 
     Draws the Sobol' bases of :func:`sample_plan` (optionally scrambled by
     the per-repetition column permutation derived from ``seed``), evaluates
-    the function on the plan in chunks of whole segments, each a read-only,
-    Fortran-ordered ``(rows, k)`` array of at most ``max(N, 2**17)`` rows,
-    and runs the matching estimator.  For outputs computed elsewhere, use
+    the function on the plan in tiles, each a read-only, Fortran-ordered
+    ``(rows, k)`` array of at most 2**17 values: whole segments when they
+    fit, else row ranges of one segment (``designs._plan_outputs``), and
+    runs the matching estimator.  For outputs computed elsewhere, use
     :func:`run_estimator` on their array or evaluation set.
     """
     if fn.k != spec.k:
@@ -297,7 +298,7 @@ def estimate_total_effects(
 
 
 def _estimate_on(spec: DesignSpec, fn: testfns.FunctionSpec, base_matrices: list[np.ndarray]) -> TotalIndexEstimate:
-    """T-hat of ``fn`` over the plan of ``spec`` on these bases, evaluated in whole-segment chunks."""
+    """T-hat of ``fn`` over the plan of ``spec`` on these bases, evaluated in cache-sized plan tiles."""
     y = designs._plan_outputs(spec, base_matrices, lambda points: testfns.evaluate(fn, points))
     return run_estimator(spec, y)
 
@@ -310,7 +311,7 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     per-repetition permutation; the k left-most (permuted) columns form
     matrix A, the next k matrix B, and so on.  Blocks are nested, so a
     design at N holds the first N rows of the same design at 2N.  The plan
-    holds every point, for external models; internal evaluation is chunked.
+    holds every point, for external models; internal evaluation is tiled.
     """
     return designs.assemble_plan(spec, _draw_bases(spec, seed, repetition))
 

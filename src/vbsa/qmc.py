@@ -33,6 +33,8 @@ _MAX_P = 24   # 2**24 points keep all coordinates exactly representable
 _MAX_DIM = len(POLY_AND_INIT) + 1   # dimension 1 carries no table entry
 _OFFSET = 2.0 ** (52 - _MAXBIT)   # the float whose unit in the last place is 2**-_MAXBIT
 _OFFSET_BITS = np.float64(_OFFSET).view(np.uint64)
+# Floats per working block: the discrepancy's row blocks and the plan tiles a model gets (1 MiB, cache-sized).
+_TILE_VALUES = 2**17
 
 
 def _in_unit_cube(values: np.ndarray, closed: bool = False) -> bool:
@@ -68,25 +70,28 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class ColumnPermutation:
-    """A bijection over pool column indices."""
+    """A bijection over pool column indices; ``perm`` is a read-only copy of the array given."""
 
     perm: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.perm, dtype=np.intp)
+        p = np.array(self.perm, dtype=np.intp)
         if sorted(p.tolist()) != list(range(len(p))):
             raise ValueError("column permutation must be a bijection over 0..len-1")
+        p.flags.writeable = False
         object.__setattr__(self, "perm", p)
 
     def __len__(self) -> int:
         return len(self.perm)
 
 
+@functools.lru_cache(maxsize=1024)
 def draw_permutation(n_columns: int, seed: int, repetition: int = 0) -> ColumnPermutation:
     """Draw the column permutation for one scrambling repetition.
 
     Derived deterministically from ``(seed, repetition)`` so repetitions can
-    run concurrently and still reproduce bit-identically.
+    run concurrently and still reproduce bit-identically.  Memoised: the
+    permutation is immutable, so repeated draws share one.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(repetition,))
     perm = np.random.default_rng(ss).permutation(n_columns)
@@ -171,7 +176,7 @@ def l2_star_discrepancy(points: SampleMatrix | np.ndarray) -> float:
         D^2 = 3^-k - 2/M sum_i prod_j (1 - x_ij^2)/2
                    + 1/M^2 (sum_i prod_j u_ij + 2 sum_{i<i'} prod_j min(u_ij, u_i'j))
 
-    Row blocks of the triangle reuse two buffers of max(2**17, M) floats.  D^2 cancels
+    Row blocks of the triangle reuse two buffers of max(_TILE_VALUES, M) floats.  D^2 cancels
     terms near 3^-k: D is within 6e-15 of exact on small sets, 4e-13 at 4096 x 6 Sobol'.
     """
     pts = points.values if isinstance(points, SampleMatrix) else np.asarray(points, dtype=float)
@@ -182,7 +187,7 @@ def l2_star_discrepancy(points: SampleMatrix | np.ndarray) -> float:
     m, k = pts.shape
     term2 = float(np.sum(np.prod((1.0 - pts**2) / 2.0, axis=1))) * 2.0 / m
     u = np.ascontiguousarray((1.0 - pts).T) if k else np.ones((1, m))   # k = 0: empty products, 1
-    rows = max(1, min(m, 2**17 // m))
+    rows = max(1, min(m, _TILE_VALUES // m))
     bufs, below = np.empty((2, rows * m)), np.tri(rows, k=-1, dtype=bool)
     sums = [float(np.sum(np.prod(u, axis=0)))]   # the diagonal i = i'
     for lo in range(0, m - 1, rows):

@@ -9,6 +9,7 @@ from vbsa.bench import (
     ConvergenceRecord,
     EstimatorConfig,
     ExperimentConfig,
+    _with_aggregates,
     adaptive_experiment,
     convergence_experiment,
     design_scatter_svg,
@@ -143,6 +144,25 @@ class TestConvergenceExperiment:
         first_half = np.mean(per_rep[:25])
         full = np.mean(per_rep)
         assert abs(first_half - full) / full < 0.5
+
+
+def test_aggregates_follow_series_then_p_for_records_in_any_order():
+    truth = np.array([0.5, 0.25])
+    rng = np.random.default_rng(4)
+    # p-major, repetition, then series: the order adaptive_experiment appends its records in
+    records = [
+        ConvergenceRecord("A2", name, 2, p, 2**p, (p + 1) * rep + len(name), rep, t_hat=rng.random(2))
+        for p in (3, 4) for rep in range(3) for name in ("saltenis", "adaptive")
+    ]
+    series, p_values = [("adaptive", 2), ("saltenis", 2), ("owen", 3)], range(3, 6)
+    out = _with_aggregates(records, series, p_values, truth)
+    assert out[: len(records)] == records
+    aggregates = out[len(records) :]
+    assert [(r.estimator, r.p) for r in aggregates] == [(s, p) for s, _ in series[:2] for p in (3, 4)]
+    for agg in aggregates:
+        cell = [r for r in records if (r.estimator, r.p) == (agg.estimator, agg.p)]
+        assert (agg.rep, agg.t_hat, agg.n_t) == (None, None, cell[0].n_t)
+        assert agg.mae == mae(np.vstack([r.t_hat for r in cell]), truth)
 
 
 class TestAdaptiveExperiment:

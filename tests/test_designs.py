@@ -177,9 +177,28 @@ class TestSegmentChunks:
             # 1 keeps a slot's base across chunks wherever a couple's hybrids follow their base;
             # 5 and k + 1 split couples' hybrids mid-run; `segments` is one chunk
             for per_chunk in sorted({1, 2, 5, k + 1, segments}):
-                chunks = [(lo, chunk.copy()) for lo, chunk in _segment_chunks(spec, bases, per_chunk)]
-                assert [lo for lo, _ in chunks] == list(range(0, segments, per_chunk))
-                assert np.array_equal(np.concatenate([chunk for _, chunk in chunks], axis=1), expected)
+                chunks = [(lo, r0, chunk.copy()) for lo, r0, chunk in _segment_chunks(spec, bases, per_chunk)]
+                assert [(lo, r0) for lo, r0, _ in chunks] == [(lo, 0) for lo in range(0, segments, per_chunk)]
+                assert np.array_equal(np.concatenate([chunk for *_, chunk in chunks], axis=1), expected)
+
+    @pytest.mark.parametrize("kind,n", KIND_NS)
+    @pytest.mark.parametrize("N,rows", [(3, 1), (3, 2), (64, 5), (64, 63)])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_row_ranges_equal_per_segment_reference(self, kind, n, N, rows, k):
+        # rows-outer, segments-inner: each range's chunks hold the same rows, the last range is shorter,
+        # and the cyclic donor reads across range boundaries and wraps in the last range
+        spec = DesignSpec(kind=kind, n=n, N=N, k=k)
+        bases = pool_matrices(np.asfortranarray(np.random.default_rng(N * k + n).random((N, n * k))), n, k)
+        expected = _per_segment_reference(spec, bases).transpose(2, 0, 1)   # (k, segments, N)
+        for per_chunk in (1, 3):
+            got = np.full_like(expected, np.nan)
+            order = []
+            for lo, r0, chunk in _segment_chunks(spec, bases, per_chunk, rows):
+                assert chunk.shape[2] == min(rows, N - r0)
+                got[:, lo : lo + chunk.shape[1], r0 : r0 + chunk.shape[2]] = chunk
+                order.append((r0, lo))
+            assert order == [(r0, lo) for r0 in range(0, N, rows) for lo in range(0, expected.shape[1], per_chunk)]
+            assert np.array_equal(got, expected)
 
     def test_one_write_per_run(self):
         # multimatrix n = 6: 6 bases and 30 couples, so 12 base runs and 30 donor runs over 186 segments
@@ -211,27 +230,65 @@ class TestSegmentChunks:
 
 
 class TestPlanOutputs:
-    """What the model receives from the chunked writer, and what it returns."""
+    """What the model receives from the tile writer, and what it returns."""
+
+    @staticmethod
+    def _received_tiles(spec, bases, tile_values):
+        """The tiles a model receives, and ``_plan_outputs`` of a model that returns each row's arrival index."""
+        received = []
+
+        def model(points):
+            assert points.ndim == 2 and points.shape[1] == spec.k and points.size <= tile_values
+            assert not points.flags.writeable and points.strides[0] == points.itemsize
+            first = sum(map(len, received))
+            received.append(points.copy())
+            return np.arange(first, first + len(points), dtype=float)
+
+        return received, _plan_outputs(spec, bases, model)
 
     def test_model_receives_read_only_column_major_rows_of_the_plan(self, monkeypatch):
-        monkeypatch.setattr(designs, "_CHUNK_ROWS", 16)   # N = 8: two segments per chunk, then the remainder
+        # N = 8: two whole segments per tile, or rows 0..2, 3..5 and 6..7 of one segment
         for spec in ALL_PLAN_SPECS:
             spec = DesignSpec(spec.kind, spec.n, 8, spec.k)
             bases = _draw_bases(spec, 1, 0)
-            received = []
-
-            def model(points):
-                assert points.ndim == 2 and points.shape[1] == spec.k
-                assert not points.flags.writeable and points.strides[0] == points.itemsize
-                received.append(points.copy())
-                return points.sum(axis=1)
-
-            y = _plan_outputs(spec, bases, model)
             plan_points = assemble_plan(spec, bases).points
             assert not plan_points.flags.writeable
-            assert [len(rows) for rows in received[:-1]] == [16] * (len(received) - 1)
-            assert np.array_equal(np.concatenate(received), plan_points)
-            assert np.array_equal(y.ravel(), plan_points.sum(axis=1))
+            segments = len(plan_points) // 8
+            for tile_values, sizes in (
+                (3 * 8 * spec.k - 1, [16] * (segments // 2) + [8] * (segments % 2)),
+                (3 * spec.k, [3] * (2 * segments) + [2] * segments),   # rows outer, segments inner
+            ):
+                monkeypatch.setattr(designs, "_TILE_VALUES", tile_values)
+                received, arrival = self._received_tiles(spec, bases, tile_values)
+                assert [len(rows) for rows in received] == sizes
+                # every plan row arrives exactly once, as the plan holds it
+                order = arrival.ravel().astype(np.int64)
+                assert np.array_equal(np.sort(order), np.arange(len(plan_points)))
+                assert np.array_equal(np.concatenate(received)[order], plan_points)
+                assert sum(sizes) == design_metrics(spec).total_points
+
+    @pytest.mark.parametrize("kind,n", KIND_NS)
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_tiles_equal_evaluating_the_assembled_plan_bit_for_bit(self, monkeypatch, kind, n, k):
+        # N = 64 in rows 0..21, 22..43, 44..63 of one segment, so the cyclic donor crosses two tile boundaries
+        # and wraps in the last; or in tiles of two whole segments and a remainder
+        N = 64
+        spec = DesignSpec(kind, n, N, k)
+        bases = _draw_bases(spec, 3, 1)
+        points = np.ascontiguousarray(assemble_plan(spec, bases).points)
+        for tile_values, calls in ((25 * k, 3 * len(points) // N), (3 * N * k - 1, -(-len(points) // (2 * N)))):
+            monkeypatch.setattr(designs, "_TILE_VALUES", tile_values)
+            for family in ("A1", "B1", "C2"):
+                fn, rows = function_spec(family, k), []
+
+                def model(tile):
+                    assert tile.size <= tile_values
+                    rows.append(len(tile))
+                    return evaluate(fn, tile)
+
+                got = _plan_outputs(spec, bases, model)
+                assert got.tobytes() == evaluate(fn, points).reshape(-1, N).tobytes(), (tile_values, family)
+                assert len(rows) == calls and sum(rows) == design_metrics(spec).total_points
 
     def test_model_writing_into_its_input_raises(self):
         spec = DesignSpec("asymmetric", 2, 8, 3)
@@ -246,7 +303,7 @@ class TestPlanOutputs:
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "G"])   # G has no default coefficients
     def test_outputs_equal_row_major_evaluation_bit_for_bit(self, family):
         cases = [(kind, n, N, k) for kind, n in KIND_NS for k in (1, 2, 6) for N in (2, 64, 2**10)]
-        for kind, n, N, k in cases + [("asymmetric", 2, 2**17, 2)]:   # the last: three one-segment chunks
+        for kind, n, N, k in cases + [("asymmetric", 2, 2**17, 2)]:   # the last: two row tiles per segment
             fn, spec = function_spec(family, k), DesignSpec(kind, n, N, k)
             bases = _draw_bases(spec, 1, 0)
             expected = evaluate(fn, np.ascontiguousarray(assemble_plan(spec, bases).points)).reshape(-1, N)

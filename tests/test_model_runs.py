@@ -71,15 +71,16 @@ def test_adaptive_experiment_evaluates_the_runs_it_reports(evaluated_rows):
 
 
 def test_small_plan_is_one_model_call(evaluated_rows):
-    spec = DesignSpec(kind="lamboni", n=4, N=2**8, k=12)   # 148 segments, 37 888 rows
+    spec = DesignSpec(kind="lamboni", n=4, N=2**6, k=12)   # 148 segments, 9472 rows, 113 664 values
     estimate_total_effects(spec, fn=testfns.function_spec("B1", 12), seed=1)
     assert evaluated_rows == [design_metrics(spec).total_points]
+    assert evaluated_rows[0] * spec.k <= 2**17
 
 
 @pytest.mark.parametrize("N,k", [(2**14, 12), (2**17, 2), (2**18, 1)])
-def test_large_plan_calls_whole_segments(N, k, evaluated_rows):
+def test_large_plan_calls_bounded_tiles(N, k, evaluated_rows):
     spec = DesignSpec(kind="asymmetric", n=2, N=N, k=k)
     estimate_total_effects(spec, fn=testfns.function_spec("B1", k), seed=1)
     assert len(evaluated_rows) > 1
-    assert all(rows % N == 0 and rows <= max(N, 2**17) for rows in evaluated_rows)
+    assert all(rows * k <= 2**17 for rows in evaluated_rows)
     assert sum(evaluated_rows) == design_metrics(spec).total_points

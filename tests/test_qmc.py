@@ -142,6 +142,23 @@ class TestPermuteColumns:
         assert np.array_equal(a.perm, b.perm)
         assert not np.array_equal(a.perm, c.perm)
 
+    def test_memoised_draw_equals_a_fresh_draw_and_is_read_only(self):
+        draw_permutation(24, seed=5, repetition=1)
+        again = draw_permutation(24, seed=5, repetition=1)
+        fresh = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,))).permutation(24)
+        assert np.array_equal(again.perm, fresh)
+        assert not again.perm.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            again.perm[0] = again.perm[1]
+        assert draw_permutation(24, seed=5, repetition=1) is again
+
+    def test_permutation_freezes_a_copy_not_the_callers_array(self):
+        given = np.array([2, 0, 1], dtype=np.intp)
+        perm = ColumnPermutation(given)
+        assert given.flags.writeable and not perm.perm.flags.writeable
+        given[0] = 0
+        assert perm.perm.tolist() == [2, 0, 1]
+
 
 def _discrepancy_by_integration(points: np.ndarray, grid: int = 801) -> float:
     """Brute-force oracle: integrate the squared local discrepancy on a grid."""
