@@ -71,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.p_min < 0:
+            raise ValueError("p_min must be >= 0")
         if self.p_max < self.p_min:
             raise ValueError("p range is empty")
         if not self.estimators:
@@ -151,7 +153,7 @@ def _rep_records(
                         n_t=n_t,
                         rep=rep,
                         t_hat=result.total,
-                        mae=float(np.mean(np.abs(result.total - analytic_total))),
+                        mae=float(np.add.reduce(np.abs(result.total - analytic_total))) / k,   # np.mean's steps
                     )
                 )
             except estimators.EstimationError as exc:   # degenerate cells must not abort the sweep
@@ -247,7 +249,7 @@ def adaptive_experiment(
                     ConvergenceRecord(
                         function=fn.family, estimator=name, n=2, p=p, N=spec.N, n_t=budget,
                         rep=rep, t_hat=est.total,
-                        mae=float(np.mean(np.abs(est.total - analytic_total))),
+                        mae=float(np.add.reduce(np.abs(est.total - analytic_total))) / k,
                     )
                 )
             ledger_lines.extend(adaptive_mod.ledger_csv_rows(p, rep, ledger))
@@ -274,8 +276,8 @@ def records_csv(records: list[ConvergenceRecord]) -> str:
         if r.rep is None:
             lines.append(f"{head},,,,{r.mae!r}")
         else:
-            for j, t in enumerate(r.t_hat, start=1):
-                lines.append(f"{head},{r.rep},{j},{float(t)!r},{r.mae!r}")
+            head, tail = f"{head},{r.rep},", f",{r.mae!r}"
+            lines.extend(f"{head}{j},{t!r}{tail}" for j, t in enumerate(r.t_hat.tolist(), start=1))
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
 
@@ -250,22 +251,23 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
     return tuple(chunks)
 
 
-def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int, rows: int | None = None):
+def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int, rows: int | None = None, storage=None):
     """Write runs of ``per_chunk`` segments, ``rows`` rows at a time, into one reused buffer; yield (first, r0, chunk).
 
     ``chunk[:, s]`` is rows r0 .. r0 + ``chunk.shape[2]`` - 1 of segment first + s, each factor's column one
     contiguous row, so ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  Row
     ranges of ``rows`` (all N when None) go outer and chunks inner, so consecutive chunks hold the same rows; the
-    first chunk of each range writes its bases in full.  No checks: ``mats`` come checked, by
-    :func:`assemble_plan` or as a pool's cuts (:func:`_plan_outputs`).  Each run of segments sharing a base is
-    one broadcast from the base, and each couple's run of hybrids writes its donor columns through one strided
-    diagonal view of the buffer, so the Python work per chunk is per run, not per segment; a slot that keeps its
-    base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
+    first chunk of each range writes its bases in full.  The buffer is the caller's ``storage``, a float array of
+    at least k x per_chunk x rows values, or a new array when None.  No checks: ``mats`` come checked, by
+    :func:`assemble_plan` or as a pool's cuts (:func:`_write_plan`, :func:`_plan_outputs`).  Each run of segments
+    sharing a base is one broadcast from the base, and each couple's run of hybrids writes its donor columns through
+    one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment; a slot that
+    keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
     """
     N = spec.N
     rows = N if rows is None else rows
     per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k)))
-    storage = np.empty(spec.k * per_chunk * rows)
+    storage = np.empty(spec.k * per_chunk * rows) if storage is None else storage
     for r0 in range(0, N, rows):
         h = min(rows, N - r0)
         wraps = r0 + h == N   # the SHIFT donor's last row is row 0
@@ -296,9 +298,8 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
 
     The :func:`plan_layout` segments: base matrices first (A, B, ...), then
     hybrids grouped by base matrix, donor and factor, so plans are
-    reproducible row-for-row.  Each base matrix must be (N, k) in [0, 1).
-    ``points`` is the read-only, Fortran-ordered ``(rows, k)`` view of the writer's
-    one-chunk buffer (:func:`_segment_chunks`): each factor's column is contiguous.
+    reproducible row-for-row.  Each base matrix must be (N, k) in [0, 1); the
+    points are then written by :func:`_write_plan`.
     """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
@@ -308,10 +309,22 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
+    return _write_plan(spec, mats)
+
+
+def _write_plan(spec: DesignSpec, mats: list[np.ndarray]) -> EvaluationPlan:
+    """The plan of ``spec`` over (N, k) float bases checked by :func:`assemble_plan` or cut from a checked pool.
+
+    ``points`` is the read-only, Fortran-ordered ``(rows, k)`` view of a new one-chunk buffer of the writer
+    (:func:`_segment_chunks`), the plan's own since its points outlive the call: each factor's column is contiguous.
+    """
     ((_, _, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
     points = points.reshape(spec.k, -1).T
     points.flags.writeable = False
     return EvaluationPlan(spec=spec, points=points)
+
+
+_tiles = threading.local()   # .storage: this thread's tile buffer for _plan_outputs, grown only, at most _TILE_VALUES
 
 
 def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> np.ndarray:
@@ -320,6 +333,8 @@ def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> n
     A tile is as many whole segments as fit; when one segment does not fit, its rows are cut into the fewest
     equal ranges that do, and a tile is one range of one segment.  Every plan row is evaluated exactly once.
     The model gets each tile as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.
+    The tiles are written into one buffer per thread, kept from call to call, so a tile is valid only until the
+    model returns; a model that evaluates a plan itself gets a buffer of its own for that.
     Unchecked precondition: the bases are column cuts of a checked ``SampleMatrix`` pool, from
     ``estimators._draw_bases`` or ``bench._rep_records``.
     """
@@ -327,11 +342,16 @@ def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> n
     y = np.empty((len(plan_layout(spec.kind, spec.n, k)), N))
     ranges = -(-N // max(1, _TILE_VALUES // k))
     rows = -(-N // ranges)
-    for lo, r0, chunk in _segment_chunks(spec, base_matrices, max(1, _TILE_VALUES // (rows * k)), rows):
+    per_chunk = min(len(y), max(1, _TILE_VALUES // (rows * k)))
+    storage, _tiles.storage = getattr(_tiles, "storage", None), None   # taken until this call returns
+    if storage is None or storage.size < k * per_chunk * rows:
+        storage = np.empty(k * per_chunk * rows)
+    for lo, r0, chunk in _segment_chunks(spec, base_matrices, per_chunk, rows, storage):
         points = chunk.reshape(k, -1).T
         points.flags.writeable = False
         size, h = chunk.shape[1:]
         y[lo : lo + size, r0 : r0 + h] = model(points).reshape(size, h)
+    _tiles.storage = storage
     return y
 
 

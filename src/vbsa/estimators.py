@@ -59,16 +59,16 @@ def _row_correlations(y: np.ndarray):
     """Product-moment correlation between rows of ``y``, with matched normalisation.
 
     Every row is centred and its norm taken once; the returned ``rho(u, v)``
-    correlates rows (or slices of rows) u and v over the last axis.
+    correlates rows u and v (indices, slices or index arrays) over the last axis.
     """
-    d = y - y.mean(axis=1, keepdims=True)
+    d = y - np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]   # y.mean(axis=1), bit for bit
     norms = np.vecdot(d, d)
     if np.any(norms == 0.0):
         raise EstimationError("correlation of a constant vector is undefined")
 
     def rho(u, v) -> np.ndarray:
-        # clip guards float round-off only; the estimator itself satisfies |rho| <= 1
-        return np.clip(np.vecdot(d[u], d[v]) / np.sqrt(norms[u] * norms[v]), -1.0, 1.0)
+        # the clip to [-1, 1] guards float round-off only; the estimator itself satisfies |rho| <= 1
+        return np.minimum(np.maximum(np.vecdot(d[u], d[v]) / np.sqrt(norms[u] * norms[v]), -1.0), 1.0)
 
     return rho
 
@@ -130,7 +130,10 @@ def _checked_variance(y: np.ndarray, context: str) -> float:
     Equal values whose mean does not round exactly leave rounding noise (three
     0.1s give 1.9e-34), so a variance up to (4 eps max|y|)^2 counts as zero.
     """
-    v = float(np.var(y))
+    # np.var's own ufunc steps, without its Python wrapper: the same bits
+    mean = np.add.reduce(y, axis=None, keepdims=True)
+    x = np.subtract(y, np.true_divide(mean, y.size, out=mean))
+    v = float(np.add.reduce(np.multiply(x, x, out=x), axis=None)) / y.size
     if v <= (4.0 * np.finfo(float).eps * max(float(y.max()), -float(y.min()))) ** 2:
         raise EstimationError(f"zero output variance in {context}; indices undefined")
     return v
@@ -182,11 +185,13 @@ def _d3_terms(y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     channel, corrected = (raw - p_j * raw_other) / (1 - p_j^2): ``c_aj`` from
     raw ``c_dmj`` and ``c_amj`` from raw ``c_dj``.
     """
-    rho = _row_correlations(y)
-    a, b, ab, ba = 0, 1, slice(2, 2 + k), slice(2 + k, 2 + 2 * k)   # A, B, A_B(j), B_A(j)
-    c_dmj = 0.5 * (rho(a, ab) + rho(b, ba))
-    c_dj = 0.5 * (rho(b, ab) + rho(a, ba))
-    p_j = 0.5 * (rho(a, b) + rho(ab, ba))
+    a, b = np.zeros(k, dtype=np.intp), np.ones(k, dtype=np.intp)
+    ab = np.arange(2, 2 + k)   # A_B(j); B_A(j) is ab + k
+    # the six correlations in one call: rows (a, ab), (b, ba), (b, ab), (a, ba), (a, b), (ab, ba)
+    r = _row_correlations(y)(np.array([a, b, b, a, a, ab]), np.array([ab, ab + k, ab, ab + k, b, ab + k]))
+    c_dmj = 0.5 * (r[0] + r[1])
+    c_dj = 0.5 * (r[2] + r[3])
+    p_j = 0.5 * (r[4] + r[5])
     if np.any(np.abs(p_j) >= 1.0):
         j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
         raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
@@ -218,7 +223,7 @@ def owen_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     y = _outputs(evals, "owen", 3, k)
     variance = _checked_variance(y[:2], "matrices A and B")
     f_ba, f_cb = y[2:].reshape(2, k, -1)   # hybrids B_A(j), C_B(j)
-    numerator = variance - np.mean((y[1] - f_cb) * (f_ba - y[0]), axis=1)
+    numerator = variance - np.add.reduce((y[1] - f_cb) * (f_ba - y[0]), axis=1) / y.shape[1]   # np.mean's steps
     return _estimate("owen", 3, y.shape[1], numerator, variance)
 
 
@@ -313,7 +318,7 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     design at N holds the first N rows of the same design at 2N.  The plan
     holds every point, for external models; internal evaluation is tiled.
     """
-    return designs.assemble_plan(spec, _draw_bases(spec, seed, repetition))
+    return designs._write_plan(spec, _draw_bases(spec, seed, repetition))   # bases cut from a checked pool
 
 
 def _draw_bases(spec: DesignSpec, seed: int | None, repetition: int) -> list[np.ndarray]:

@@ -68,6 +68,12 @@ class TestConvergenceExperiment:
         defaults.update(kw)
         return ExperimentConfig(**defaults)
 
+    @pytest.mark.parametrize("p_min", [-1, -5])
+    def test_negative_p_min_rejected(self, p_min):
+        # 2**p would be a float and every cell of that p a misfiled "N >= 2" cell error
+        with pytest.raises(ValueError, match="p_min must be >= 0"):
+            self._cfg(p_min=p_min)
+
     def test_repeated_estimator_rejected(self):
         with pytest.raises(ValueError, match="'multimatrix' with n = 3 is listed twice"):
             self._cfg(estimators=(EstimatorConfig("multimatrix", 3), EstimatorConfig("multimatrix", 3)))

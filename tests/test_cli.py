@@ -171,6 +171,13 @@ class TestBench:
         assert code == 3
         assert (tmp_path / "errors.csv").exists()
 
+    def test_negative_p_min_rejected(self, tmp_path, capsys):
+        code = cli.run(["bench", "--function", "C2", "--k", "2", "--estimators", "saltenis",
+                        "--p-min", "-1", "--p-max", "3", "--reps", "2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["vbsa bench: p_min must be >= 0"]
+        assert not (tmp_path / "convergence.csv").exists() and not (tmp_path / "errors.csv").exists()
+
     def test_multimatrix_n_list(self, tmp_path):
         code = cli.run(["bench", "--function", "C2", "--k", "2",
                         "--estimators", "lamboni", "--n", "2,3",

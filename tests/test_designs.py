@@ -1,5 +1,7 @@
 """Plan assembly, pairing tables and design-metric tests."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ from vbsa.designs import (
     pool_matrices,
     reference_metrics,
 )
-from vbsa.estimators import _draw_bases
+from vbsa.estimators import _draw_bases, sample_plan
 from vbsa.testfns import FAMILIES, evaluate, function_spec
 
 ALL_PLAN_SPECS = [
@@ -322,6 +324,60 @@ class TestPlanOutputs:
                 expected = evaluate(fn, np.ascontiguousarray(assemble_plan(spec, bases).points)).reshape(-1, N)
                 got = _plan_outputs(spec, bases, lambda points: evaluate(fn, points))
                 assert np.max(np.abs(got - expected)) <= 4 * np.spacing(1.0), (kind, N)
+
+
+class TestTileBuffer:
+    """``_plan_outputs`` writes its tiles into one reused buffer per thread; plans keep arrays of their own."""
+
+    @staticmethod
+    def _on_new_thread(fn):
+        """``fn()`` on a new thread, whose tile buffer starts empty."""
+        with ThreadPoolExecutor(1) as ex:
+            return ex.submit(fn).result()
+
+    def test_plan_points_unchanged_by_later_tiles(self):
+        spec = DesignSpec("owen", 3, 64, 4)
+        plans = [assemble_plan(spec, _draw_bases(spec, 1, 0)), sample_plan(spec, seed=1)]
+        before = [plan.points.copy() for plan in plans]
+        for seed in (2, 3):
+            _plan_outputs(spec, _draw_bases(spec, seed, 0), lambda points: points[:, 0].copy())
+        for plan, points in zip(plans, before):
+            assert np.array_equal(plan.points, points)
+            assert not np.shares_memory(plan.points, designs._tiles.storage)
+
+    def test_two_threads_at_once_equal_a_serial_run(self, monkeypatch):
+        monkeypatch.setattr(designs, "_TILE_VALUES", 3 * 8 * 3)   # seven tiles of three segments each
+        spec, fn = DesignSpec("lamboni", 3, 8, 3), function_spec("B1", 3)
+        bases = [_draw_bases(spec, seed, 0) for seed in (1, 2)]
+        serial = [_plan_outputs(spec, b, lambda points: evaluate(fn, points)) for b in bases]
+        barrier = threading.Barrier(2, timeout=30)
+
+        def model(points):
+            barrier.wait()   # both threads have written a tile before either reads its own
+            y = evaluate(fn, points)
+            barrier.wait()   # and both have read theirs before either writes the next
+            return y
+
+        with ThreadPoolExecutor(2) as ex:
+            threaded = list(ex.map(lambda b: _plan_outputs(spec, b, model), bases))
+        assert [y.tobytes() for y in threaded] == [y.tobytes() for y in serial]
+
+    def test_one_buffer_grown_only_up_to_tile_values(self):
+        def sizes():
+            out = []
+            for kind, n, N, k in [("cyclic_single", 1, 4, 1), ("multimatrix", 3, 2**6, 6), ("lamboni", 4, 2**6, 12),
+                                  ("owen", 3, 2**14, 12), ("asymmetric", 2, 2**17, 2), ("symmetric2", 2, 8, 3)]:
+                spec, tiles = DesignSpec(kind, n, N, k), []
+                _plan_outputs(spec, _draw_bases(spec, 1, 0), lambda points: tiles.append(points) or points[:, 0])
+                storage = designs._tiles.storage
+                assert all(np.shares_memory(tile, storage) for tile in tiles)
+                out.append(storage.size)
+                _plan_outputs(spec, _draw_bases(spec, 2, 0), lambda points: points[:, 0].copy())
+                assert designs._tiles.storage is storage   # reused, not reallocated
+            return out
+
+        got = self._on_new_thread(sizes)
+        assert got == sorted(got) and got[-1] == designs._TILE_VALUES
 
 
 class TestDesignSpecValidation:

@@ -558,3 +558,88 @@ class TestArrayEntry:
         assert _outputs(y, kind, n, 2) is y
         run_estimator(DesignSpec(kind=kind, n=n, N=16, k=2), y)
         assert np.array_equal(y, before)
+
+
+def _oracle_variance(y, context):
+    v = float(np.var(y))
+    if v <= (4.0 * np.finfo(float).eps * max(float(y.max()), -float(y.min()))) ** 2:
+        raise EstimationError(f"zero output variance in {context}; indices undefined")
+    return v
+
+
+def _oracle(kind, n, k, y):
+    """(total, numerator, variance) by the estimators' formulas as first written: np.var, np.mean, np.clip and
+    six separate correlation calls."""
+    if kind == "symmetric2":
+        variance = _oracle_variance(y[:2], "matrices A and B")
+        d = y - y.mean(axis=1, keepdims=True)
+        norms = np.vecdot(d, d)
+        if np.any(norms == 0.0):
+            raise EstimationError("correlation of a constant vector is undefined")
+
+        def rho(u, v):
+            return np.clip(np.vecdot(d[u], d[v]) / np.sqrt(norms[u] * norms[v]), -1.0, 1.0)
+
+        a, b, ab, ba = 0, 1, slice(2, 2 + k), slice(2 + k, 2 + 2 * k)
+        c_dmj = 0.5 * (rho(a, ab) + rho(b, ba))
+        c_dj = 0.5 * (rho(b, ab) + rho(a, ba))
+        p_j = 0.5 * (rho(a, b) + rho(ab, ba))
+        if np.any(np.abs(p_j) >= 1.0):
+            j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
+            raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
+        c_aj = (c_dmj - p_j * c_dj) / (1.0 - p_j**2)
+        c_amj = (c_dj - p_j * c_dmj) / (1.0 - p_j**2)
+        numerator = (1.0 - c_dmj + p_j * c_aj / (1.0 - c_aj * c_amj)) * variance
+    elif kind == "owen":
+        variance = _oracle_variance(y[:2], "matrices A and B")
+        f_ba, f_cb = y[2:].reshape(2, k, -1)
+        numerator = variance - np.mean((y[1] - f_cb) * (f_ba - y[0]), axis=1)
+    elif kind == "lamboni":
+        N = y.shape[1]
+        variance = _oracle_variance(y[:n], "pooled base matrices")
+        inner = (y[:n, None, None, :] - y[n:].reshape(n, n - 1, k, N)).sum(axis=1) / (n - 1)
+        numerator = (n - 1) / (N * n * n) * np.square(inner).sum(axis=(0, 2))
+    else:
+        variance = _oracle_variance(y[:1], "matrix A")
+        left, right = factor_segments(kind, n, k)
+        diff = y[right] - (y[left] if left.any() else y[0])
+        numerator = np.square(diff).sum(axis=(1, 2)) / (2.0 * diff[0].size)
+    return numerator / variance, numerator, variance
+
+
+class TestBitwiseOracle:
+    """Every estimator gives the oracle's bits, and the oracle's error text on degenerate outputs."""
+
+    @staticmethod
+    def _outputs(kind, n, k, N, seed):
+        """Random (segments, N) outputs at scales 1e-8 .. 1e8, also rounded to ties, and degenerate ones."""
+        rng = np.random.default_rng(seed)
+        segments = len(plan_layout(kind, n, k))
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            y = (rng.standard_normal((segments, N)) + rng.uniform(-3, 3)) * scale
+            yield y
+            yield np.round(y / scale) * scale   # few distinct values: tied outputs, some constant rows
+        y = rng.random((segments, N))
+        y[:n] = 0.1   # constant base matrices, whose mean does not round exactly
+        yield y
+        y = rng.random((segments, N))
+        y[-1] = y[1]   # a hybrid equal to matrix B
+        yield y
+
+    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    @pytest.mark.parametrize("N", [2, 3, 8, 1000])
+    def test_equals_oracle_bit_for_bit(self, kind, n, k, N):
+        spec = DesignSpec(kind=kind, n=n, N=N, k=k)
+        for y in self._outputs(kind, n, k, N, seed=k * N + n):
+            try:
+                expected = _oracle(kind, n, k, y)
+            except EstimationError as exc:
+                with pytest.raises(EstimationError) as got:
+                    run_estimator(spec, y)
+                assert str(got.value) == str(exc)
+                continue
+            got = run_estimator(spec, y)
+            assert got.total.tobytes() == expected[0].tobytes()
+            assert got.numerator.tobytes() == expected[1].tobytes()
+            assert np.float64(got.variance).tobytes() == np.float64(expected[2]).tobytes()

@@ -3,7 +3,8 @@
 For a real model each row is one expensive run, so the package must never
 evaluate more rows than its ledger or N_T says.  Both checks count at the
 model boundary: the ``adaptive_run`` ``model=`` hook, and ``testfns.evaluate``
-under ``estimate_total_effects`` and ``adaptive_experiment``.
+under ``estimate_total_effects``, ``convergence_experiment`` and
+``adaptive_experiment``.
 """
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from vbsa import testfns
 from vbsa.adaptive import adaptive_run, ledger_csv_header
-from vbsa.bench import adaptive_experiment
+from vbsa.bench import ESTIMATOR_DESIGNS, EstimatorConfig, ExperimentConfig, adaptive_experiment, convergence_experiment
 from vbsa.designs import DESIGN_KINDS, DesignSpec, design_metrics
 from vbsa.estimators import estimate_total_effects
 
@@ -60,6 +61,14 @@ def test_estimate_total_effects_evaluates_n_t_rows(kind, n, evaluated_rows):
     spec = DesignSpec(kind=kind, n=n, N=32, k=4)
     estimate_total_effects(spec, fn=testfns.function_spec("A2", 4), seed=1)
     assert sum(evaluated_rows) == design_metrics(spec).total_points
+
+
+def test_convergence_experiment_evaluates_the_runs_it_reports(evaluated_rows):
+    roster = tuple(EstimatorConfig(name, n=fixed or 3) for name, (_, fixed) in ESTIMATOR_DESIGNS.items())
+    cfg = ExperimentConfig(testfns.function_spec("A2", 4), roster, p_min=5, p_max=7, repetitions=3, seed=1)
+    records, errors = convergence_experiment(cfg, workers=2)
+    assert errors == []
+    assert sum(evaluated_rows) == sum(r.n_t for r in records if r.rep is not None)
 
 
 def test_adaptive_experiment_evaluates_the_runs_it_reports(evaluated_rows):
