@@ -7,6 +7,13 @@ power-of-two N whose total cost lands nearest the asymmetric reference cost
 ``(k + 1) 2**p`` (ties to the smaller N).  Accuracy is summarised as the mean
 over repetitions of the per-factor mean absolute deviation from the analytic
 total indices.
+
+Within a repetition, each estimator's consecutive block sizes are evaluated
+in groups: as many whole cells as fit in one plan tile (``_TILE_VALUES``
+values) share one plan write and one model call over their stacked bases,
+and each cell's estimator then reads its own columns of the outputs.  Every
+plan row is still evaluated once, for its own cell, so the records equal
+those of evaluating each cell on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -127,38 +134,83 @@ def matched_block_size(config: EstimatorConfig, k: int, reference_cost: int) -> 
     return designs.best_power_of_two(per_row, reference_cost)
 
 
+_Cell = tuple[int, DesignSpec, int]   # one sweep cell: p, the design at the matched N, its N_T
+
+
 def _rep_records(
     cfg: ExperimentConfig,
     analytic_total: np.ndarray,
     pool: qmc.SampleMatrix,
-    matched: dict[tuple[str, int, int], tuple[DesignSpec, int]],
+    groups: list[tuple[EstimatorConfig, list[_Cell]]],
     rep: int,
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
     k = cfg.function.k
     pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.n_cols, cfg.seed, rep)).values
     records: list[ConvergenceRecord] = []
     errors: list[CellError] = []
-    for p in cfg.p_values:
-        for est in cfg.estimators:
-            spec, n_t = matched[(est.name, est.n, p)]
+    for est, group in groups:
+        y = _group_outputs([spec for _, spec, _ in group], pool_r, cfg.function)
+        offset = 0
+        for p, spec, n_t in group:
+            cell, offset = y[:, offset : offset + spec.N], offset + spec.N
             try:
-                result = estimators._estimate_on(spec, cfg.function, designs.pool_matrices(pool_r[: spec.N], spec.n, k))
-                records.append(
-                    ConvergenceRecord(
-                        function=cfg.function.family,
-                        estimator=est.name,
-                        n=est.n,
-                        p=p,
-                        N=spec.N,
-                        n_t=n_t,
-                        rep=rep,
-                        t_hat=result.total,
-                        mae=float(np.add.reduce(np.abs(result.total - analytic_total))) / k,   # np.mean's steps
-                    )
-                )
+                result = estimators.run_estimator(spec, cell)
             except estimators.EstimationError as exc:   # degenerate cells must not abort the sweep
                 errors.append(CellError(est.name, est.n, p, rep, str(exc)))
+                continue
+            records.append(
+                ConvergenceRecord(
+                    function=cfg.function.family,
+                    estimator=est.name,
+                    n=est.n,
+                    p=p,
+                    N=spec.N,
+                    n_t=n_t,
+                    rep=rep,
+                    t_hat=result.total,
+                    mae=float(np.add.reduce(np.abs(result.total - analytic_total))) / k,   # np.mean's steps
+                )
+            )
+    errors.sort(key=lambda e: e.p)   # stable: by p, then in roster order
     return records, errors
+
+
+def _cell_groups(cells: list[_Cell]) -> list[list[_Cell]]:
+    """One estimator's consecutive ``(p, spec, N_T)`` cells, packed into groups that share one plan tile.
+
+    A group is as many whole cells as fit in ``_TILE_VALUES`` values (N_T x k), the rule by which
+    :func:`designs._plan_outputs` packs segments.  A cell bigger than a tile is a group of its own, and so is every
+    cyclic cell: its :data:`designs.SHIFT` donor wraps to the cell's own row 0.
+    """
+    groups: list[list[_Cell]] = []
+    values = 0
+    for cell in cells:
+        _, spec, n_t = cell
+        size = n_t * spec.k
+        if groups and spec.kind != "cyclic_single" and values + size <= designs._TILE_VALUES:
+            groups[-1].append(cell)
+            values += size
+        else:
+            groups.append([cell])
+            values = size
+    return groups
+
+
+def _group_outputs(specs: list[DesignSpec], pool_r: np.ndarray, fn: FunctionSpec) -> np.ndarray:
+    """``fn``'s ``(segments, sum of N)`` outputs over the plans of a group's cells, side by side.
+
+    Each cell's bases are the first N rows of the repetition's pool; a group stacks those row prefixes, in one
+    Fortran-ordered copy like the pool, and evaluates the plan over the stack with one :func:`designs._plan_outputs`
+    call.  Every segment of that plan writes row by row, so a cell's column range of the outputs is its own plan's.
+    """
+    spec = specs[0]
+    rows = pool_r[: spec.N]
+    if len(specs) > 1:
+        width = spec.n * spec.k
+        rows = np.concatenate([pool_r.T[:width, : s.N] for s in specs], axis=1).T
+        spec = replace(spec, N=rows.shape[0])
+    bases = designs.pool_matrices(rows, spec.n, spec.k)
+    return designs._plan_outputs(spec, bases, lambda points: testfns.evaluate(fn, points))
 
 
 def convergence_experiment(
@@ -173,21 +225,23 @@ def convergence_experiment(
         raise ValueError("workers must be >= 1")
     k = cfg.function.k
     analytic_total = testfns.analytic_indices(cfg.function).total
-    matched = {}   # (estimator, n, p) -> the design at the matched N and its N_T
+    groups = []   # (estimator, cells evaluated together)
     for e in cfg.estimators:
+        cells = []
         for p in cfg.p_values:
             spec = e.design(matched_block_size(e, k, (k + 1) * 2**p), k)
-            matched[(e.name, e.n, p)] = spec, designs.design_metrics(spec).total_points
+            cells.append((p, spec, designs.design_metrics(spec).total_points))
+        groups.extend((e, group) for group in _cell_groups(cells))
     n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
-    p_pool = max(cfg.p_max, int(math.log2(max(spec.N for spec, _ in matched.values()))))
+    p_pool = max(cfg.p_max, max(spec.N for _, group in groups for _, spec, _ in group).bit_length() - 1)
     pool = qmc.sobol_block(n_max * k, p_pool)
 
     reps = range(cfg.repetitions)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            per_rep = list(ex.map(lambda r: _rep_records(cfg, analytic_total, pool, matched, r), reps))
+            per_rep = list(ex.map(lambda r: _rep_records(cfg, analytic_total, pool, groups, r), reps))
     else:
-        per_rep = [_rep_records(cfg, analytic_total, pool, matched, r) for r in reps]
+        per_rep = [_rep_records(cfg, analytic_total, pool, groups, r) for r in reps]
 
     records = [rec for recs, _ in per_rep for rec in recs]
     errors = [err for _, errs in per_rep for err in errs]
@@ -234,6 +288,8 @@ def adaptive_experiment(
         raise ValueError("repetitions must be >= 1")
     if not p_values:
         raise ValueError("p range is empty")
+    if min(p_values) < 0:
+        raise ValueError("p_min must be >= 0")
     k = fn.k
     analytic_total = testfns.analytic_indices(fn).total
     records: list[ConvergenceRecord] = []

@@ -336,7 +336,8 @@ def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> n
     The tiles are written into one buffer per thread, kept from call to call, so a tile is valid only until the
     model returns; a model that evaluates a plan itself gets a buffer of its own for that.
     Unchecked precondition: the bases are column cuts of a checked ``SampleMatrix`` pool, from
-    ``estimators._draw_bases`` or ``bench._rep_records``.
+    ``estimators._draw_bases``, or of the stacked row prefixes of one repetition's pool for a group of sweep cells,
+    from ``bench._group_outputs``.
     """
     N, k = spec.N, spec.k
     y = np.empty((len(plan_layout(spec.kind, spec.n, k)), N))

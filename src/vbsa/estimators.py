@@ -251,8 +251,12 @@ def lamboni_T(evals: Outputs, k: int, n: int) -> TotalIndexEstimate:
     variance = _checked_variance(y[:n], "pooled base matrices")
     # hybrids by base m, donor q != m, factor j
     hybrids = y[n:].reshape(n, n - 1, k, N)
-    inner = (y[:n, None, None, :] - hybrids).sum(axis=1) / (n - 1)
-    numerator = (n - 1) / (N * n * n) * np.square(inner).sum(axis=(0, 2))
+    # sum over donors q of (f(h_m) - f(h_m<-q)), added in q order, the order of a sum over the donor axis
+    inner = y[:n, None, :] - hybrids[:, 0]
+    for q in range(1, n - 1):
+        inner += y[:n, None, :] - hybrids[:, q]
+    inner /= n - 1
+    numerator = (n - 1) / (N * n * n) * np.square(inner, out=inner).sum(axis=(0, 2))
     return _estimate("lamboni", n, N, numerator, variance)
 
 
@@ -299,12 +303,8 @@ def estimate_total_effects(
     """
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
-    return _estimate_on(spec, fn, _draw_bases(spec, seed, repetition))
-
-
-def _estimate_on(spec: DesignSpec, fn: testfns.FunctionSpec, base_matrices: list[np.ndarray]) -> TotalIndexEstimate:
-    """T-hat of ``fn`` over the plan of ``spec`` on these bases, evaluated in cache-sized plan tiles."""
-    y = designs._plan_outputs(spec, base_matrices, lambda points: testfns.evaluate(fn, points))
+    # the bases are a temporary, so the pool is released before the estimator runs
+    y = designs._plan_outputs(spec, _draw_bases(spec, seed, repetition), lambda points: testfns.evaluate(fn, points))
     return run_estimator(spec, y)
 
 

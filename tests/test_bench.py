@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from vbsa import estimators
+from vbsa import designs, estimators, qmc, testfns
 from vbsa.bench import (
+    ESTIMATOR_DESIGNS,
     CellError,
     ConvergenceRecord,
     EstimatorConfig,
     ExperimentConfig,
+    _cell_groups,
     _with_aggregates,
     adaptive_experiment,
     convergence_experiment,
@@ -20,7 +22,7 @@ from vbsa.bench import (
     matched_block_size,
     records_csv,
 )
-from vbsa.designs import budget_table
+from vbsa.designs import DesignSpec, budget_table, design_metrics
 from vbsa.testfns import function_spec
 
 
@@ -171,6 +173,78 @@ def test_aggregates_follow_series_then_p_for_records_in_any_order():
         assert agg.mae == mae(np.vstack([r.t_hat for r in cell]), truth)
 
 
+class TestGroupedCells:
+    """A repetition's cells, evaluated in tile-sized groups, give what each cell gives on its own, bit for bit."""
+
+    ROSTER = tuple(EstimatorConfig(name, n=fixed or 3) for name, (_, fixed) in ESTIMATOR_DESIGNS.items())
+
+    @staticmethod
+    def _per_cell(cfg):
+        """T-hat by (estimator, n, p, rep) and the cell errors of one ``_plan_outputs`` and one estimator per cell."""
+        fn, k = cfg.function, cfg.function.k
+        specs = {(e, p): e.design(matched_block_size(e, k, (k + 1) * 2**p), k)
+                 for e in cfg.estimators for p in cfg.p_values}
+        p_pool = max(cfg.p_max, max(spec.N for spec in specs.values()).bit_length() - 1)
+        pool = qmc.sobol_block(max(max(e.n for e in cfg.estimators), 2) * k, p_pool)
+        t_hats, errors = {}, []
+        for rep in range(cfg.repetitions):
+            pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.n_cols, cfg.seed, rep)).values
+            for p in cfg.p_values:
+                for e in cfg.estimators:
+                    spec = specs[e, p]
+                    bases = designs.pool_matrices(pool_r[: spec.N], spec.n, k)
+                    y = designs._plan_outputs(spec, bases, lambda points: testfns.evaluate(fn, points))
+                    try:
+                        t_hats[e.name, e.n, p, rep] = estimators.run_estimator(spec, y).total
+                    except estimators.EstimationError as exc:
+                        errors.append(CellError(e.name, e.n, p, rep, str(exc)))
+        return t_hats, errors
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("tile_values", [2**17, 300], ids=["default-tile", "split-groups"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_per_cell_evaluation_bit_for_bit(self, monkeypatch, k, tile_values, workers):
+        monkeypatch.setattr(designs, "_TILE_VALUES", tile_values * k)
+        # p = 0 and 1 hold N = 1 cells, which must fail as they do on their own
+        cfg = ExperimentConfig(function_spec("A2", k), self.ROSTER, p_min=0, p_max=8, repetitions=2, seed=5)
+        expected_t_hats, expected_errors = self._per_cell(cfg)
+        calls = []
+        evaluate = testfns.evaluate
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: calls.append(points.size) or evaluate(fn, points))
+        records, errors = convergence_experiment(cfg, workers=workers)
+        assert errors == expected_errors and errors
+        t_hats = {(r.estimator, r.n, r.p, r.rep): r.t_hat for r in records if r.rep is not None}
+        assert t_hats.keys() == expected_t_hats.keys()
+        assert all(t_hats[key].tobytes() == expected_t_hats[key].tobytes() for key in t_hats)
+        assert max(calls) <= tile_values * k
+        # each repetition: one call per group, or more for a group of one bigger than a tile
+        specs = [[e.design(matched_block_size(e, k, (k + 1) * 2**p), k) for p in cfg.p_values] for e in self.ROSTER]
+        cells = [[(p, s, design_metrics(s).total_points) for p, s in zip(cfg.p_values, row)] for row in specs]
+        groups = [group for row in cells for group in _cell_groups(row)]
+        assert len(calls) >= cfg.repetitions * len(groups)
+        assert max(map(len, groups)) > 1 and len(groups) < sum(map(len, cells))
+        if tile_values == 300:
+            sizes = [sum(n_t * k for _, _, n_t in g) for g in groups]
+            multi_cell_groups = [g for g in groups if len(g) > 1]
+            assert len(multi_cell_groups) == len(self.ROSTER) - 1   # every roster entry but cyclic
+            assert len(groups) > len(self.ROSTER) + len(cfg.p_values) - 1   # split at the tile boundary
+            assert max(sizes) > tile_values * k   # and some cell bigger than a tile
+
+    @staticmethod
+    def _cells(kind, n, Ns, k=2):
+        return [(p, s, design_metrics(s).total_points) for p, s in enumerate(DesignSpec(kind, n, N, k) for N in Ns)]
+
+    def test_cyclic_cells_are_groups_of_one(self):
+        cells = self._cells("cyclic_single", 1, [2**p for p in range(6)])
+        assert [len(g) for g in _cell_groups(cells)] == [1] * 6
+
+    def test_a_cell_bigger_than_a_tile_is_a_group_of_one(self, monkeypatch):
+        monkeypatch.setattr(designs, "_TILE_VALUES", 3 * 8 * 2)   # a tile: three segments of N = 8 at k = 2
+        cells = self._cells("asymmetric", 2, [1, 2, 4, 8, 16, 1])
+        # cell values: 6, 12 and 24 share a tile (42 <= 48); 48 fills one alone, 96 is bigger than one
+        assert [[p for p, _, _ in g] for g in _cell_groups(cells)] == [[0, 1, 2], [3], [4], [5]]
+
+
 class TestAdaptiveExperiment:
     def test_produces_both_series_and_ledgers(self):
         records, ledgers = adaptive_experiment(function_spec("A2", 6), range(7, 9), 3, seed=2)
@@ -182,8 +256,9 @@ class TestAdaptiveExperiment:
 
     @pytest.mark.parametrize(
         "p_values,repetitions,message",
-        [(range(7, 9), 0, "repetitions must be >= 1"), (range(6, 6), 2, "p range is empty")],
-        ids=["no-repetitions", "empty-p-range"],
+        [(range(7, 9), 0, "repetitions must be >= 1"), (range(6, 6), 2, "p range is empty"),
+         (range(-1, 3), 2, "p_min must be >= 0"), (range(2, -2, -1), 2, "p_min must be >= 0")],
+        ids=["no-repetitions", "empty-p-range", "negative-p", "negative-p-descending"],
     )
     def test_empty_sweep_rejected(self, p_values, repetitions, message):
         with pytest.raises(ValueError, match=message):

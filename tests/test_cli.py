@@ -225,8 +225,9 @@ class TestAdaptiveCommand:
     @pytest.mark.parametrize(
         "flags,message",
         [(["--p-min", "7", "--p-max", "8", "--reps", "0"], "repetitions must be >= 1"),
-         (["--p-min", "6", "--p-max", "5", "--reps", "2"], "p range is empty")],
-        ids=["no-repetitions", "empty-p-range"],
+         (["--p-min", "6", "--p-max", "5", "--reps", "2"], "p range is empty"),
+         (["--p-min", "-1", "--p-max", "6", "--reps", "1"], "p_min must be >= 0")],
+        ids=["no-repetitions", "empty-p-range", "negative-p-min"],
     )
     def test_empty_sweep_rejected(self, tmp_path, capsys, flags, message):
         code = cli.run(["adaptive", "--function", "A2", "--k", "6", *flags, "--out-dir", str(tmp_path)])

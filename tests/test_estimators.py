@@ -626,7 +626,8 @@ class TestBitwiseOracle:
         y[-1] = y[1]   # a hybrid equal to matrix B
         yield y
 
-    @pytest.mark.parametrize("kind,n", PLAN_CASES)
+    # Lamboni at n = 3 and 6 sums two and five donors per base, one at a time
+    @pytest.mark.parametrize("kind,n", [*PLAN_CASES, ("lamboni", 3), ("lamboni", 6)])
     @pytest.mark.parametrize("k", [1, 2, 6, 12])
     @pytest.mark.parametrize("N", [2, 3, 8, 1000])
     def test_equals_oracle_bit_for_bit(self, kind, n, k, N):

@@ -69,6 +69,7 @@ def test_convergence_experiment_evaluates_the_runs_it_reports(evaluated_rows):
     records, errors = convergence_experiment(cfg, workers=2)
     assert errors == []
     assert sum(evaluated_rows) == sum(r.n_t for r in records if r.rep is not None)
+    assert all(rows * cfg.function.k <= 2**17 for rows in evaluated_rows)
 
 
 def test_adaptive_experiment_evaluates_the_runs_it_reports(evaluated_rows):
