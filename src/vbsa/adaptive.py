@@ -14,7 +14,7 @@ and every doubling run one block: the next rows of A, then the same rows of
 each active factor's hybrid A_B(j) in ascending j, then a ledger entry;
 outputs and elementary effects fill arrays preallocated for those rows.
 The whole plan is held, (k + 1) / 2 times the 2k-column pool it is drawn
-from; a plain estimate holds only one plan tile of at most 2**17 values.
+from; a plain estimate holds its outputs and a working set not growing with N.
 """
 
 from __future__ import annotations

@@ -209,8 +209,8 @@ def _group_outputs(specs: list[DesignSpec], pool_r: np.ndarray, fn: FunctionSpec
         width = spec.n * spec.k
         rows = np.concatenate([pool_r.T[:width, : s.N] for s in specs], axis=1).T
         spec = replace(spec, N=rows.shape[0])
-    bases = designs.pool_matrices(rows, spec.n, spec.k)
-    return designs._plan_outputs(spec, bases, lambda points: testfns.evaluate(fn, points))
+    rows_of = lambda r0, r1: designs.pool_matrices(rows[r0:r1], spec.n, spec.k)
+    return designs._plan_outputs(spec, rows_of, lambda points: testfns.evaluate(fn, points))
 
 
 def convergence_experiment(

@@ -251,18 +251,18 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
     return tuple(chunks)
 
 
-def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int, rows: int | None = None, storage=None):
+def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None = None, storage=None):
     """Write runs of ``per_chunk`` segments, ``rows`` rows at a time, into one reused buffer; yield (first, r0, chunk).
 
     ``chunk[:, s]`` is rows r0 .. r0 + ``chunk.shape[2]`` - 1 of segment first + s, each factor's column one
     contiguous row, so ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  Row
     ranges of ``rows`` (all N when None) go outer and chunks inner, so consecutive chunks hold the same rows; the
     first chunk of each range writes its bases in full.  The buffer is the caller's ``storage``, a float array of
-    at least k x per_chunk x rows values, or a new array when None.  No checks: ``mats`` come checked, by
-    :func:`assemble_plan` or as a pool's cuts (:func:`_write_plan`, :func:`_plan_outputs`).  Each run of segments
-    sharing a base is one broadcast from the base, and each couple's run of hybrids writes its donor columns through
-    one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment; a slot that
-    keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
+    at least k x per_chunk x rows values, or a new array when None.  ``rows_of(r0, r1)`` gives rows r0 .. r1 - 1 of
+    the n bases, checked or generated: each range and its next row (row 0 after the last) for :data:`SHIFT`.  Each
+    run of segments sharing a base is one broadcast from the base, and each couple's run of hybrids writes its donor
+    columns through one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment;
+    a slot that keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
     """
     N = spec.N
     rows = N if rows is None else rows
@@ -271,12 +271,14 @@ def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int, ro
     for r0 in range(0, N, rows):
         h = min(rows, N - r0)
         wraps = r0 + h == N   # the SHIFT donor's last row is row 0
+        mats = None   # the previous range's rows are released before the next are drawn
+        mats = rows_of(r0, min(r0 + h + 1, N))
         buffer = storage[: spec.k * per_chunk * h].reshape(spec.k, per_chunk, h)
         col_stride, seg_stride, row_stride = buffer.strides
         for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk):
             chunk = buffer[:, :size]
             for a, b, m in base_runs:
-                chunk[:, a:b] = mats[m].T[:, None, r0 : r0 + h]
+                chunk[:, a:b] = mats[m].T[:, None, :h]
             for a, b, m, donor, col in donor_runs:
                 # element [i, r] is row r0 + r, column col + i of segment a + i
                 diag = np.ndarray(
@@ -285,11 +287,11 @@ def _segment_chunks(spec: DesignSpec, mats: list[np.ndarray], per_chunk: int, ro
                 )
                 if donor == SHIFT:
                     columns = mats[m].T[col : col + b - a]
-                    diag[:, : h - wraps] = columns[:, r0 + 1 : r0 + h + 1]
+                    diag[:, : h - wraps] = columns[:, 1 : h + 1 - wraps]
                     if wraps:
-                        diag[:, -1] = columns[:, 0]
+                        diag[:, -1] = rows_of(0, 1)[m].T[col : col + b - a, 0]
                 else:
-                    diag[...] = mats[donor].T[col : col + b - a, r0 : r0 + h]
+                    diag[...] = mats[donor].T[col : col + b - a, :h]
             yield lo, r0, chunk
 
 
@@ -309,16 +311,16 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
-    return _write_plan(spec, mats)
+    return _write_plan(spec, lambda r0, r1: [m[r0:r1] for m in mats])
 
 
-def _write_plan(spec: DesignSpec, mats: list[np.ndarray]) -> EvaluationPlan:
-    """The plan of ``spec`` over (N, k) float bases checked by :func:`assemble_plan` or cut from a checked pool.
+def _write_plan(spec: DesignSpec, rows_of) -> EvaluationPlan:
+    """The plan of ``spec`` over the rows of (N, k) float bases, checked by :func:`assemble_plan` or generated.
 
     ``points`` is the read-only, Fortran-ordered ``(rows, k)`` view of a new one-chunk buffer of the writer
     (:func:`_segment_chunks`), the plan's own since its points outlive the call: each factor's column is contiguous.
     """
-    ((_, _, points),) = _segment_chunks(spec, mats, len(plan_layout(spec.kind, spec.n, spec.k)))
+    ((_, _, points),) = _segment_chunks(spec, rows_of, len(plan_layout(spec.kind, spec.n, spec.k)))
     points = points.reshape(spec.k, -1).T
     points.flags.writeable = False
     return EvaluationPlan(spec=spec, points=points)
@@ -327,17 +329,17 @@ def _write_plan(spec: DesignSpec, mats: list[np.ndarray]) -> EvaluationPlan:
 _tiles = threading.local()   # .storage: this thread's tile buffer for _plan_outputs, grown only, at most _TILE_VALUES
 
 
-def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> np.ndarray:
+def _plan_outputs(spec: DesignSpec, rows_of, model) -> np.ndarray:
     """``model``'s (segments, N) outputs over the plan, in tiles of at most ``_TILE_VALUES`` values (rows x k).
 
     A tile is as many whole segments as fit; when one segment does not fit, its rows are cut into the fewest
     equal ranges that do, and a tile is one range of one segment.  Every plan row is evaluated exactly once.
     The model gets each tile as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.
     The tiles are written into one buffer per thread, kept from call to call, so a tile is valid only until the
-    model returns; a model that evaluates a plan itself gets a buffer of its own for that.
-    Unchecked precondition: the bases are column cuts of a checked ``SampleMatrix`` pool, from
-    ``estimators._draw_bases``, or of the stacked row prefixes of one repetition's pool for a group of sweep cells,
-    from ``bench._group_outputs``.
+    model returns; a model that evaluates a plan itself gets a buffer of its own for that.  Besides the outputs,
+    the call holds the buffer and one range's rows from the row source ``rows_of`` (:func:`_segment_chunks`).
+    Unchecked precondition: the rows are generated Sobol' points, from ``estimators._draw_rows``, or slices of the
+    stacked row prefixes of one repetition's pool for a group of sweep cells, from ``bench._group_outputs``.
     """
     N, k = spec.N, spec.k
     y = np.empty((len(plan_layout(spec.kind, spec.n, k)), N))
@@ -347,7 +349,7 @@ def _plan_outputs(spec: DesignSpec, base_matrices: list[np.ndarray], model) -> n
     storage, _tiles.storage = getattr(_tiles, "storage", None), None   # taken until this call returns
     if storage is None or storage.size < k * per_chunk * rows:
         storage = np.empty(k * per_chunk * rows)
-    for lo, r0, chunk in _segment_chunks(spec, base_matrices, per_chunk, rows, storage):
+    for lo, r0, chunk in _segment_chunks(spec, rows_of, per_chunk, rows, storage):
         points = chunk.reshape(k, -1).T
         points.flags.writeable = False
         size, h = chunk.shape[1:]

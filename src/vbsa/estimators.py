@@ -115,13 +115,18 @@ def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
                 if label not in evals:
                     raise EstimationError(f"evaluation set is missing vector {label!r}")
                 n_rows = len(checked_vector(label, evals[label], n_rows))
-    finite = np.isfinite(y)
-    if not finite.all():
-        bad = int(np.argmin(finite.all(axis=1)))
-        raise EstimationError(f"vector {layout[bad][0]!r} holds NaN or infinite values")
+    # the sum carries any NaN or infinity: only a sum of finite values that overflows needs the full mask
+    if not np.isfinite(np.add.reduce(y, axis=None)) and not (finite := np.isfinite(y).all(axis=1)).all():
+        raise EstimationError(f"vector {layout[int(np.argmin(finite))][0]!r} holds NaN or infinite values")
     if y.shape[1] < 2:
         raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {y.shape[1]})")
     return y
+
+
+def _factor_chunks(k: int, per_factor: int) -> list[slice]:
+    """Consecutive factors whose temporaries, ``per_factor`` values each, fill at most one tile, or one factor."""
+    width = max(1, qmc._TILE_VALUES // per_factor)
+    return [slice(j, j + width) for j in range(0, k, width)]
 
 
 def _checked_variance(y: np.ndarray, context: str) -> float:
@@ -159,11 +164,14 @@ def _squared_difference_T(y: np.ndarray, kind: str, n: int, k: int) -> TotalInde
     """
     variance = _checked_variance(y[:1], "matrix A")
     left, right = designs.factor_segments(kind, n, k)
-    diff = y[right]
-    # asymmetric and cyclic: every left segment is matrix A, so broadcast its row
-    np.subtract(y[left] if left.any() else y[0], diff, out=diff)
-    numerator = np.square(diff, out=diff).sum(axis=(1, 2)) / (2.0 * diff[0].size)
-    return _estimate(kind, n, y.shape[1], numerator, variance)
+    numerator = np.empty(k)
+    for j in _factor_chunks(k, right[0].size * y.shape[1]):
+        diff = y[right[j]]
+        # asymmetric and cyclic: every left segment is matrix A, so broadcast its row
+        np.subtract(y[left[j]] if left.any() else y[0], diff, out=diff)
+        numerator[j] = np.square(diff, out=diff).sum(axis=(1, 2))
+        del diff   # released before the next chunk is gathered
+    return _estimate(kind, n, y.shape[1], numerator / (2.0 * right[0].size * y.shape[1]), variance)
 
 
 def saltenis_T(evals: Outputs, k: int) -> TotalIndexEstimate:
@@ -223,7 +231,10 @@ def owen_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     y = _outputs(evals, "owen", 3, k)
     variance = _checked_variance(y[:2], "matrices A and B")
     f_ba, f_cb = y[2:].reshape(2, k, -1)   # hybrids B_A(j), C_B(j)
-    numerator = variance - np.add.reduce((y[1] - f_cb) * (f_ba - y[0]), axis=1) / y.shape[1]   # np.mean's steps
+    products = np.empty(k)
+    for j in _factor_chunks(k, y.shape[1]):
+        products[j] = np.add.reduce((y[1] - f_cb[j]) * (f_ba[j] - y[0]), axis=1)
+    numerator = variance - products / y.shape[1]   # np.mean's steps
     return _estimate("owen", 3, y.shape[1], numerator, variance)
 
 
@@ -251,13 +262,19 @@ def lamboni_T(evals: Outputs, k: int, n: int) -> TotalIndexEstimate:
     variance = _checked_variance(y[:n], "pooled base matrices")
     # hybrids by base m, donor q != m, factor j
     hybrids = y[n:].reshape(n, n - 1, k, N)
-    # sum over donors q of (f(h_m) - f(h_m<-q)), added in q order, the order of a sum over the donor axis
-    inner = y[:n, None, :] - hybrids[:, 0]
-    for q in range(1, n - 1):
-        inner += y[:n, None, :] - hybrids[:, q]
-    inner /= n - 1
-    numerator = (n - 1) / (N * n * n) * np.square(inner, out=inner).sum(axis=(0, 2))
-    return _estimate("lamboni", n, N, numerator, variance)
+    numerator = np.empty(k)
+    for j in _factor_chunks(k, n * N):
+        # sum over donors q of (f(h_m) - f(h_m<-q)), added in q order, the order of a sum over the donor axis
+        inner = y[:n, None, :] - hybrids[:, 0, j]
+        for q in range(1, n - 1):
+            inner += y[:n, None, :] - hybrids[:, q, j]
+        inner /= n - 1
+        np.square(inner, out=inner)
+        # as the sum over axes (0, 2) of all k factors at once: each (m, j) row summed pairwise, rows added in m order;
+        # a one-factor chunk would merge the axes into one pairwise sum, so at k > 1 it spells that order out
+        numerator[j] = (np.add.reduce(inner, axis=(0, 2)) if inner.shape[1] > 1 or k == 1
+                        else np.add.accumulate(np.add.reduce(inner, axis=2))[-1])
+    return _estimate("lamboni", n, N, (n - 1) / (N * n * n) * numerator, variance)
 
 
 def cyclic_single_matrix_T(evals: Outputs, k: int) -> TotalIndexEstimate:
@@ -298,13 +315,14 @@ def estimate_total_effects(
     the function on the plan in tiles, each a read-only, Fortran-ordered
     ``(rows, k)`` array of at most 2**17 values: whole segments when they
     fit, else row ranges of one segment (``designs._plan_outputs``), and
-    runs the matching estimator.  For outputs computed elsewhere, use
-    :func:`run_estimator` on their array or evaluation set.
+    runs the matching estimator, holding its outputs and a few tiles.  For
+    outputs computed elsewhere, use :func:`run_estimator` on them.
     """
     if fn.k != spec.k:
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
-    # the bases are a temporary, so the pool is released before the estimator runs
-    y = designs._plan_outputs(spec, _draw_bases(spec, seed, repetition), lambda points: testfns.evaluate(fn, points))
+    if spec.N < 2:   # the estimators' own check, made before any model run
+        raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {spec.N})")
+    y = designs._plan_outputs(spec, _draw_rows(spec, seed, repetition), lambda points: testfns.evaluate(fn, points))
     return run_estimator(spec, y)
 
 
@@ -318,17 +336,16 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     design at N holds the first N rows of the same design at 2N.  The plan
     holds every point, for external models; internal evaluation is tiled.
     """
-    return designs._write_plan(spec, _draw_bases(spec, seed, repetition))   # bases cut from a checked pool
+    return designs._write_plan(spec, _draw_rows(spec, seed, repetition))
 
 
-def _draw_bases(spec: DesignSpec, seed: int | None, repetition: int) -> list[np.ndarray]:
-    """The n base matrices of :func:`sample_plan`'s draw."""
+def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int):
+    """The row source of :func:`sample_plan`'s draw: ``(r0, r1)`` to rows r0 .. r1 - 1 of its n bases, generated."""
     n_cols = spec.n * spec.k
-    p = int(spec.N).bit_length() - 1
-    if 1 << p != spec.N:
-        raise ValueError("N must be a power of two to draw generator blocks")
+    if 1 << (int(spec.N).bit_length() - 1) != spec.N or spec.N > 1 << qmc._MAX_P:   # before any model run
+        raise ValueError(f"N must be a power of two up to 2**{qmc._MAX_P} to draw generator blocks")
     perm = None if seed is None else qmc.draw_permutation(n_cols, seed, repetition)
-    return designs.pool_matrices(qmc.sobol_block(n_cols, p, perm).values, spec.n, spec.k)
+    return lambda r0, r1: designs.pool_matrices(qmc.sobol_rows(n_cols, r0, r1, perm), spec.n, spec.k)
 
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:

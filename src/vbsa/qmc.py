@@ -13,9 +13,9 @@ vectors of all 64 dimensions are built once, on first use, and every block
 reads its leading rows; no custom tables.  A column-scrambled block reads
 them in permuted order instead, which gives the permuted block without a copy.
 The all-zeros origin point is skipped, so block ``i`` of size ``2**p`` holds
-sequence positions ``1 .. 2**p`` and every block is a prefix of the next
-larger one.  The L2-star discrepancy is Warnock's exact formula, its pair term
-summed over the strict upper triangle in fixed-size row blocks.
+sequence positions ``1 .. 2**p``, every block is a prefix of the next larger
+one, and :func:`sobol_rows` draws any row range alone.  The L2-star discrepancy
+is Warnock's exact formula, its pair term summed over the strict upper triangle in fixed-size row blocks.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ def draw_permutation(n_columns: int, seed: int, repetition: int = 0) -> ColumnPe
     run concurrently and still reproduce bit-identically.  Memoised: the
     permutation is immutable, so repeated draws share one.
     """
+    if seed < 0 or repetition < 0:
+        raise ValueError(f"{'seed' if seed < 0 else 'repetition'} must be >= 0")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(repetition,))
     perm = np.random.default_rng(ss).permutation(n_columns)
     return ColumnPermutation(perm=perm)
@@ -127,33 +129,60 @@ def sobol_block(dim_count: int, p: int, perm: ColumnPermutation | None = None) -
     With ``perm``, column ``i`` is generated from dimension ``perm[i]``'s direction
     vectors: bit for bit ``permute_columns(sobol_block(dim_count, p), perm)``.
     """
-    if dim_count < 1:
-        raise ValueError("dim_count must be positive")
-    if dim_count > _MAX_DIM:
-        raise ValueError(f"dim_count {dim_count} exceeds the direction-number table maximum {_MAX_DIM}")
     if p < 0:
         raise ValueError("block exponent p must be >= 0")
     if p > _MAX_P:
         raise ValueError(f"block exponent p = {p} exceeds the supported maximum {_MAX_P}")
+    block = object.__new__(SampleMatrix)   # the float offsets bound the values in [0, 1): no range check
+    object.__setattr__(block, "values", sobol_rows(dim_count, 0, 1 << p, perm))
+    return block
+
+
+def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None = None) -> np.ndarray:
+    """Rows ``r0 .. r1 - 1`` of the Sobol' blocks: bit for bit ``sobol_block(dim_count, p, perm).values[r0:r1]``.
+
+    F-ordered.  Rows 0 up to a power of two are built in place by doubling; otherwise position ``c 2**a + t``
+    is position t XOR the direction vectors on the bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR
+    of a prefix of 2**a positions (at most one tile) per aligned chunk of the range.
+    """
+    if dim_count < 1:
+        raise ValueError("dim_count must be positive")
+    if dim_count > _MAX_DIM:
+        raise ValueError(f"dim_count {dim_count} exceeds the direction-number table maximum {_MAX_DIM}")
+    if not 0 <= r0 <= r1 <= 1 << _MAX_P:
+        raise ValueError(f"rows {r0} .. {r1} are not a range within the first 2**{_MAX_P}")
     v = _direction_vectors()[:dim_count]
     if perm is not None:
         _check_length(perm, dim_count)
         v = v[perm.perm]
 
-    n = 1 << p
-    # Column i holds position i + 1 as the bits of the float 2**20 + integer * 2**-32 (ulp 2**-32),
-    # so scaling to [0, 1) is one exact in-place subtraction of 2**20.
-    x = np.empty((dim_count, n), dtype=np.uint64)
-    x[:, 0] = v[:, 1] | _OFFSET_BITS   # position 1: the origin XOR direction bit 1
-    for bit in range(2, p + 1):   # positions h .. 2h-1 mirror h-1 .. 0 across direction bit log2(h) + 1
-        h = 1 << (bit - 1)
-        np.bitwise_xor(x[:, h - 2 :: -1], v[:, bit, None], out=x[:, h - 1 : 2 * h - 2])
-        x[:, 2 * h - 2] = v[:, bit] | _OFFSET_BITS   # the mirror of the origin
-    if p:
-        np.bitwise_xor(x[:, n - 2], v[:, p + 1], out=x[:, n - 1])   # position 2**p
+    # Column i holds row r0 + i, position r0 + i + 1, as the bits of the float 2**20 + integer * 2**-32
+    # (ulp 2**-32), so scaling to [0, 1) is one exact in-place subtraction of 2**20.
+    x = np.empty((dim_count, r1 - r0), dtype=np.uint64)
+    if r0 == 0 and r1 and not r1 & (r1 - 1):
+        p = r1.bit_length() - 1
+        x[:, 0] = v[:, 1] | _OFFSET_BITS   # position 1: the origin XOR direction bit 1
+        for bit in range(2, p + 1):   # positions h .. 2h-1 mirror h-1 .. 0 across direction bit log2(h) + 1
+            h = 1 << (bit - 1)
+            np.bitwise_xor(x[:, h - 2 :: -1], v[:, bit, None], out=x[:, h - 1 : 2 * h - 2])
+            x[:, 2 * h - 2] = v[:, bit] | _OFFSET_BITS   # the mirror of the origin
+        if p:
+            np.bitwise_xor(x[:, r1 - 2], v[:, p + 1], out=x[:, r1 - 1])   # position 2**p
+    else:
+        a = max(1, min((r1 - r0 - 1).bit_length(), (_TILE_VALUES // dim_count).bit_length() - 1))
+        prefix = np.empty((dim_count, 1 << a), dtype=np.uint64)
+        prefix[:, 0] = _OFFSET_BITS   # the origin
+        for bit in range(1, a + 1):
+            h = 1 << (bit - 1)
+            np.bitwise_xor(prefix[:, h - 1 :: -1], v[:, bit, None], out=prefix[:, h : 2 * h])
+        for c in range((r0 + 1) >> a, (r1 >> a) + 1):
+            lo, hi = max(r0 + 1, c << a), min(r1 + 1, (c + 1) << a)
+            gray = ((c ^ (c >> 1)) << a) ^ ((c & 1) << (a - 1))
+            key = np.bitwise_xor.reduce(v[:, [b + 1 for b in range(gray.bit_length()) if gray >> b & 1]], axis=1)
+            np.bitwise_xor(prefix[:, lo - (c << a) : hi - (c << a)], key[:, None], out=x[:, lo - r0 - 1 : hi - r0 - 1])
     values = x.view(np.float64)
     values -= _OFFSET
-    return SampleMatrix(values=values.T)
+    return values.T
 
 
 def _check_length(perm: ColumnPermutation, n_cols: int) -> None:
@@ -208,4 +237,5 @@ __all__ = [
     "l2_star_discrepancy",
     "permute_columns",
     "sobol_block",
+    "sobol_rows",
 ]

@@ -192,8 +192,9 @@ class TestGroupedCells:
             for p in cfg.p_values:
                 for e in cfg.estimators:
                     spec = specs[e, p]
-                    bases = designs.pool_matrices(pool_r[: spec.N], spec.n, k)
-                    y = designs._plan_outputs(spec, bases, lambda points: testfns.evaluate(fn, points))
+                    rows = pool_r[: spec.N]
+                    y = designs._plan_outputs(spec, lambda r0, r1: designs.pool_matrices(rows[r0:r1], spec.n, k),
+                                              lambda points: testfns.evaluate(fn, points))
                     try:
                         t_hats[e.name, e.n, p, rep] = estimators.run_estimator(spec, y).total
                     except estimators.EstimationError as exc:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbsa import cli
+from vbsa import cli, testfns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,11 +96,22 @@ class TestEstimate:
                         "--N", "63", "--out-dir", str(tmp_path)])
         assert code == 1
 
-    def test_single_row_plan_fails_naming_n(self, tmp_path, capsys):
+    def test_single_row_plan_fails_naming_n(self, tmp_path, capsys, monkeypatch):
+        rows = []
+        evaluate = testfns.evaluate
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: rows.append(len(points)) or evaluate(fn, points))
         code = cli.run(["estimate", "--function", "A2", "--k", "6", "--design", "lamboni",
                         "--N", "1", "--out-dir", str(tmp_path)])
         assert code == 1
         assert "estimators need N >= 2 rows per matrix (got N = 1)" in capsys.readouterr().err
+        assert rows == []   # failed before the first model run
+
+    @pytest.mark.parametrize("flag,name", [("--seed", "seed"), ("--rep", "repetition")])
+    def test_negative_seed_or_repetition_named(self, tmp_path, capsys, flag, name):
+        code = cli.run(["estimate", "--function", "A2", "--k", "6", "--design", "asymmetric", "--N", "8",
+                        "--seed", "1", flag, "-1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"vbsa estimate: {name} must be >= 0\n"
 
 
 class TestDiscrepancy:

@@ -27,7 +27,7 @@ from vbsa.designs import (
     pool_matrices,
     reference_metrics,
 )
-from vbsa.estimators import _draw_bases, sample_plan
+from vbsa.estimators import _draw_rows, sample_plan
 from vbsa.testfns import FAMILIES, evaluate, function_spec
 
 ALL_PLAN_SPECS = [
@@ -150,6 +150,11 @@ class TestAssemblePlan:
         assert split["A"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
+def _array_rows(bases: list[np.ndarray]):
+    """The row source over whole base matrices."""
+    return lambda r0, r1: [b[r0:r1] for b in bases]
+
+
 def _per_segment_reference(spec: DesignSpec, bases: list[np.ndarray]) -> np.ndarray:
     """Every plan segment written on its own, as its layout entry describes it."""
     segments = []
@@ -179,7 +184,8 @@ class TestSegmentChunks:
             # 1 keeps a slot's base across chunks wherever a couple's hybrids follow their base;
             # 5 and k + 1 split couples' hybrids mid-run; `segments` is one chunk
             for per_chunk in sorted({1, 2, 5, k + 1, segments}):
-                chunks = [(lo, r0, chunk.copy()) for lo, r0, chunk in _segment_chunks(spec, bases, per_chunk)]
+                chunks = _segment_chunks(spec, _array_rows(bases), per_chunk)
+                chunks = [(lo, r0, chunk.copy()) for lo, r0, chunk in chunks]
                 assert [(lo, r0) for lo, r0, _ in chunks] == [(lo, 0) for lo in range(0, segments, per_chunk)]
                 assert np.array_equal(np.concatenate([chunk for *_, chunk in chunks], axis=1), expected)
 
@@ -195,7 +201,7 @@ class TestSegmentChunks:
         for per_chunk in (1, 3):
             got = np.full_like(expected, np.nan)
             order = []
-            for lo, r0, chunk in _segment_chunks(spec, bases, per_chunk, rows):
+            for lo, r0, chunk in _segment_chunks(spec, _array_rows(bases), per_chunk, rows):
                 assert chunk.shape[2] == min(rows, N - r0)
                 got[:, lo : lo + chunk.shape[1], r0 : r0 + chunk.shape[2]] = chunk
                 order.append((r0, lo))
@@ -235,7 +241,7 @@ class TestPlanOutputs:
     """What the model receives from the tile writer, and what it returns."""
 
     @staticmethod
-    def _received_tiles(spec, bases, tile_values):
+    def _received_tiles(spec, rows_of, tile_values):
         """The tiles a model receives, and ``_plan_outputs`` of a model that returns each row's arrival index."""
         received = []
 
@@ -246,14 +252,13 @@ class TestPlanOutputs:
             received.append(points.copy())
             return np.arange(first, first + len(points), dtype=float)
 
-        return received, _plan_outputs(spec, bases, model)
+        return received, _plan_outputs(spec, rows_of, model)
 
     def test_model_receives_read_only_column_major_rows_of_the_plan(self, monkeypatch):
         # N = 8: two whole segments per tile, or rows 0..2, 3..5 and 6..7 of one segment
         for spec in ALL_PLAN_SPECS:
             spec = DesignSpec(spec.kind, spec.n, 8, spec.k)
-            bases = _draw_bases(spec, 1, 0)
-            plan_points = assemble_plan(spec, bases).points
+            plan_points = sample_plan(spec, seed=1).points
             assert not plan_points.flags.writeable
             segments = len(plan_points) // 8
             for tile_values, sizes in (
@@ -261,7 +266,7 @@ class TestPlanOutputs:
                 (3 * spec.k, [3] * (2 * segments) + [2] * segments),   # rows outer, segments inner
             ):
                 monkeypatch.setattr(designs, "_TILE_VALUES", tile_values)
-                received, arrival = self._received_tiles(spec, bases, tile_values)
+                received, arrival = self._received_tiles(spec, _draw_rows(spec, 1, 0), tile_values)
                 assert [len(rows) for rows in received] == sizes
                 # every plan row arrives exactly once, as the plan holds it
                 order = arrival.ravel().astype(np.int64)
@@ -276,8 +281,7 @@ class TestPlanOutputs:
         # and wraps in the last; or in tiles of two whole segments and a remainder
         N = 64
         spec = DesignSpec(kind, n, N, k)
-        bases = _draw_bases(spec, 3, 1)
-        points = np.ascontiguousarray(assemble_plan(spec, bases).points)
+        points = np.ascontiguousarray(sample_plan(spec, 3, 1).points)
         for tile_values, calls in ((25 * k, 3 * len(points) // N), (3 * N * k - 1, -(-len(points) // (2 * N)))):
             monkeypatch.setattr(designs, "_TILE_VALUES", tile_values)
             for family in ("A1", "B1", "C2"):
@@ -288,7 +292,7 @@ class TestPlanOutputs:
                     rows.append(len(tile))
                     return evaluate(fn, tile)
 
-                got = _plan_outputs(spec, bases, model)
+                got = _plan_outputs(spec, _draw_rows(spec, 3, 1), model)
                 assert got.tobytes() == evaluate(fn, points).reshape(-1, N).tobytes(), (tile_values, family)
                 assert len(rows) == calls and sum(rows) == design_metrics(spec).total_points
 
@@ -300,16 +304,15 @@ class TestPlanOutputs:
             return points[:, 0]
 
         with pytest.raises(ValueError, match="read-only"):
-            _plan_outputs(spec, _draw_bases(spec, 1, 0), model)
+            _plan_outputs(spec, _draw_rows(spec, 1, 0), model)
 
     @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "G"])   # G has no default coefficients
     def test_outputs_equal_row_major_evaluation_bit_for_bit(self, family):
         cases = [(kind, n, N, k) for kind, n in KIND_NS for k in (1, 2, 6) for N in (2, 64, 2**10)]
         for kind, n, N, k in cases + [("asymmetric", 2, 2**17, 2)]:   # the last: two row tiles per segment
             fn, spec = function_spec(family, k), DesignSpec(kind, n, N, k)
-            bases = _draw_bases(spec, 1, 0)
-            expected = evaluate(fn, np.ascontiguousarray(assemble_plan(spec, bases).points)).reshape(-1, N)
-            got = _plan_outputs(spec, bases, lambda points: evaluate(fn, points))
+            expected = evaluate(fn, np.ascontiguousarray(sample_plan(spec, seed=1).points)).reshape(-1, N)
+            got = _plan_outputs(spec, _draw_rows(spec, 1, 0), lambda points: evaluate(fn, points))
             assert got.tobytes() == expected.tobytes(), (kind, n, N, k)
 
     @pytest.mark.parametrize("k", [9, 12, 16])
@@ -320,9 +323,8 @@ class TestPlanOutputs:
         for kind, n in KIND_NS:
             for N in (2**10, 2**12):
                 spec = DesignSpec(kind, n, N, k)
-                bases = _draw_bases(spec, 1, 0)
-                expected = evaluate(fn, np.ascontiguousarray(assemble_plan(spec, bases).points)).reshape(-1, N)
-                got = _plan_outputs(spec, bases, lambda points: evaluate(fn, points))
+                expected = evaluate(fn, np.ascontiguousarray(sample_plan(spec, seed=1).points)).reshape(-1, N)
+                got = _plan_outputs(spec, _draw_rows(spec, 1, 0), lambda points: evaluate(fn, points))
                 assert np.max(np.abs(got - expected)) <= 4 * np.spacing(1.0), (kind, N)
 
 
@@ -337,10 +339,10 @@ class TestTileBuffer:
 
     def test_plan_points_unchanged_by_later_tiles(self):
         spec = DesignSpec("owen", 3, 64, 4)
-        plans = [assemble_plan(spec, _draw_bases(spec, 1, 0)), sample_plan(spec, seed=1)]
+        plans = [assemble_plan(spec, _draw_rows(spec, 1, 0)(0, spec.N)), sample_plan(spec, seed=1)]
         before = [plan.points.copy() for plan in plans]
         for seed in (2, 3):
-            _plan_outputs(spec, _draw_bases(spec, seed, 0), lambda points: points[:, 0].copy())
+            _plan_outputs(spec, _draw_rows(spec, seed, 0), lambda points: points[:, 0].copy())
         for plan, points in zip(plans, before):
             assert np.array_equal(plan.points, points)
             assert not np.shares_memory(plan.points, designs._tiles.storage)
@@ -348,8 +350,8 @@ class TestTileBuffer:
     def test_two_threads_at_once_equal_a_serial_run(self, monkeypatch):
         monkeypatch.setattr(designs, "_TILE_VALUES", 3 * 8 * 3)   # seven tiles of three segments each
         spec, fn = DesignSpec("lamboni", 3, 8, 3), function_spec("B1", 3)
-        bases = [_draw_bases(spec, seed, 0) for seed in (1, 2)]
-        serial = [_plan_outputs(spec, b, lambda points: evaluate(fn, points)) for b in bases]
+        sources = [_draw_rows(spec, seed, 0) for seed in (1, 2)]
+        serial = [_plan_outputs(spec, rows_of, lambda points: evaluate(fn, points)) for rows_of in sources]
         barrier = threading.Barrier(2, timeout=30)
 
         def model(points):
@@ -359,7 +361,7 @@ class TestTileBuffer:
             return y
 
         with ThreadPoolExecutor(2) as ex:
-            threaded = list(ex.map(lambda b: _plan_outputs(spec, b, model), bases))
+            threaded = list(ex.map(lambda rows_of: _plan_outputs(spec, rows_of, model), sources))
         assert [y.tobytes() for y in threaded] == [y.tobytes() for y in serial]
 
     def test_one_buffer_grown_only_up_to_tile_values(self):
@@ -368,11 +370,11 @@ class TestTileBuffer:
             for kind, n, N, k in [("cyclic_single", 1, 4, 1), ("multimatrix", 3, 2**6, 6), ("lamboni", 4, 2**6, 12),
                                   ("owen", 3, 2**14, 12), ("asymmetric", 2, 2**17, 2), ("symmetric2", 2, 8, 3)]:
                 spec, tiles = DesignSpec(kind, n, N, k), []
-                _plan_outputs(spec, _draw_bases(spec, 1, 0), lambda points: tiles.append(points) or points[:, 0])
+                _plan_outputs(spec, _draw_rows(spec, 1, 0), lambda points: tiles.append(points) or points[:, 0])
                 storage = designs._tiles.storage
                 assert all(np.shares_memory(tile, storage) for tile in tiles)
                 out.append(storage.size)
-                _plan_outputs(spec, _draw_bases(spec, 2, 0), lambda points: points[:, 0].copy())
+                _plan_outputs(spec, _draw_rows(spec, 2, 0), lambda points: points[:, 0].copy())
                 assert designs._tiles.storage is storage   # reused, not reallocated
             return out
 

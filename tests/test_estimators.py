@@ -4,12 +4,14 @@ structural properties (scale/shift invariance, null factors, symmetry)."""
 import math
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from vbsa import qmc, testfns
 from vbsa.designs import (
     DESIGN_KINDS,
     DesignSpec,
@@ -466,10 +468,27 @@ class TestEntryPoint:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("kind,n", PLAN_CASES)
-    def test_single_row_plan_names_n(self, kind, n):
+    def test_single_row_plan_names_n(self, kind, n, monkeypatch):
+        # the check comes before the draw: the model sees no row
+        rows = []
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: rows.append(len(points)) or evaluate(fn, points))
         spec = DesignSpec(kind=kind, n=n, N=1, k=3)
         with pytest.raises(EstimationError, match=re.escape("estimators need N >= 2 rows per matrix (got N = 1)")):
             estimate_total_effects(spec, fn=function_spec("A2", 3), seed=1)
+        assert rows == []
+
+    def test_block_beyond_the_generator_fails_before_any_model_run(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: rows.append(len(points)) or evaluate(fn, points))
+        with pytest.raises(ValueError, match=re.escape("N must be a power of two up to 2**24")):
+            estimate_total_effects(DesignSpec("asymmetric", 2, 2**25, 1), fn=function_spec("A2", 1))
+        assert rows == []
+
+    @pytest.mark.parametrize("seed,repetition,name", [(-1, 0, "seed"), (1, -1, "repetition")])
+    def test_negative_seed_or_repetition_named(self, seed, repetition, name):
+        spec = DesignSpec(kind="asymmetric", n=2, N=8, k=3)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            estimate_total_effects(spec, fn=function_spec("A2", 3), seed=seed, repetition=repetition)
 
 
 class TestStreamedEvaluation:
@@ -509,6 +528,28 @@ class TestStreamedEvaluation:
             tracemalloc.stop()
         assert peak < design_metrics(spec).total_points * spec.k * 8
 
+    @pytest.mark.parametrize("kind,n,N", [("asymmetric", 2, 2**16), ("lamboni", 4, 2**14)])
+    def test_working_set_does_not_grow_with_n(self, kind, n, N):
+        # the traced peak beyond the (segments, N) outputs is the same, within one tile, at N and at 4N; both
+        # sizes take several row ranges per segment, and each estimate runs on a new thread, with a new tile buffer
+        def excess(N):
+            spec = DesignSpec(kind=kind, n=n, N=N, k=12)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                estimate_total_effects(spec, fn=function_spec("B1", 12), seed=1)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            return peak - len(plan_layout(kind, n, 12)) * N * 8
+
+        def on_new_thread(N):
+            with ThreadPoolExecutor(1) as ex:
+                return ex.submit(excess, N).result()
+
+        small, large = on_new_thread(N), on_new_thread(4 * N)
+        assert abs(large - small) <= qmc._TILE_VALUES * 8, (small, large)
+
 
 class TestArrayEntry:
     """Estimators read the ``(segments, N)`` output array as they read its labelled rows."""
@@ -545,6 +586,12 @@ class TestArrayEntry:
         with pytest.raises(EstimationError) as from_array:
             run_estimator(spec, y)
         assert str(from_array.value) == str(from_dict.value)
+
+    def test_finite_outputs_whose_sum_overflows_accepted(self):
+        # finiteness is read off the sum first; a sum that overflows on finite values is checked row by row
+        y = np.full((2, 4), 1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert _outputs(y, "asymmetric", 2, 1) is y
 
     def test_extra_segment_rejected(self):
         spec = DesignSpec(kind="asymmetric", n=2, N=8, k=2)
@@ -626,11 +673,14 @@ class TestBitwiseOracle:
         y[-1] = y[1]   # a hybrid equal to matrix B
         yield y
 
-    # Lamboni at n = 3 and 6 sums two and five donors per base, one at a time
+    # Lamboni at n = 3 and 6 sums two and five donors per base, one at a time; a one-value tile makes the
+    # estimators build their temporaries one factor at a time
     @pytest.mark.parametrize("kind,n", [*PLAN_CASES, ("lamboni", 3), ("lamboni", 6)])
     @pytest.mark.parametrize("k", [1, 2, 6, 12])
     @pytest.mark.parametrize("N", [2, 3, 8, 1000])
-    def test_equals_oracle_bit_for_bit(self, kind, n, k, N):
+    @pytest.mark.parametrize("tile_values", [qmc._TILE_VALUES, 1])
+    def test_equals_oracle_bit_for_bit(self, kind, n, k, N, tile_values, monkeypatch):
+        monkeypatch.setattr(qmc, "_TILE_VALUES", tile_values)
         spec = DesignSpec(kind=kind, n=n, N=N, k=k)
         for y in self._outputs(kind, n, k, N, seed=k * N + n):
             try:

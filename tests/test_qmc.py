@@ -24,6 +24,7 @@ from vbsa.qmc import (
     l2_star_discrepancy,
     permute_columns,
     sobol_block,
+    sobol_rows,
 )
 
 
@@ -103,6 +104,45 @@ class TestSobolBlock:
         with pytest.raises(ValueError, match="maximum"):
             sobol_block(2, 60)
 
+    def test_generated_block_skips_the_range_check(self, monkeypatch):
+        # the float-offset construction bounds generated values in [0, 1); caller data is still checked
+        monkeypatch.setattr(qmc, "_in_unit_cube", lambda values, closed=False: False)
+        assert sobol_block(24, 10).n_rows == 2**10
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            SampleMatrix(values=np.full((2, 2), 0.5))
+
+
+class TestSobolRows:
+    """Row ranges of the Sobol' blocks, generated without the rows before them."""
+
+    @staticmethod
+    def _assert_rows_equal_block_slice(dim, p, r0, r1, scrambled):
+        perm = draw_permutation(dim, 5, p) if scrambled else None
+        rows = sobol_rows(dim, r0, r1, perm)
+        assert rows.T.flags.c_contiguous
+        assert np.array_equal(rows, sobol_block(dim, p, perm).values[r0:r1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 17), st.booleans())
+    def test_rows_equal_the_block_slice(self, data, p, scrambled):
+        dim = data.draw(st.integers(1, min(64, 2**21 >> p)))   # blocks of at most 16 MiB
+        r1 = data.draw(st.one_of(st.just(2**p), st.integers(0, 2**p)))   # often the last row
+        self._assert_rows_equal_block_slice(dim, p, data.draw(st.integers(0, r1)), r1, scrambled)
+
+    # 64 dimensions take prefixes of at most 2**11 positions: a range across the boundary at 2048, one across
+    # several boundaries to the last row, one from row 0 to just before it, and the last row alone
+    @pytest.mark.parametrize(
+        "dim,r0,r1", [(64, 2000, 2100), (64, 3000, 2**13), (5, 0, 2**13 - 1), (16, 2**13 - 1, 2**13)]
+    )
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_ranges_across_chunk_boundaries(self, dim, r0, r1, scrambled):
+        self._assert_rows_equal_block_slice(dim, 13, r0, r1, scrambled)
+
+    def test_bad_ranges_rejected(self):
+        for r0, r1 in ((-1, 3), (4, 3), (0, 2**24 + 1)):
+            with pytest.raises(ValueError, match="not a range"):
+                sobol_rows(3, r0, r1)
+
 
 class TestDirectionTable:
     def test_default_covers_64_dimensions(self):
@@ -134,6 +174,11 @@ class TestPermuteColumns:
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError, match="bijection"):
             ColumnPermutation(np.array([0, 0, 2]))
+
+    @pytest.mark.parametrize("seed,repetition,name", [(-1, 0, "seed"), (3, -2, "repetition")])
+    def test_negative_seed_or_repetition_named(self, seed, repetition, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            draw_permutation(6, seed, repetition)
 
     def test_draw_permutation_deterministic_per_repetition(self):
         a = draw_permutation(36, seed=9, repetition=3)
