@@ -137,15 +137,23 @@ def matched_block_size(config: EstimatorConfig, k: int, reference_cost: int) -> 
 _Cell = tuple[int, DesignSpec, int]   # one sweep cell: p, the design at the matched N, its N_T
 
 
+def _rep_record(
+    fn: FunctionSpec, name: str, p: int, spec: DesignSpec, n_t: int, rep: int, total: np.ndarray,
+    analytic_total: np.ndarray,
+) -> ConvergenceRecord:
+    """One repetition's record of a cell, its MAE taken by np.mean's steps over the factors."""
+    deviation = float(np.add.reduce(np.abs(total - analytic_total))) / fn.k
+    return ConvergenceRecord(fn.family, name, spec.n, p, spec.N, n_t, rep, t_hat=total, mae=deviation)
+
+
 def _rep_records(
     cfg: ExperimentConfig,
     analytic_total: np.ndarray,
-    pool: qmc.SampleMatrix,
+    pool: np.ndarray,
     groups: list[tuple[EstimatorConfig, list[_Cell]]],
     rep: int,
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
-    k = cfg.function.k
-    pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.n_cols, cfg.seed, rep)).values
+    pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.shape[1], cfg.seed, rep))
     records: list[ConvergenceRecord] = []
     errors: list[CellError] = []
     for est, group in groups:
@@ -158,19 +166,7 @@ def _rep_records(
             except estimators.EstimationError as exc:   # degenerate cells must not abort the sweep
                 errors.append(CellError(est.name, est.n, p, rep, str(exc)))
                 continue
-            records.append(
-                ConvergenceRecord(
-                    function=cfg.function.family,
-                    estimator=est.name,
-                    n=est.n,
-                    p=p,
-                    N=spec.N,
-                    n_t=n_t,
-                    rep=rep,
-                    t_hat=result.total,
-                    mae=float(np.add.reduce(np.abs(result.total - analytic_total))) / k,   # np.mean's steps
-                )
-            )
+            records.append(_rep_record(cfg.function, est.name, p, spec, n_t, rep, result.total, analytic_total))
     errors.sort(key=lambda e: e.p)   # stable: by p, then in roster order
     return records, errors
 
@@ -234,7 +230,7 @@ def convergence_experiment(
         groups.extend((e, group) for group in _cell_groups(cells))
     n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
     p_pool = max(cfg.p_max, max(spec.N for _, group in groups for _, spec, _ in group).bit_length() - 1)
-    pool = qmc.sobol_block(n_max * k, p_pool)
+    pool = qmc.sobol_block(n_max * k, p_pool).values
 
     reps = range(cfg.repetitions)
     if workers > 1:
@@ -290,24 +286,16 @@ def adaptive_experiment(
         raise ValueError("p range is empty")
     if min(p_values) < 0:
         raise ValueError("p_min must be >= 0")
-    k = fn.k
     analytic_total = testfns.analytic_indices(fn).total
     records: list[ConvergenceRecord] = []
     ledger_lines: list[str] = []
     for p in p_values:
-        budget = (k + 1) * 2**p
-        spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=k)
+        spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=fn.k)
         for rep in range(repetitions):
             plain = estimators.estimate_total_effects(spec, fn, seed, rep)
             adapted, ledger = adaptive_mod.adaptive_run(fn, p, seed=seed, repetition=rep)
             for name, est in (("saltenis", plain), ("adaptive", adapted)):
-                records.append(
-                    ConvergenceRecord(
-                        function=fn.family, estimator=name, n=2, p=p, N=spec.N, n_t=budget,
-                        rep=rep, t_hat=est.total,
-                        mae=float(np.add.reduce(np.abs(est.total - analytic_total))) / k,
-                    )
-                )
+                records.append(_rep_record(fn, name, p, spec, (fn.k + 1) * spec.N, rep, est.total, analytic_total))
             ledger_lines.extend(adaptive_mod.ledger_csv_rows(p, rep, ledger))
     return _with_aggregates(records, [("saltenis", 2), ("adaptive", 2)], p_values, analytic_total), ledger_lines
 
@@ -358,6 +346,36 @@ def _svg_marker(shape: str, x: float, y: float, color: str) -> str:
     )
 
 
+def _svg_axes(
+    box: tuple[int, ...], xlabel: str, ylabel: str, xticks: list[tuple[float, str]], yticks: list[tuple[float, str]]
+) -> tuple[list[str], list[str], list[str]]:
+    """A plot's frame, ticks and axis labels, as three lists of SVG elements that each plot orders itself.
+
+    ``box`` is (width, height, left, right, top, bottom margins); a tick is its pixel position and its text.
+    """
+    width, height, ml, mr, mt, mb = box
+    frame = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
+        'fill="none" stroke="black"/>',
+    ]
+    ticks = []
+    for x, text in xticks:
+        ticks.append(f'<line x1="{x:.2f}" y1="{height - mb}" x2="{x:.2f}" y2="{height - mb + 5}" stroke="black"/>')
+        ticks.append(f'<text x="{x:.2f}" y="{height - mb + 18}" text-anchor="middle">{text}</text>')
+    for y, text in yticks:
+        ticks.append(f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>')
+        ticks.append(f'<text x="{ml - 8}" y="{y + 4:.2f}" text-anchor="end">{text}</text>')
+    labels = [
+        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="18" y="{(mt + height - mb) / 2:.2f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.2f})">{ylabel}</text>',
+    ]
+    return frame, ticks, labels
+
+
 def _log_axis(lo: float, hi: float):
     lo_e = math.floor(math.log10(lo))
     hi_e = math.ceil(math.log10(hi))
@@ -389,30 +407,10 @@ def mae_plot_svg(records: list[ConvergenceRecord], title: str = "") -> str:
     def py(v: float) -> float:
         return height - mb - (math.log10(v) - ye0) / (ye1 - ye0) * (height - mt - mb)
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
-        'fill="none" stroke="black"/>',
-    ]
-    if title:
-        out.append(f'<text x="{ml}" y="{mt - 12}" font-size="13">{title}</text>')
-    for e in range(xe0, xe1 + 1):
-        x = px(10.0**e)
-        out.append(f'<line x1="{x:.2f}" y1="{height - mb}" x2="{x:.2f}" y2="{height - mb + 5}" stroke="black"/>')
-        out.append(f'<text x="{x:.2f}" y="{height - mb + 18}" text-anchor="middle">1e{e}</text>')
-    for e in range(ye0, ye1 + 1):
-        y = py(10.0**e)
-        out.append(f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" stroke="black"/>')
-        out.append(f'<text x="{ml - 8}" y="{y + 4:.2f}" text-anchor="end">1e{e}</text>')
-    out.append(
-        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10}" text-anchor="middle">total cost N_T</text>'
-    )
-    out.append(
-        f'<text x="18" y="{(mt + height - mb) / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.2f})">MAE</text>'
-    )
+    frame, ticks, labels = _svg_axes((width, height, ml, mr, mt, mb), "total cost N_T", "MAE",
+                                     [(px(10.0**e), f"1e{e}") for e in range(xe0, xe1 + 1)],
+                                     [(py(10.0**e), f"1e{e}") for e in range(ye0, ye1 + 1)])
+    out = frame + ([f'<text x="{ml}" y="{mt - 12}" font-size="13">{title}</text>'] if title else []) + ticks + labels
     for i, (label, pts) in enumerate(series.items()):
         pts = sorted(pts)
         color = _PALETTE[i % len(_PALETTE)]
@@ -437,16 +435,11 @@ def design_scatter_svg(rows: list[DesignMetrics], k: int) -> str:
     plan-capable rows; the winding-stairs entry spans its minimal-trajectory
     and asymptotic explorativity values.
     """
-    pts: list[tuple[str, float, float]] = []
-    for r in rows:
-        pts.append((f"{r.title} n={r.n}", r.economy, r.explorativity))
-    for kind in ("couples", "stars"):
-        m = reference_metrics(kind, k)
-        pts.append((kind, m.economy, m.explorativity))
-    ws_lo = reference_metrics("winding_stairs", k, n_t=k + 1)
-    ws_hi = reference_metrics("winding_stairs", k, n_t=4096)
-    pts.append(("winding stairs (short)", ws_lo.economy, ws_lo.explorativity))
-    pts.append(("winding stairs (long)", ws_hi.economy, ws_hi.explorativity))
+    named = [(f"{r.title} n={r.n}", r) for r in rows]
+    named += [(kind, reference_metrics(kind, k)) for kind in ("couples", "stars")]
+    named += [("winding stairs (short)", reference_metrics("winding_stairs", k, n_t=k + 1)),
+              ("winding stairs (long)", reference_metrics("winding_stairs", k, n_t=4096))]
+    pts = [(label, m.economy, m.explorativity) for label, m in named]
 
     width, height, ml, mr, mt, mb = 620, 440, 70, 40, 40, 55
     emax = max(x for _, x, _ in pts) * 1.1
@@ -458,25 +451,10 @@ def design_scatter_svg(rows: list[DesignMetrics], k: int) -> str:
     def py(v: float) -> float:
         return height - mb - v / cmax * (height - mt - mb)
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{ml}" y="{mt}" width="{width - ml - mr}" height="{height - mt - mb}" '
-        'fill="none" stroke="black"/>',
-        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10}" text-anchor="middle">economy e</text>',
-        f'<text x="18" y="{(mt + height - mb) / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.2f})">explorativity chi</text>',
-    ]
-    n_xticks = 6
-    for i in range(n_xticks + 1):
-        v = emax * i / n_xticks
-        out.append(f'<line x1="{px(v):.2f}" y1="{height - mb}" x2="{px(v):.2f}" y2="{height - mb + 5}" stroke="black"/>')
-        out.append(f'<text x="{px(v):.2f}" y="{height - mb + 18}" text-anchor="middle">{v:.2f}</text>')
-    for i in range(n_xticks + 1):
-        v = cmax * i / n_xticks
-        out.append(f'<line x1="{ml - 5}" y1="{py(v):.2f}" x2="{ml}" y2="{py(v):.2f}" stroke="black"/>')
-        out.append(f'<text x="{ml - 8}" y="{py(v) + 4:.2f}" text-anchor="end">{v:.2f}</text>')
+    xvals, yvals = [emax * i / 6 for i in range(7)], [cmax * i / 6 for i in range(7)]   # six intervals per axis
+    frame, ticks, labels = _svg_axes((width, height, ml, mr, mt, mb), "economy e", "explorativity chi",
+                                     [(px(v), f"{v:.2f}") for v in xvals], [(py(v), f"{v:.2f}") for v in yvals])
+    out = frame + labels + ticks
     for i, (label, e, c) in enumerate(pts):
         color = _PALETTE[i % len(_PALETTE)]
         out.append(f'<circle cx="{px(e):.2f}" cy="{py(c):.2f}" r="4" fill="{color}"/>')
@@ -497,18 +475,21 @@ def export(
         raise ValueError("no records to export")
     if fmt not in ("csv", "svg", "both"):
         raise ValueError(f"unknown export format {fmt!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("csv", "both"):
-        path = out_dir / f"{basename}.csv"
-        path.write_text(records_csv(records))
-        written.append(path)
+        written.append(_write(out_dir, f"{basename}.csv", records_csv(records)))
     if fmt in ("svg", "both"):
-        path = out_dir / f"{basename}.svg"
-        path.write_text(mae_plot_svg(records, title=title))
-        written.append(path)
+        written.append(_write(out_dir, f"{basename}.svg", mae_plot_svg(records, title=title)))
     return written
+
+
+def _write(out_dir: str | Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``out_dir/name``, making the directory first; return the path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(text)
+    return path
 
 
 def errors_csv(errors: list[CellError]) -> str:

@@ -31,24 +31,25 @@ def _default_out_dir() -> str:
     return os.environ.get("VBSA_OUT_DIR", ".")
 
 
-def _parse_coeffs(text: str | None) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}: {exc}") from None
+def _list_of(convert):
+    """An argparse ``type=`` converter for a comma-separated list of ``convert``'s values, as a tuple."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(x) for x in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad list {text!r}: {exc}") from None
+    return parse
 
 
 def _function_from_args(args: argparse.Namespace) -> testfns.FunctionSpec:
-    return testfns.function_spec(args.function, args.k, _parse_coeffs(args.coeffs))
+    return testfns.function_spec(args.function, args.k, args.coeffs)
 
 
 def _add_function_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--function", required=True, choices=testfns.FAMILIES,
                         help="test-function family")
     parser.add_argument("--k", type=int, default=6, help="number of input factors (default 6)")
-    parser.add_argument("--coeffs", default=None,
+    parser.add_argument("--coeffs", type=_list_of(float), default=None,
                         help="comma-separated G-function coefficients (overrides family defaults)")
 
 
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_flags(p_bench)
     p_bench.add_argument("--estimators", default="saltenis",
                          help="comma list from: " + ",".join(bench.ESTIMATOR_NAMES))
-    p_bench.add_argument("--n", default="2",
+    p_bench.add_argument("--n", type=_list_of(int), default=(2,),
                          help="comma list of base-matrix counts for multimatrix/lamboni (default 2)")
     p_bench.add_argument("--p-min", type=int, default=2)
     p_bench.add_argument("--p-max", type=int, default=14)
@@ -164,24 +165,14 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
     raise AssertionError
 
 
-def _write(out_dir: str | Path, name: str, text: str) -> Path:
-    """Write ``text`` to ``out_dir/name``, making the directory first; return the path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
-    return path
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     fn = _function_from_args(args)
     names = [s.strip() for s in args.estimators.split(",") if s.strip()]
-    n_values = [int(x) for x in str(args.n).split(",") if str(x).strip()]
     configs: list[bench.EstimatorConfig] = []
     for name in names:
         # an unknown name gets one config, which EstimatorConfig rejects
         fixed_n = bench.ESTIMATOR_DESIGNS.get(name, (None, 2))[1]
-        n_list = [fixed_n] if fixed_n is not None else n_values
+        n_list = [fixed_n] if fixed_n is not None else args.n
         configs.extend(bench.EstimatorConfig(name=name, n=n) for n in n_list)
     cfg = bench.ExperimentConfig(
         function=fn, estimators=tuple(configs),
@@ -193,7 +184,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         written = bench.export(records, args.out_dir, fmt=args.format,
                                title=f"{fn.family}, k={fn.k}, {args.reps} repetitions")
     if errors:
-        written.append(_write(args.out_dir, "errors.csv", bench.errors_csv(errors)))
+        written.append(bench._write(args.out_dir, "errors.csv", bench.errors_csv(errors)))
     print(f"benchmarked {fn.family} (k={fn.k}) with {len(configs)} estimator(s), "
           f"p = {args.p_min}..{args.p_max}, {args.reps} repetitions")
     for r in records:
@@ -213,7 +204,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     spec = designs.DesignSpec(kind=args.design, n=n, N=args.N, k=args.k)
     result = estimators.estimate_total_effects(spec, fn=fn, seed=args.seed, repetition=args.rep)
     csv_text = estimators.estimate_csv(result)
-    path = _write(args.out_dir, "estimate.csv", csv_text)
+    path = bench._write(args.out_dir, "estimate.csv", csv_text)
     print(csv_text, end="")
     print(f"V_hat = {result.variance!r}")
     print(f"wrote {path}")
@@ -223,8 +214,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     rows = designs.budget_table(args.k, args.budget)
     csv_text = designs.budget_table_csv(rows)
-    table_path = _write(args.out_dir, "budget_table.csv", csv_text)
-    scatter_path = _write(args.out_dir, "design_scatter.svg", bench.design_scatter_svg(rows, args.k))
+    table_path = bench._write(args.out_dir, "budget_table.csv", csv_text)
+    scatter_path = bench._write(args.out_dir, "design_scatter.svg", bench.design_scatter_svg(rows, args.k))
     print(csv_text, end="")
     print(f"wrote {table_path}")
     print(f"wrote {scatter_path}")
@@ -258,7 +249,7 @@ def _cmd_analytic_index(args: argparse.Namespace) -> int:
     csv_text = testfns.indices_csv(fn)
     print(csv_text, end="")
     if args.out_dir is not None:
-        print(f"wrote {_write(args.out_dir, 'analytic_indices.csv', csv_text)}")
+        print(f"wrote {bench._write(args.out_dir, 'analytic_indices.csv', csv_text)}")
     return EXIT_OK
 
 
@@ -270,7 +261,7 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
     written = bench.export(records, args.out_dir, fmt=args.format, basename="adaptive_convergence",
                            title=f"adaptive vs plain, {fn.family}, k={fn.k}")
     ledger = adaptive.ledger_csv_header() + "\n" + "\n".join(ledger_lines) + "\n"
-    written.append(_write(args.out_dir, "adaptive_ledger.csv", ledger))
+    written.append(bench._write(args.out_dir, "adaptive_ledger.csv", ledger))
     for r in records:
         if r.rep is None:
             print(f"  {r.estimator} p={r.p} budget={r.n_t}: MAE = {r.mae:.6g}")

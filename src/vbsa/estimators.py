@@ -103,21 +103,16 @@ def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
             raise EstimationError(f"output array has shape {y.shape}, expected ({len(layout)}, N)")
         if len(y) < len(layout):
             raise EstimationError(f"evaluation set is missing vector {layout[len(y)][0]!r}")
+        # the sum carries any NaN or infinity: only a sum of finite values that overflows needs the full mask
+        if not np.isfinite(np.add.reduce(y, axis=None)) and not (finite := np.isfinite(y).all(axis=1)).all():
+            raise EstimationError(f"vector {layout[int(np.argmin(finite))][0]!r} holds NaN or infinite values")
     else:
-        try:
-            y = np.array([evals[label] for label, *_ in layout], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            y = None
-        if y is None or y.ndim != 2:
-            # name the first missing or misshapen vector, in layout order
-            n_rows = None
-            for label, *_ in layout:
-                if label not in evals:
-                    raise EstimationError(f"evaluation set is missing vector {label!r}")
-                n_rows = len(checked_vector(label, evals[label], n_rows))
-    # the sum carries any NaN or infinity: only a sum of finite values that overflows needs the full mask
-    if not np.isfinite(np.add.reduce(y, axis=None)) and not (finite := np.isfinite(y).all(axis=1)).all():
-        raise EstimationError(f"vector {layout[int(np.argmin(finite))][0]!r} holds NaN or infinite values")
+        rows = []   # checked in layout order, so the first missing or bad vector is the one named
+        for label, *_ in layout:
+            if label not in evals:
+                raise EstimationError(f"evaluation set is missing vector {label!r}")
+            rows.append(checked_vector(label, evals[label], len(rows[0]) if rows else None))
+        y = np.array(rows)
     if y.shape[1] < 2:
         raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {y.shape[1]})")
     return y

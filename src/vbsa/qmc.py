@@ -10,12 +10,13 @@ one vectorised XOR over each dimension's contiguous row of a ``(dims, rows)``
 so one exact in-place subtraction turns it into the points, and the
 transpose is the F-ordered ``(rows, dims)`` block.  The direction
 vectors of all 64 dimensions are built once, on first use, and every block
-reads its leading rows; no custom tables.  A column-scrambled block reads
-them in permuted order instead, which gives the permuted block without a copy.
-The all-zeros origin point is skipped, so block ``i`` of size ``2**p`` holds
-sequence positions ``1 .. 2**p``, every block is a prefix of the next larger
-one, and :func:`sobol_rows` draws any row range alone.  The L2-star discrepancy
-is Warnock's exact formula, its pair term summed over the strict upper triangle in fixed-size row blocks.
+reads its leading rows; no custom tables.  :func:`sobol_rows` draws any row
+range alone, and with a column permutation reads the direction vectors in
+permuted order, which gives the permuted rows without a copy.  The all-zeros
+origin point is skipped, so block ``i`` of size ``2**p`` holds sequence
+positions ``1 .. 2**p`` and every block is a prefix of the next larger one.
+The L2-star discrepancy is Warnock's exact formula, its pair term summed over
+the strict upper triangle in fixed-size row blocks.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class SampleMatrix:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -121,29 +118,30 @@ def _direction_vectors() -> np.ndarray:
     return v
 
 
-def sobol_block(dim_count: int, p: int, perm: ColumnPermutation | None = None) -> SampleMatrix:
+def sobol_block(dim_count: int, p: int) -> SampleMatrix:
     """First ``2**p`` Sobol' points (origin skipped) in ``dim_count`` dimensions.
 
     Deterministic, and nested: the block for ``p`` is the leading slice of the
     block for ``p + 1``.  The values are F-ordered: ``.values.T`` is C-contiguous.
-    With ``perm``, column ``i`` is generated from dimension ``perm[i]``'s direction
-    vectors: bit for bit ``permute_columns(sobol_block(dim_count, p), perm)``.
+    A column-scrambled block is ``sobol_rows(dim_count, 0, 2**p, perm)``.
     """
     if p < 0:
         raise ValueError("block exponent p must be >= 0")
     if p > _MAX_P:
         raise ValueError(f"block exponent p = {p} exceeds the supported maximum {_MAX_P}")
     block = object.__new__(SampleMatrix)   # the float offsets bound the values in [0, 1): no range check
-    object.__setattr__(block, "values", sobol_rows(dim_count, 0, 1 << p, perm))
+    object.__setattr__(block, "values", sobol_rows(dim_count, 0, 1 << p))
     return block
 
 
 def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None = None) -> np.ndarray:
-    """Rows ``r0 .. r1 - 1`` of the Sobol' blocks: bit for bit ``sobol_block(dim_count, p, perm).values[r0:r1]``.
+    """Rows ``r0 .. r1 - 1`` of the Sobol' blocks: bit for bit ``sobol_block(dim_count, p).values[r0:r1]``.
 
-    F-ordered.  Rows 0 up to a power of two are built in place by doubling; otherwise position ``c 2**a + t``
-    is position t XOR the direction vectors on the bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR
-    of a prefix of 2**a positions (at most one tile) per aligned chunk of the range.
+    F-ordered.  With ``perm``, column ``i`` is generated from dimension ``perm[i]``'s direction vectors: bit for
+    bit ``permute_columns(sobol_block(dim_count, p).values, perm)[r0:r1]``.  Rows 0 up to a power of two are
+    built in place by doubling; otherwise position ``c 2**a + t`` is position t XOR the direction vectors on the
+    bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR of a prefix of 2**a positions (at most one tile)
+    per aligned chunk of the range.
     """
     if dim_count < 1:
         raise ValueError("dim_count must be positive")
@@ -191,10 +189,10 @@ def _check_length(perm: ColumnPermutation, n_cols: int) -> None:
         raise ValueError(f"permutation length {len(perm)} does not match pool column count {n_cols}")
 
 
-def permute_columns(pool: SampleMatrix, perm: ColumnPermutation) -> SampleMatrix:
-    """Reorder pool columns: output column ``i`` is input column ``perm[i]``; F-ordered, like the pool."""
-    _check_length(perm, pool.n_cols)
-    return SampleMatrix(values=pool.values.T[perm.perm].T)
+def permute_columns(pool: np.ndarray, perm: ColumnPermutation) -> np.ndarray:
+    """Reorder the columns of an F-ordered pool: output column ``i`` is input column ``perm[i]``; F-ordered too."""
+    _check_length(perm, pool.shape[1])
+    return pool.T[perm.perm].T
 
 
 def l2_star_discrepancy(points: SampleMatrix | np.ndarray) -> float:

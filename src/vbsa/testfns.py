@@ -1,11 +1,12 @@
 """Analytic benchmark functions on the unit hypercube and their exact indices.
 
-Seven families from the Kucherenko taxonomy: A-type (few important factors,
-weak interactions), B-type (all factors important, weak interactions) and
-C-type (all factors important, strong interactions).  All except ``A1`` are
-products of independent one-dimensional terms, so their variance and
-sensitivity indices have simple closed forms; ``A1`` is an alternating sum
-of prefix products and is integrated exactly with rational arithmetic.
+Eight families from the Kucherenko taxonomy, plus the general G-function
+``G``: A-type (few important factors, weak interactions), B-type (all factors
+important, weak interactions) and C-type (all factors important, strong
+interactions).  All except ``A1`` are products of independent one-dimensional
+terms, so their variance and sensitivity indices have simple closed forms;
+``A1`` is an alternating sum of prefix products and is integrated exactly
+with rational arithmetic.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class FunctionSpec:
             a = tuple(float(x) for x in self.a)
             if len(a) != self.k:
                 raise ValueError(f"coefficient vector has length {len(a)}, expected k = {self.k}")
-            if any(x < 0 for x in a):
-                raise ValueError("G-function coefficients must be non-negative")
+            if not all(0 <= x < np.inf for x in a):   # NaN fails both comparisons
+                raise ValueError("G-function coefficients must be finite and non-negative")
             object.__setattr__(self, "a", a)
 
     @property

@@ -185,10 +185,10 @@ class TestGroupedCells:
         specs = {(e, p): e.design(matched_block_size(e, k, (k + 1) * 2**p), k)
                  for e in cfg.estimators for p in cfg.p_values}
         p_pool = max(cfg.p_max, max(spec.N for spec in specs.values()).bit_length() - 1)
-        pool = qmc.sobol_block(max(max(e.n for e in cfg.estimators), 2) * k, p_pool)
+        pool = qmc.sobol_block(max(max(e.n for e in cfg.estimators), 2) * k, p_pool).values
         t_hats, errors = {}, []
         for rep in range(cfg.repetitions):
-            pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.n_cols, cfg.seed, rep)).values
+            pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.shape[1], cfg.seed, rep))
             for p in cfg.p_values:
                 for e in cfg.estimators:
                     spec = specs[e, p]

@@ -81,6 +81,39 @@ class TestAnalyticIndex:
         assert code == 1
         assert "requires" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analytic-index", "estimate"])
+    def test_non_finite_coefficients_fail_before_any_model_run(self, tmp_path, capsys, command):
+        extra = ["--design", "asymmetric", "--N", "64", "--out-dir", str(tmp_path)] if command == "estimate" else []
+        code = cli.run([command, "--function", "G", "--k", "2", "--coeffs", "inf,1" if extra else "nan,1", *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"vbsa {command}: G-function coefficients must be finite and non-negative"]
+        assert not any(tmp_path.iterdir())
+
+
+class TestBadLists:
+    """A malformed comma list is a usage error that names its flag, from the command line or a config file."""
+
+    @pytest.mark.parametrize("args,flag", [
+        (["analytic-index", "--function", "G", "--k", "2", "--coeffs", "a,b"], "--coeffs"),
+        (["bench", "--function", "A2", "--estimators", "lamboni", "--n", "3,x"], "--n"),
+    ], ids=["coeffs", "bench-n"])
+    def test_usage_error_without_traceback(self, args, flag):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "vbsa.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert f"argument {flag}: bad list" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_value_goes_through_the_same_converter(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("coeffs = 1,two\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["--config", str(cfg), "analytic-index", "--function", "G", "--k", "2"])
+        assert exc.value.code == 2
+        assert "argument --coeffs: bad list '1,two'" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_writes_csv(self, tmp_path, capsys):

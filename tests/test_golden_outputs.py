@@ -1,4 +1,5 @@
-"""Seeded ``vbsa bench`` and ``vbsa adaptive`` runs, and large estimates, give the same bytes from change to change.
+"""Seeded ``vbsa bench`` and ``vbsa adaptive`` runs, ``vbsa metrics``, and large estimates, give the same bytes
+from change to change.
 
 The hashes were taken before sweep cells were evaluated in tile-sized groups,
 so they pin every output file of these runs to the per-cell evaluation.  The
@@ -34,6 +35,13 @@ ADAPTIVE_SHA256 = {
 }
 
 
+METRICS = ["metrics", "--k", "6", "--budget", "500"]
+METRICS_SHA256 = {
+    "budget_table.csv": "23055472c04cd35bc51b809e8adfaf5bee3838d12058af13332a659f7d177f7e",
+    "design_scatter.svg": "7281739751b0eba39d21a1cbafcbd4fa2089884899a14ed89974e2d6d54634de",
+}
+
+
 def _sha256s(directory):
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(directory.iterdir())}
 
@@ -48,6 +56,11 @@ def test_bench_files_match_golden_hashes(tmp_path, capsys, workers):
 def test_adaptive_files_match_golden_hashes(tmp_path, capsys):
     assert cli.run(ADAPTIVE + ["--out-dir", str(tmp_path)]) == cli.EXIT_OK
     assert _sha256s(tmp_path) == ADAPTIVE_SHA256
+
+
+def test_metrics_files_match_golden_hashes(tmp_path, capsys):
+    assert cli.run(METRICS + ["--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert _sha256s(tmp_path) == METRICS_SHA256
 
 
 # (kind, n, seed): sha256 of the (segments, N) outputs, and of the T_hat, numerator and variance bytes, of

@@ -54,13 +54,13 @@ class TestSobolBlock:
     @given(st.integers(1, 64), st.integers(0, 12), st.integers(0, 2**32 - 1), st.integers(0, 1000))
     def test_permuted_block_is_the_permuted_copy(self, dim, p, seed, repetition):
         perm = draw_permutation(dim, seed, repetition)
-        scrambled = sobol_block(dim, p, perm).values
-        assert np.array_equal(scrambled, permute_columns(sobol_block(dim, p), perm).values)
+        scrambled = sobol_rows(dim, 0, 2**p, perm)
+        assert np.array_equal(scrambled, permute_columns(sobol_block(dim, p).values, perm))
         assert scrambled.T.flags.c_contiguous
 
     def test_permutation_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="permutation length 5 does not match pool column count 6"):
-            sobol_block(6, 3, ColumnPermutation(np.arange(5)))
+            sobol_rows(6, 0, 8, ColumnPermutation(np.arange(5)))
 
     def test_deterministic(self):
         a = sobol_block(12, 7).values
@@ -79,7 +79,7 @@ class TestSobolBlock:
         # each dimension's column is one contiguous row of values.T, and so of every pool cut
         block = sobol_block(dim, p).values
         assert block.T.flags.c_contiguous
-        assert permute_columns(sobol_block(dim, p), draw_permutation(dim, 9, 2)).values.T.flags.c_contiguous
+        assert permute_columns(block, draw_permutation(dim, 9, 2)).T.flags.c_contiguous
 
     def test_values_in_unit_interval_and_no_zero_row(self):
         block = sobol_block(36, 6).values
@@ -120,7 +120,8 @@ class TestSobolRows:
         perm = draw_permutation(dim, 5, p) if scrambled else None
         rows = sobol_rows(dim, r0, r1, perm)
         assert rows.T.flags.c_contiguous
-        assert np.array_equal(rows, sobol_block(dim, p, perm).values[r0:r1])
+        block = sobol_block(dim, p).values
+        assert np.array_equal(rows, (block if perm is None else permute_columns(block, perm))[r0:r1])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(0, 17), st.booleans())
@@ -157,17 +158,16 @@ class TestDirectionTable:
 
 class TestPermuteColumns:
     def test_identity(self):
-        pool = sobol_block(4, 3)
+        pool = sobol_block(4, 3).values
         out = permute_columns(pool, ColumnPermutation(np.arange(4)))
-        assert np.array_equal(out.values, pool.values)
+        assert np.array_equal(out, pool)
 
     def test_reversal_two_columns(self):
-        pool = SampleMatrix(values=np.array([[0.1, 0.2]]))
-        out = permute_columns(pool, ColumnPermutation(np.array([1, 0])))
-        assert out.values.tolist() == [[0.2, 0.1]]
+        out = permute_columns(np.array([[0.1, 0.2]]), ColumnPermutation(np.array([1, 0])))
+        assert out.tolist() == [[0.2, 0.1]]
 
     def test_length_mismatch_rejected(self):
-        pool = sobol_block(36, 2)
+        pool = sobol_block(36, 2).values
         with pytest.raises(ValueError, match="does not match"):
             permute_columns(pool, ColumnPermutation(np.arange(5)))
 

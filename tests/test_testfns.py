@@ -22,6 +22,7 @@ from vbsa.testfns import (
 ALL_FAMILY_SPECS = [
     ("A1", None),
     ("A2", None),
+    ("A3", None),
     ("B1", None),
     ("B2", None),
     ("B3", None),
@@ -73,6 +74,11 @@ class TestFunctionSpec:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             FunctionSpec(family="G", k=2, a=(1.0, -0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="^G-function coefficients must be finite and non-negative$"):
+            FunctionSpec(family="G", k=2, a=(bad, 1.0))
 
     def test_coefficient_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
