@@ -8,13 +8,13 @@ still leave the next-ranked factor noisier (the sqrt(2) rule).  Runs saved
 on dropped factors let the surviving factors climb beyond ``2**p`` rows while
 staying inside the budget; the cost ledger records what was actually spent.
 
-The rows are segments of the asymmetric plan :func:`vbsa.estimators.sample_plan`
-draws at ``N = 2**(p + 1)``, the most rows a factor can reach.  The warm-up
-and every doubling run one block: the next rows of A, then the same rows of
-each active factor's hybrid A_B(j) in ascending j, then a ledger entry;
-outputs and elementary effects fill arrays preallocated for those rows.
-The whole plan is held, (k + 1) / 2 times the 2k-column pool it is drawn
-from; a plain estimate holds its outputs and a working set not growing with N.
+The rows are those of the asymmetric plan :func:`vbsa.estimators.sample_plan`
+draws at ``N = 2**(p + 1)``, the most rows a factor can reach; only its
+2k-column pool is held.  The warm-up and every doubling run one block: the
+next rows of A and of each active factor's hybrid A_B(j), in ascending j, go
+through the cache-sized tiles of :func:`vbsa.designs._plan_outputs`, then a
+ledger entry follows; dropped factors' rows are never written.  Outputs and
+elementary effects fill arrays preallocated for those rows.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import testfns
+from . import designs, testfns
 from .designs import DesignSpec
-from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, checked_vector, sample_plan
+from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, _draw_rows, checked_vector
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,10 @@ def std_elementary_effects(diffs: np.ndarray) -> np.ndarray:
     diffs = np.asarray(diffs, dtype=float)
     if diffs.ndim != 2 or diffs.shape[1] < 2:
         raise EstimationError("elementary-effect vectors need length >= 2")
-    return np.std(diffs, axis=1)
+    # np.std's own ufunc steps, without its Python wrapper: the same bits
+    mean = np.add.reduce(diffs, axis=1, keepdims=True)
+    x = np.subtract(diffs, np.true_divide(mean, diffs.shape[1], out=mean))
+    return np.sqrt(np.add.reduce(np.square(x, out=x), axis=1) / diffs.shape[1])
 
 
 def adaptive_run(
@@ -81,7 +84,8 @@ def adaptive_run(
     every factor, reproducing the plain asymmetric estimator on the same
     scrambled sequence.  ``model`` substitutes an arbitrary evaluator of the
     same dimension (points array in, output vector out) for the analytic
-    family, e.g. a wrapped external code; it gets read-only views of the plan.
+    family, e.g. a wrapped external code; it gets read-only, Fortran-ordered
+    tiles of at most 2**17 values that mix rows of A and of active hybrids.
     """
     k = fn.k
     if k < 2:
@@ -93,8 +97,7 @@ def adaptive_run(
     budget = (k + 1) * 2**p
     # The last block can reach 2**(p+1) rows when enough factors were dropped.
     n_max = 2 ** (p + 1)
-    plan = sample_plan(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)
-    segments = plan.points.reshape(k + 1, n_max, k)   # A, then A_B(j) for j = 1..k
+    pool = _draw_rows(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)(0, n_max)   # A and B
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         y = model(points) if model is not None else testfns.evaluate(fn, points)
@@ -121,17 +124,18 @@ def adaptive_run(
         if spent + cost > budget:
             break
         lo, n_rows = n_rows, n_rows + new_rows
-        f_a[lo:n_rows] = evaluator(segments[0, lo:n_rows])
-        for j in active:
-            diffs[j - 1, lo:n_rows] = f_a[lo:n_rows] - evaluator(segments[j, lo:n_rows])
-            reached[j - 1] = n_rows
-        spent += cost
+        y = designs._plan_outputs(DesignSpec("asymmetric", 2, new_rows, k),
+                                  lambda r0, r1: [m[lo + r0 : lo + r1] for m in pool], evaluator, (0, *active))
         grown = [j - 1 for j in active]
+        f_a[lo:n_rows] = y[0]
+        diffs[grown, lo:n_rows] = y[0] - y[1:]
+        reached[grown] = n_rows
+        spent += cost
         stds[grown] = std_elementary_effects(diffs[grown, :n_rows])
         blocks.append(BlockRecord(stage, n_rows, active, cost, spent, tuple(stds.tolist())))
 
     variance = _checked_variance(f_a[:n_rows], "evaluated base rows")
-    numerator = np.array([float(np.mean(np.square(d[:r]))) / 2.0 for d, r in zip(diffs, reached)])
+    numerator = np.array([np.add.reduce(np.square(d[:r])) / r for d, r in zip(diffs, reached)]) / 2.0  # np.mean's steps
     estimate = TotalIndexEstimate(
         total=numerator / variance,
         numerator=numerator,

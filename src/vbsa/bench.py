@@ -64,6 +64,16 @@ class EstimatorConfig:
         return DesignSpec(kind=ESTIMATOR_DESIGNS[self.name][0], n=self.n, N=N, k=k)
 
 
+def _check_sweep(repetitions: int, p_values: range) -> None:
+    """The sweep checks of :class:`ExperimentConfig` and :func:`adaptive_experiment`, in one order."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if min(p_values, default=p_values.start) < 0:
+        raise ValueError("p_min must be >= 0")
+    if not p_values:
+        raise ValueError("p range is empty")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A full convergence experiment for one test function."""
@@ -76,12 +86,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.p_min < 0:
-            raise ValueError("p_min must be >= 0")
-        if self.p_max < self.p_min:
-            raise ValueError("p range is empty")
+        _check_sweep(self.repetitions, self.p_values)
         if not self.estimators:
             raise ValueError("need at least one estimator")
         repeated = [e for i, e in enumerate(self.estimators) if e in self.estimators[:i]]
@@ -130,8 +135,7 @@ def mae(estimates: np.ndarray, analytic: np.ndarray) -> float:
 
 def matched_block_size(config: EstimatorConfig, k: int, reference_cost: int) -> int:
     """Power-of-two N whose design cost is closest to the reference; ties to smaller N."""
-    per_row = designs.design_metrics(config.design(1, k)).total_points
-    return designs.best_power_of_two(per_row, reference_cost)
+    return designs._matched_N(config.design(1, k), reference_cost)
 
 
 _Cell = tuple[int, DesignSpec, int]   # one sweep cell: p, the design at the matched N, its N_T
@@ -274,18 +278,13 @@ def adaptive_experiment(
 
     Per p and repetition, the plain series is :func:`estimate_total_effects`
     at N = 2**p and the adaptive one :func:`vbsa.adaptive.adaptive_run`; both
-    draw the bases of :func:`estimators.sample_plan` with the same seed and
-    repetition (the plain series evaluates them in cache-sized plan tiles), so
-    the plain design is the first 2**p rows of the adaptive one.  Both are
+    draw the pool of :func:`estimators.sample_plan` with the same seed and
+    repetition and evaluate it in cache-sized plan tiles, the adaptive one block
+    by block, so the plain design is the first 2**p rows of the adaptive one.  Both are
     reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if not p_values:
-        raise ValueError("p range is empty")
-    if min(p_values) < 0:
-        raise ValueError("p_min must be >= 0")
+    _check_sweep(repetitions, p_values)
     analytic_total = testfns.analytic_indices(fn).total
     records: list[ConvergenceRecord] = []
     ledger_lines: list[str] = []

@@ -210,13 +210,14 @@ def pool_matrices(pool: np.ndarray, n: int, k: int) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
+def _chunk_runs(kind: str, n: int, k: int, per_chunk: int, segments: tuple | None = None) -> tuple[tuple, ...]:
     """The writes of each chunk of ``per_chunk`` :func:`plan_layout` segments into one reused buffer.
 
+    The segments are the layout's, or those of its indices ``segments`` (None: all) in that order.
     One ``(first, size, base_runs, donor_runs)`` per chunk, with segments
     counted from the chunk's first.  A base run ``(a, b, m)`` is segments
     a..b-1, which all start as base matrix m; a donor run ``(a, b, m, donor,
-    col)`` is consecutive hybrids of one couple, segment a + i taking column
+    col)`` is hybrids of one couple in consecutive j, segment a + i taking column
     col + i of ``donor`` (of m rotated up one row for :data:`SHIFT`).  A
     buffer slot that holds the same base as in the previous chunk gets no
     base run: a leading donor run with ``donor == m`` restores the column the
@@ -232,26 +233,26 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int) -> tuple[tuple, ...]:
             a = b
         return out
 
-    layout = plan_layout(kind, n, k)
+    layout = plan_layout(kind, n, k) if segments is None else [plan_layout(kind, n, k)[s] for s in segments]
     chunks, last = [], []   # (base, donor column or None) of each slot, as the previous chunk left it
     for lo in range(0, len(layout), per_chunk):
-        segments = layout[lo : lo + per_chunk]
-        now = [(m, None if donor is None else j - 1) for _, m, donor, j in segments]
+        part = layout[lo : lo + per_chunk]
+        now = [(m, None if donor is None else j - 1) for _, m, donor, j in part]
         kept = [s < len(last) and last[s][0] == m for s, (m, _) in enumerate(now)]
         base_runs = tuple(runs([None if keep else m for keep, (m, _) in zip(kept, now)]))
         # a kept slot's restored column steps one per slot along a run, like a couple's donor columns
         restores = runs([(m, last[s][1] - s) if kept[s] and last[s][1] is not None else None
                          for s, (m, _) in enumerate(now)])
-        # a couple's hybrids are consecutive, in ascending j
-        hybrids = runs([None if donor is None else (m, donor) for _, m, donor, _ in segments])
+        # a couple's hybrids are in ascending j, so a run is the slots where j steps one per slot
+        hybrids = runs([None if donor is None else (m, donor, j - s) for s, (_, m, donor, j) in enumerate(part)])
         donor_runs = tuple([(a, b, m, m, a + shift) for a, b, (m, shift) in restores]
-                           + [(a, b, m, donor, segments[a][3] - 1) for a, b, (m, donor) in hybrids])
-        chunks.append((lo, len(segments), base_runs, donor_runs))
+                           + [(a, b, m, donor, part[a][3] - 1) for a, b, (m, donor, _) in hybrids])
+        chunks.append((lo, len(part), base_runs, donor_runs))
         last = now
     return tuple(chunks)
 
 
-def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None = None, storage=None):
+def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None = None, storage=None, segments=None):
     """Write runs of ``per_chunk`` segments, ``rows`` rows at a time, into one reused buffer; yield (first, r0, chunk).
 
     ``chunk[:, s]`` is rows r0 .. r0 + ``chunk.shape[2]`` - 1 of segment first + s, each factor's column one
@@ -263,10 +264,11 @@ def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None 
     run of segments sharing a base is one broadcast from the base, and each couple's run of hybrids writes its donor
     columns through one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment;
     a slot that keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
+    ``segments`` (None: all) are the :func:`plan_layout` indices written, ``first`` counting among them.
     """
     N = spec.N
     rows = N if rows is None else rows
-    per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k)))
+    per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k) if segments is None else segments))
     storage = np.empty(spec.k * per_chunk * rows) if storage is None else storage
     for r0 in range(0, N, rows):
         h = min(rows, N - r0)
@@ -275,7 +277,7 @@ def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None 
         mats = rows_of(r0, min(r0 + h + 1, N))
         buffer = storage[: spec.k * per_chunk * h].reshape(spec.k, per_chunk, h)
         col_stride, seg_stride, row_stride = buffer.strides
-        for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk):
+        for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk, segments):
             chunk = buffer[:, :size]
             for a, b, m in base_runs:
                 chunk[:, a:b] = mats[m].T[:, None, :h]
@@ -329,7 +331,7 @@ def _write_plan(spec: DesignSpec, rows_of) -> EvaluationPlan:
 _tiles = threading.local()   # .storage: this thread's tile buffer for _plan_outputs, grown only, at most _TILE_VALUES
 
 
-def _plan_outputs(spec: DesignSpec, rows_of, model) -> np.ndarray:
+def _plan_outputs(spec: DesignSpec, rows_of, model, segments: tuple[int, ...] | None = None) -> np.ndarray:
     """``model``'s (segments, N) outputs over the plan, in tiles of at most ``_TILE_VALUES`` values (rows x k).
 
     A tile is as many whole segments as fit; when one segment does not fit, its rows are cut into the fewest
@@ -339,17 +341,18 @@ def _plan_outputs(spec: DesignSpec, rows_of, model) -> np.ndarray:
     model returns; a model that evaluates a plan itself gets a buffer of its own for that.  Besides the outputs,
     the call holds the buffer and one range's rows from the row source ``rows_of`` (:func:`_segment_chunks`).
     Unchecked precondition: the rows are generated Sobol' points, from ``estimators._draw_rows``, or slices of the
-    stacked row prefixes of one repetition's pool for a group of sweep cells, from ``bench._group_outputs``.
+    stacked row prefixes of one repetition's pool for a group of sweep cells, from ``bench._group_outputs``, or of
+    an adaptive block, from ``adaptive.adaptive_run``.  Given ``segments``, :func:`plan_layout` indices, y holds theirs.
     """
     N, k = spec.N, spec.k
-    y = np.empty((len(plan_layout(spec.kind, spec.n, k)), N))
+    y = np.empty((len(plan_layout(spec.kind, spec.n, k) if segments is None else segments), N))
     ranges = -(-N // max(1, _TILE_VALUES // k))
     rows = -(-N // ranges)
     per_chunk = min(len(y), max(1, _TILE_VALUES // (rows * k)))
     storage, _tiles.storage = getattr(_tiles, "storage", None), None   # taken until this call returns
     if storage is None or storage.size < k * per_chunk * rows:
         storage = np.empty(k * per_chunk * rows)
-    for lo, r0, chunk in _segment_chunks(spec, rows_of, per_chunk, rows, storage):
+    for lo, r0, chunk in _segment_chunks(spec, rows_of, per_chunk, rows, storage, segments):
         points = chunk.reshape(k, -1).T
         points.flags.writeable = False
         size, h = chunk.shape[1:]
@@ -411,6 +414,11 @@ def best_power_of_two(cost_per_row: int, target: int) -> int:
     return min((1 << p for p in range(_MAX_P + 1)), key=lambda n: abs(cost_per_row * n - target))
 
 
+def _matched_N(spec: DesignSpec, target: int) -> int:
+    """Power of two N at which ``spec``'s design costs nearest ``target`` runs; ties go to the smaller N."""
+    return best_power_of_two(design_metrics(replace(spec, N=1)).total_points, target)
+
+
 def budget_table(k: int, target_nt: int) -> list[DesignMetrics]:
     """Design alternatives meeting an affordable total run count.
 
@@ -426,8 +434,7 @@ def budget_table(k: int, target_nt: int) -> list[DesignMetrics]:
         raise ValueError(f"target_nt = {target_nt} is below the minimal design cost {k + 1}")
 
     def nearest(kind: str, n: int) -> DesignMetrics:
-        per_row = design_metrics(DesignSpec(kind=kind, n=n, N=1, k=k)).total_points
-        return design_metrics(DesignSpec(kind=kind, n=n, N=best_power_of_two(per_row, target_nt), k=k))
+        return design_metrics(DesignSpec(kind=kind, n=n, N=_matched_N(DesignSpec(kind, n, 1, k), target_nt), k=k))
 
     sym_rows: dict[int, DesignMetrics] = {}
     for n in range(2, 11):

@@ -1,12 +1,49 @@
 """Adaptive budget-allocation tests: ledger accounting, dropping rule, determinism."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vbsa.adaptive import adaptive_run, ledger_csv_header, ledger_csv_rows, std_elementary_effects
+from vbsa.adaptive import BlockRecord, adaptive_run, ledger_csv_header, ledger_csv_rows, std_elementary_effects
 from vbsa.designs import DesignSpec
-from vbsa.estimators import EstimationError, estimate_total_effects
+from vbsa.estimators import EstimationError, estimate_total_effects, sample_plan
 from vbsa.testfns import evaluate, function_spec
+
+
+def _whole_plan_reference(fn, p, seed, repetition, rule_enabled, model=None):
+    """The allocation evaluated segment by segment on the whole asymmetric plan at 2**(p+1) rows.
+
+    Returns (total, numerator, variance, effects_used, blocks), computed with np.std and np.mean.
+    """
+    k, n_max = fn.k, 2 ** (p + 1)
+    segments = sample_plan(DesignSpec("asymmetric", 2, n_max, k), seed, repetition).points.reshape(k + 1, n_max, k)
+    evaluator = model or (lambda points: evaluate(fn, points))
+    budget = (k + 1) * 2**p
+    f_a, diffs = np.empty(n_max), np.empty((k, n_max))
+    reached, stds = np.zeros(k, dtype=np.int64), np.empty(k)
+    active, n_rows, spent, blocks = tuple(range(1, k + 1)), 0, 0, []
+    for stage in range(k):
+        if rule_enabled and 1 <= stage <= k - 2:
+            order = sorted(range(1, k + 1), key=lambda j: (-stds[j - 1], j))
+            if stds[order[k - stage - 2] - 1] / math.sqrt(2.0) > stds[order[k - stage - 1] - 1]:
+                active = tuple(j for j in active if j not in order[k - stage - 1 :])
+        new_rows = n_rows if stage else 2 ** (p + 2 - k)
+        cost = (1 + len(active)) * new_rows
+        if spent + cost > budget:
+            break
+        lo, n_rows = n_rows, n_rows + new_rows
+        f_a[lo:n_rows] = evaluator(segments[0, lo:n_rows])
+        for j in active:
+            diffs[j - 1, lo:n_rows] = f_a[lo:n_rows] - evaluator(segments[j, lo:n_rows])
+            reached[j - 1] = n_rows
+            stds[j - 1] = np.std(diffs[j - 1, :n_rows])
+        spent += cost
+        blocks.append(BlockRecord(stage, n_rows, active, cost, spent, tuple(stds.tolist())))
+    variance = float(np.var(f_a[:n_rows]))
+    numerator = np.array([float(np.mean(np.square(d[:r]))) / 2.0 for d, r in zip(diffs, reached)])
+    return numerator / variance, numerator, variance, reached, tuple(blocks)
 
 
 class TestStdElementaryEffects:
@@ -116,6 +153,51 @@ class TestAdaptiveRun:
     def test_model_output_checked(self, model, match):
         with pytest.raises(EstimationError, match=match):
             adaptive_run(function_spec("A2", 6), 9, seed=1, model=model)
+
+    @pytest.mark.parametrize("family", ["A1", "A3", "B1", "C2"])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    @pytest.mark.parametrize("seed", [1, 20231])
+    def test_equals_the_whole_plan_reference_bit_for_bit(self, family, k, seed):
+        fn = function_spec(family, k)
+        for p in (k - 1, k + 2, 10):
+            for rule in (True, False):
+                est, ledger = adaptive_run(fn, p, seed=seed, repetition=2, rule_enabled=rule)
+                total, numerator, variance, reached, blocks = _whole_plan_reference(fn, p, seed, 2, rule)
+                assert est.total.tobytes() == total.tobytes(), (p, rule)
+                assert est.numerator.tobytes() == numerator.tobytes() and est.variance == variance
+                assert np.array_equal(est.effects_used, reached) and ledger.blocks == blocks
+
+    def test_hook_equals_the_whole_plan_reference_and_sees_tiles(self):
+        # the dominant-factor hook drops factors, so the blocks skip segments, leaving gaps in j
+        fn, calls = function_spec("A2", 6), []
+
+        def hook(points):
+            calls.append(points.size)
+            return points[:, 0] ** 2 + 0.25 * points[:, 2]
+
+        est, ledger = adaptive_run(fn, 12, seed=7, repetition=1, model=hook)
+        assert max(calls) <= 2**17 and sum(calls) == ledger.runs_spent * 6
+        total, *_, blocks = _whole_plan_reference(fn, 12, 7, 1, True, hook)
+        assert est.total.tobytes() == total.tobytes() and ledger.blocks == blocks
+        assert any(len(b.active_factors) < 6 for b in blocks)
+
+    def test_hook_calls_hold_at_most_one_tile(self):
+        fn, sizes = function_spec("B1", 12), []
+        _, ledger = adaptive_run(fn, 14, seed=1, model=lambda points: sizes.append(points.size) or evaluate(fn, points))
+        assert max(sizes) <= 2**17 and sum(sizes) == ledger.runs_spent * 12
+        # far fewer calls than one per segment per block
+        assert len(sizes) < sum(1 + len(b.active_factors) for b in ledger.blocks)
+
+    def test_peak_memory_below_half_the_whole_plan(self):
+        k, p = 12, 14
+        fn = function_spec("B1", k)
+        tracemalloc.start()
+        try:
+            adaptive_run(fn, p, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (k + 1) * 2 ** (p + 1) * k * 8 / 2
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="k >= 2"):

@@ -279,6 +279,23 @@ class TestAdaptiveCommand:
         assert capsys.readouterr().err.splitlines() == [f"vbsa adaptive: {message}"]
         assert not (tmp_path / "adaptive_ledger.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--p-min", "-1", "--p-max", "-2", "--reps", "2"], "p_min must be >= 0"),
+         (["--p-min", "-1", "--p-max", "-2", "--reps", "0"], "repetitions must be >= 1"),
+         (["--p-min", "6", "--p-max", "5", "--reps", "2"], "p range is empty")],
+        ids=["negative-and-empty", "every-check-fails", "empty"],
+    )
+    def test_bench_and_adaptive_print_the_same_line(self, tmp_path, capsys, flags, message):
+        # one check, in one order, behind both commands' sweeps
+        lines = []
+        for command in (["bench", "--estimators", "saltenis"], ["adaptive"]):
+            code = cli.run([command[0], "--function", "A2", "--k", "6", *command[1:], *flags,
+                            "--out-dir", str(tmp_path)])
+            assert code == 1
+            lines.append(capsys.readouterr().err.splitlines())
+        assert lines == [[f"vbsa bench: {message}"], [f"vbsa adaptive: {message}"]]
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):

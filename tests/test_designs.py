@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vbsa import designs
 from vbsa.designs import (
@@ -326,6 +328,51 @@ class TestPlanOutputs:
                 expected = evaluate(fn, np.ascontiguousarray(sample_plan(spec, seed=1).points)).reshape(-1, N)
                 got = _plan_outputs(spec, _draw_rows(spec, 1, 0), lambda points: evaluate(fn, points))
                 assert np.max(np.abs(got - expected)) <= 4 * np.spacing(1.0), (kind, N)
+
+
+class TestSegmentSubsets:
+    """``_plan_outputs`` over a tuple of layout indices evaluates those segments of the plan and no others."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind_n=st.sampled_from(KIND_NS), k=st.sampled_from([1, 2, 3, 6, 12]), p=st.sampled_from([1, 3, 6, 10, 14]),
+           picks=st.lists(st.integers(0, 1000), min_size=1, max_size=40))
+    # k = 12, N = 2**14: two row ranges per segment, with gaps in j; multimatrix n = 3 at N = 2**10: two chunks
+    @example(kind_n=("asymmetric", 2), k=12, p=14, picks=[0, 1, 2, 4, 5, 6, 9, 12])
+    @example(kind_n=("cyclic_single", 1), k=12, p=14, picks=[1, 3, 4, 12])
+    @example(kind_n=("multimatrix", 3), k=6, p=10, picks=list(range(0, 39, 2)) + [5, 7])
+    def test_subset_rows_equal_the_full_plan_rows(self, kind_n, k, p, picks):
+        kind, n = kind_n
+        count = len(plan_layout(kind, n, k))
+        if count * 2**p * k > 2**22:   # keep the reference plan small; the examples above reach every tile shape
+            p = min(p, 10)
+        spec = DesignSpec(kind, n, 2**p, k)
+        segments = tuple(sorted({pick % count for pick in picks}))
+        received = []
+
+        def arrival(points):
+            assert points.size <= designs._TILE_VALUES and not points.flags.writeable
+            received.append(points.copy())
+            first = sum(map(len, received)) - len(points)
+            return np.arange(first, first + len(points), dtype=float)
+
+        got = _plan_outputs(spec, _draw_rows(spec, 5, 2), arrival, segments)
+        assert got.shape == (len(segments), spec.N)
+        # every row of the chosen segments reaches the model exactly once, and no other row does
+        order = got.ravel().astype(np.int64)
+        assert np.array_equal(np.sort(order), np.arange(len(segments) * spec.N))
+        plan = sample_plan(spec, 5, 2).points.reshape(count, spec.N, k)
+        assert np.array_equal(np.concatenate(received)[order].reshape(len(segments), spec.N, k), plan[list(segments)])
+        # and its outputs are those rows of the whole plan's outputs, bit for bit
+        fn = function_spec("B1", k)
+        full = _plan_outputs(spec, _draw_rows(spec, 5, 2), lambda points: evaluate(fn, points))
+        subset = _plan_outputs(spec, _draw_rows(spec, 5, 2), lambda points: evaluate(fn, points), segments)
+        assert subset.tobytes() == full[list(segments)].tobytes()
+
+    def test_a_gap_in_j_breaks_a_donor_run(self):
+        # A, A_B(1), A_B(3), A_B(4) in one chunk: the donor columns are 0, then 2 and 3
+        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 4, 4, (0, 1, 3, 4))] == [
+            (((0, 4, 0),), ((1, 2, 0, 1, 0), (2, 4, 0, 1, 2))),
+        ]
 
 
 class TestTileBuffer:

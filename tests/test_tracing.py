@@ -41,13 +41,27 @@ estimators.estimate_total_effects(spec, fn=fn, seed=2)
 runs += designs.design_metrics(spec).total_points
 _, ledger = adaptive.adaptive_run(fn, 4, seed=3)
 runs += ledger.runs_spent
-before = dict(tracer.counts)
+before, first_span = dict(tracer.counts), len(tracer.spans)
 records, ledger_lines = bench.adaptive_experiment(fn, range(3, 5), 2, seed=4)
 runs += sum(r.n_t for r in records if r.estimator == "saltenis" and r.rep is not None)
 runs_block = adaptive.ledger_csv_header().split(",").index("runs_block")
 runs += sum(int(line.split(",")[runs_block]) for line in ledger_lines)
 rerouted = {name: tracer.counts.get(name + ".calls", 0) - before.get(name + ".calls", 0)
-            for name in ("adaptive.adaptive_run", "estimators.sample_plan", "estimators.estimate_total_effects")}
+            for name in ("adaptive.adaptive_run", "estimators.estimate_total_effects")}
+
+
+def under_adaptive_run(index):
+    while index >= 0:
+        name, _, _, index = tracer.spans[index]
+        if name == "adaptive.adaptive_run":
+            return True
+    return False
+
+
+# model calls made by adaptive_experiment's adaptive series, found by walking each span's parents
+rerouted["testfns.evaluate under adaptive.adaptive_run"] = sum(
+    tracer.spans[i][0] == "testfns.evaluate" and under_adaptive_run(tracer.spans[i][3])
+    for i in range(first_span, len(tracer.spans)))
 
 metrics = layer_metrics(tracer, 1.0, runs)
 calls = {f"{layer}.{attr}": metrics[f"{layer}.{attr}.calls"] for layer, attr, _ in TRACED}
@@ -75,7 +89,8 @@ def test_traced_names_resolve_and_count_every_layer():
     estimator_calls = {name: n for name, n in out["calls"].items() if name.endswith("_T")}
     assert len(estimator_calls) == 6
     assert all(n > 0 for n in estimator_calls.values()), estimator_calls
-    # adaptive_experiment's plain series runs estimate_total_effects and its adaptive one sample_plan
+    # adaptive_experiment's plain series runs estimate_total_effects, and its adaptive one reaches the model
+    # inside adaptive_run, through the tile writer rather than a whole plan
     assert all(n > 0 for n in out["rerouted"].values()), out["rerouted"]
     assert out["evaluated_rows"] == out["reported_runs"]
     # the sweep scrambles its pool through qmc.permute_columns, once per repetition
