@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import designs, testfns
+from . import designs, qmc, testfns
 from .designs import DesignSpec
 from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, _draw_rows, checked_vector
 
@@ -69,6 +69,14 @@ def std_elementary_effects(diffs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(x, out=x), axis=1) / diffs.shape[1])
 
 
+def _check_budget_exponent(k: int, p: int) -> None:
+    """Reject a k or budget exponent p that :func:`adaptive_run` cannot serve, before any model run."""
+    if k < 2 or p < k - 1:   # the budget must pay for a warm-up block of 2**(p + 2 - k) >= 2 rows
+        raise ValueError(f"budget exponent p = {p} leaves no warm-up block for k = {k} (need k >= 2 and p >= {k - 1})")
+    if p >= qmc._MAX_P:
+        raise ValueError(f"budget exponent p = {p} needs a pool of 2**{p + 1} rows (need p <= {qmc._MAX_P - 1})")
+
+
 def adaptive_run(
     fn: testfns.FunctionSpec,
     p: int,
@@ -88,12 +96,7 @@ def adaptive_run(
     tiles of at most 2**17 values that mix rows of A and of active hybrids.
     """
     k = fn.k
-    if k < 2:
-        raise ValueError("adaptive allocation needs k >= 2 factors")
-    warm_exp = p + 2 - k
-    if warm_exp < 1:
-        raise ValueError(f"budget exponent p = {p} leaves no warm-up block for k = {k} (need p >= {k - 1})")
-
+    _check_budget_exponent(k, p)
     budget = (k + 1) * 2**p
     # The last block can reach 2**(p+1) rows when enough factors were dropped.
     n_max = 2 ** (p + 1)
@@ -119,7 +122,7 @@ def adaptive_run(
             lower = stds[order[k - stage - 1] - 1]   # rank k - stage
             if upper / math.sqrt(2.0) > lower:
                 active = tuple(j for j in active if j not in order[k - stage - 1 :])
-        new_rows = n_rows if stage else 2**warm_exp
+        new_rows = n_rows if stage else 2 ** (p + 2 - k)
         cost = (1 + len(active)) * new_rows
         if spent + cost > budget:
             break

@@ -285,6 +285,8 @@ def adaptive_experiment(
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
     """
     _check_sweep(repetitions, p_values)
+    for p in (min(p_values), max(p_values)):   # every p between passes when both ends do
+        adaptive_mod._check_budget_exponent(fn.k, p)
     analytic_total = testfns.analytic_indices(fn).total
     records: list[ConvergenceRecord] = []
     ledger_lines: list[str] = []

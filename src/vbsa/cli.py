@@ -4,9 +4,9 @@ Subcommands: ``bench`` (convergence experiments), ``estimate`` (one total-index
 estimate), ``metrics`` (design budget table and explorativity/economy scatter),
 ``discrepancy`` (L2-star discrepancy of point sets), ``analytic-index`` (exact
 S/T tables) and ``adaptive`` (budget-reallocation experiment).  Any flag can
-also be supplied through ``--config FILE`` holding flat ``key = value`` lines;
-explicit flags override the file.  The default output directory comes from
-``VBSA_OUT_DIR`` when set.
+also be supplied through ``--config FILE`` holding flat ``key = value`` lines
+keyed by flag name; explicit flags override the file.  The default output
+directory comes from ``VBSA_OUT_DIR`` when set.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold ``--config`` key = value pairs in as subcommand defaults."""
+    """Splice ``--config`` key = value pairs in as ``--key value`` flags after the subcommand; explicit flags win."""
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -129,7 +129,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     path = Path(argv[at + 1])
     if not path.exists():
         parser.error(f"config file {path} does not exist")
-    pairs = {}
+    flags = []
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,32 +137,12 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if "=" not in line:
             parser.error(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        pairs[key] = value
+        flags.extend(["--" + key.replace("_", "-"), value])
     rest = argv[:at] + argv[at + 2 :]
-    command = next((a for a in rest if not a.startswith("-")), None)
-    if command is None:
+    pos = next((i + 1 for i, a in enumerate(rest) if not a.startswith("-")), None)   # just after the subcommand
+    if pos is None:
         parser.error("--config requires a subcommand")
-    sub_parser = _subparser_for(parser, command)
-    known = {a.dest for a in sub_parser._actions}
-    extra = []
-    for key, value in pairs.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            parser.error(f"unknown config key {key!r} for subcommand {command!r}")
-        flag = "--" + key.replace("_", "-")
-        if flag not in rest:
-            extra.extend([flag, value])
-    pos = rest.index(command) + 1
-    return rest[:pos] + extra + rest[pos:]
-
-
-def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            if command in action.choices:
-                return action.choices[command]
-    parser.error(f"unknown subcommand {command!r}")
-    raise AssertionError
+    return rest[:pos] + flags + rest[pos:]
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -234,8 +214,13 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
                     raise
                 raise ValueError(f"rows of {args.csv} have different numbers of values") from None
     else:
-        if args.dims is None or args.p is None:
-            print("discrepancy: provide --dims and --p, or --csv", file=sys.stderr)
+        problem = ("provide --dims and --p, or --csv" if args.dims is None or args.p is None
+                   else "--dims must be >= 1" if args.dims < 1
+                   else "--pool must be >= 1" if args.pool < 1
+                   else f"--dims {args.dims} times --pool {args.pool} exceeds the {qmc._MAX_DIM} generator dimensions"
+                   if args.dims * args.pool > qmc._MAX_DIM else None)
+        if problem:
+            print(f"discrepancy: {problem}", file=sys.stderr)
             return EXIT_USAGE
         block = qmc.sobol_block(args.dims * args.pool, args.p)
         pts = np.vstack(designs.pool_matrices(block.values, args.pool, args.dims))
@@ -284,8 +269,7 @@ def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch and return the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    argv = _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_apply_config_file(parser, argv))
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, estimators.EstimationError, OSError) as exc:

@@ -2,19 +2,19 @@
 
 A design arranges base matrices (A, B, C, ...) and one-column hybrids such as
 A_B(j) into an evaluation plan.  Every plan-capable kind is one entry of
-:data:`DESIGN_KINDS`: its base-matrix count, the base matrices the plan
-holds and the (base, donor) couples whose hybrids follow them.  From that
-entry :func:`plan_layout` derives the ordered segments of the plan, and from
-the layout come the three things a design is used for: the points
-(:func:`assemble_plan`), the elementary effects, i.e. couples of segments
-differing only in factor j (:func:`factor_segments`, read by the
-estimators), and the cost metrics (:func:`design_metrics`).  Internal
+:data:`DESIGN_KINDS`: its base-matrix count, the estimator that reads its
+outputs, the base matrices the plan holds and the (base, donor) couples whose
+hybrids follow them.  From that entry :func:`plan_layout` derives the ordered
+segments of the plan, and from the layout come the three things a design is
+used for: the points (:func:`assemble_plan`), the elementary effects, i.e.
+couples of segments differing only in factor j (:func:`factor_segments`, read
+by the estimators), and the cost metrics (:func:`design_metrics`).  Internal
 evaluation goes by cache-sized tiles of at most ``_TILE_VALUES`` values
 (rows x k): whole segments when they fit, else row ranges of one segment
-(:func:`_plan_outputs`).  Competing designs are compared through their
-economy ``e = E_T / N_T`` (elementary effects per model run) and
-explorativity ``chi = nN / N_T`` (fraction of non-repeated coordinates
-among all coordinates the design consumes).
+(:func:`_plan_outputs`).  Competing designs are compared through their economy
+``e = E_T / N_T`` (elementary effects per model run) and explorativity
+``chi = nN / N_T`` (fraction of non-repeated coordinates among all coordinates
+the design consumes).
 """
 
 from __future__ import annotations
@@ -57,16 +57,18 @@ def cyclic_label(j: int) -> str:
 class DesignKind:
     """The layout rule of one design kind.
 
-    ``n`` is the fixed base-matrix count, or None for any n >= 2.  A plan
+    ``n`` is the fixed base-matrix count, or None for any n >= 2; then the
+    :mod:`vbsa.estimators` function named ``estimator`` also takes n.  A plan
     holds the first ``bases`` base matrices (all n when None), then, for each
     (base, donor) couple in ``couples`` (every ordered couple of distinct
-    matrices when None), the hybrids j = 1..k.  Each hybrid is paired with
-    its base matrix when the plan holds it; ``hybrid_pairs`` also pairs the
-    hybrids that share base and factor.  ``title`` names the kind in tables
-    and plots when it differs from the kind.
+    matrices when None), the hybrids j = 1..k.  Each hybrid is paired with its
+    base matrix when the plan holds it; ``hybrid_pairs`` also pairs hybrids
+    sharing base and factor.  ``title`` names the kind in tables and plots
+    when it differs from the kind.
     """
 
     n: int | None
+    estimator: str
     bases: int | None = None
     couples: tuple[tuple[int, int], ...] | None = None
     hybrid_pairs: bool = False
@@ -81,12 +83,12 @@ class DesignKind:
 
 
 DESIGN_KINDS: dict[str, DesignKind] = {
-    "asymmetric": DesignKind(n=2, bases=1, couples=((0, 1),)),
-    "symmetric2": DesignKind(n=2, couples=((0, 1), (1, 0))),
-    "multimatrix": DesignKind(n=None, hybrid_pairs=True, title="symmetric"),
-    "owen": DesignKind(n=3, bases=2, couples=((1, 0), (2, 1))),
-    "lamboni": DesignKind(n=None),
-    "cyclic_single": DesignKind(n=1, couples=((0, SHIFT),)),
+    "asymmetric": DesignKind(n=2, estimator="saltenis_T", bases=1, couples=((0, 1),)),
+    "symmetric2": DesignKind(n=2, estimator="glen_isaacs_d3_T", couples=((0, 1), (1, 0))),
+    "multimatrix": DesignKind(n=None, estimator="multimatrix_T", hybrid_pairs=True, title="symmetric"),
+    "owen": DesignKind(n=3, estimator="owen_T", bases=2, couples=((1, 0), (2, 1))),
+    "lamboni": DesignKind(n=None, estimator="lamboni_T"),
+    "cyclic_single": DesignKind(n=1, estimator="cyclic_single_matrix_T", couples=((0, SHIFT),)),
 }
 PLAN_KINDS = tuple(DESIGN_KINDS)
 

@@ -283,21 +283,10 @@ def cyclic_single_matrix_T(evals: Outputs, k: int) -> TotalIndexEstimate:
 
 
 def run_estimator(spec: DesignSpec, evals: Outputs) -> TotalIndexEstimate:
-    """Dispatch the estimator matching a design kind over an evaluation set or ``(segments, N)`` array."""
-    kind = spec.kind
-    if kind == "asymmetric":
-        return saltenis_T(evals, spec.k)
-    if kind == "symmetric2":
-        return glen_isaacs_d3_T(evals, spec.k)
-    if kind == "owen":
-        return owen_T(evals, spec.k)
-    if kind == "multimatrix":
-        return multimatrix_T(evals, spec.k, spec.n)
-    if kind == "lamboni":
-        return lamboni_T(evals, spec.k, spec.n)
-    if kind == "cyclic_single":
-        return cyclic_single_matrix_T(evals, spec.k)
-    raise ValueError(f"no estimator for design kind {kind!r}")
+    """Run the estimator named by ``spec.kind``'s design table row over an evaluation set or ``(segments, N)`` array."""
+    rule = designs.DESIGN_KINDS[spec.kind]
+    estimator = globals()[rule.estimator]   # looked up per call, so a rebound module attribute (a tracer) runs
+    return estimator(evals, spec.k) if rule.n is not None else estimator(evals, spec.k, spec.n)
 
 
 def estimate_total_effects(

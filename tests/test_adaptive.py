@@ -1,6 +1,7 @@
 """Adaptive budget-allocation tests: ledger accounting, dropping rule, determinism."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -204,6 +205,8 @@ class TestAdaptiveRun:
             adaptive_run(function_spec("C2", 1), 6)
         with pytest.raises(ValueError, match="warm-up"):
             adaptive_run(function_spec("A2", 6), 4)  # needs p >= k - 1
+        with pytest.raises(ValueError, match=re.escape("p = 24 needs a pool of 2**25 rows (need p <= 23)")):
+            adaptive_run(function_spec("A2", 6), 24, model=lambda points: pytest.fail("model run before the p check"))
 
     def test_ledger_csv_layout(self):
         _, ledger = adaptive_run(function_spec("A2", 6), 8, seed=0)

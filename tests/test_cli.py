@@ -109,10 +109,11 @@ class TestBadLists:
     def test_config_value_goes_through_the_same_converter(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("coeffs = 1,two\n")
-        with pytest.raises(SystemExit) as exc:
-            cli.run(["--config", str(cfg), "analytic-index", "--function", "G", "--k", "2"])
-        assert exc.value.code == 2
-        assert "argument --coeffs: bad list '1,two'" in capsys.readouterr().err
+        for override in ([], ["--coeffs", "1,2"]):   # converted even when an explicit flag overrides it
+            with pytest.raises(SystemExit) as exc:
+                cli.run(["--config", str(cfg), "analytic-index", "--function", "G", "--k", "2", *override])
+            assert exc.value.code == 2
+            assert "argument --coeffs: bad list '1,two'" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -170,6 +171,17 @@ class TestDiscrepancy:
 
     def test_missing_arguments(self, capsys):
         assert cli.run(["discrepancy"]) == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--dims", "0", "--p", "3"], "--dims must be >= 1"),
+        (["--dims", "3", "--p", "3", "--pool", "0"], "--pool must be >= 1"),
+        (["--dims", "40", "--p", "2", "--pool", "2"], "--dims 40 times --pool 2 exceeds the 64 generator dimensions"),
+    ], ids=["dims", "pool", "dims-times-pool"])
+    def test_bad_block_flags_named(self, capsys, flags, message):
+        assert cli.run(["discrepancy", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"discrepancy: {message}"]
 
     @pytest.mark.parametrize("text, message", [
         ("", "non-empty"),
@@ -270,14 +282,20 @@ class TestAdaptiveCommand:
         "flags,message",
         [(["--p-min", "7", "--p-max", "8", "--reps", "0"], "repetitions must be >= 1"),
          (["--p-min", "6", "--p-max", "5", "--reps", "2"], "p range is empty"),
-         (["--p-min", "-1", "--p-max", "6", "--reps", "1"], "p_min must be >= 0")],
-        ids=["no-repetitions", "empty-p-range", "negative-p-min"],
+         (["--p-min", "-1", "--p-max", "6", "--reps", "1"], "p_min must be >= 0"),
+         (["--p-min", "3", "--p-max", "8", "--reps", "1"],
+          "budget exponent p = 3 leaves no warm-up block for k = 6 (need k >= 2 and p >= 5)"),
+         (["--p-min", "20", "--p-max", "24", "--reps", "1"],
+          "budget exponent p = 24 needs a pool of 2**25 rows (need p <= 23)")],
+        ids=["no-repetitions", "empty-p-range", "negative-p-min", "no-warm-up", "pool-too-large"],
     )
-    def test_empty_sweep_rejected(self, tmp_path, capsys, flags, message):
+    def test_empty_sweep_rejected(self, tmp_path, capsys, monkeypatch, flags, message):
+        # every check comes before the first cell: a model run fails the test at once
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the sweep checks"))
         code = cli.run(["adaptive", "--function", "A2", "--k", "6", *flags, "--out-dir", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"vbsa adaptive: {message}"]
-        assert not (tmp_path / "adaptive_ledger.csv").exists()
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -300,7 +318,7 @@ class TestAdaptiveCommand:
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 6\nbudget = 500\n")
+        cfg.write_text("# budget table\n\nk = 6\n   \n  # indented comment\nbudget = 500\n")
         code = cli.run(["--config", str(cfg), "metrics", "--out-dir", str(tmp_path)])
         assert code == 0
         assert "asymmetric,64" in capsys.readouterr().out
@@ -311,12 +329,28 @@ class TestConfigFile:
         assert code == 0
         assert "asymmetric,64" in capsys.readouterr().out
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("zaphod = 42\n")
         with pytest.raises(SystemExit) as exc:
             cli.run(["--config", str(cfg), "metrics", "--k", "6", "--budget", "500"])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --zaphod 42" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["p_min", "p-min"])
+    def test_underscore_and_dash_keys_accepted(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"function = A2\n{key} = 7\np_max = 7\nreps = 1\nformat = csv\n")
+        code = cli.run(["--config", str(cfg), "adaptive", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "adaptive p=7 " in capsys.readouterr().out
+
+    def test_keys_abbreviate_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 6\nbud = 500\n")   # a unique prefix of --budget, as on the command line
+        code = cli.run(["--config", str(cfg), "metrics", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "asymmetric,64" in capsys.readouterr().out
 
     def test_missing_config_file_rejected(self):
         with pytest.raises(SystemExit) as exc:

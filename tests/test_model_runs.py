@@ -80,6 +80,14 @@ def test_adaptive_experiment_evaluates_the_runs_it_reports(evaluated_rows):
     assert sum(evaluated_rows) == plain + adaptive
 
 
+@pytest.mark.parametrize("p_values,p", [(range(3, 9), 3), (range(20, 25), 24)], ids=["no-warm-up", "pool-too-large"])
+def test_adaptive_experiment_checks_its_p_range_before_any_model_run(monkeypatch, p_values, p):
+    # a model run fails the test at once, before the cells ahead of the bad p spend their runs
+    monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the p range check"))
+    with pytest.raises(ValueError, match=f"^budget exponent p = {p} "):
+        adaptive_experiment(testfns.function_spec("A2", 6), p_values, 1, 0)
+
+
 def test_small_plan_is_one_model_call(evaluated_rows):
     spec = DesignSpec(kind="lamboni", n=4, N=2**6, k=12)   # 148 segments, 9472 rows, 113 664 values
     estimate_total_effects(spec, fn=testfns.function_spec("B1", 12), seed=1)

@@ -139,6 +139,17 @@ class TestSobolRows:
     def test_ranges_across_chunk_boundaries(self, dim, r0, r1, scrambled):
         self._assert_rows_equal_block_slice(dim, 13, r0, r1, scrambled)
 
+    # any range but rows 0 up to a power of two takes the range path, which the cases above check only against the
+    # doubling path: here against scipy's independent generator, positions r0 + 1 .. r1 of a block of 2**14 > r1
+    @pytest.mark.parametrize("dim", [1, 13, 36, 64])
+    @pytest.mark.parametrize("r0,r1", [(2000, 2100), (3000, 2**13), (2**13 - 1, 2**13), (0, 2**13 - 1)])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_ranges_match_reference_generator(self, dim, r0, r1, scrambled):
+        qmc_scipy = pytest.importorskip("scipy.stats.qmc")
+        ref = qmc_scipy.Sobol(dim, scramble=False).random_base2(14)[r0 + 1 : r1 + 1]
+        perm = draw_permutation(dim, 5, r0) if scrambled else None
+        assert np.array_equal(sobol_rows(dim, r0, r1, perm), ref if perm is None else ref[:, perm.perm])
+
     def test_bad_ranges_rejected(self):
         for r0, r1 in ((-1, 3), (4, 3), (0, 2**24 + 1)):
             with pytest.raises(ValueError, match="not a range"):
