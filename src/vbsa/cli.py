@@ -217,6 +217,7 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         problem = ("provide --dims and --p, or --csv" if args.dims is None or args.p is None
                    else "--dims must be >= 1" if args.dims < 1
                    else "--pool must be >= 1" if args.pool < 1
+                   else f"--p must be between 0 and {qmc._MAX_P}" if not 0 <= args.p <= qmc._MAX_P
                    else f"--dims {args.dims} times --pool {args.pool} exceeds the {qmc._MAX_DIM} generator dimensions"
                    if args.dims * args.pool > qmc._MAX_DIM else None)
         if problem:

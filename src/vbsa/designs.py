@@ -302,10 +302,10 @@ def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None 
 def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> EvaluationPlan:
     """Assemble the ordered evaluation plan for ``spec``, every point of it in one array.
 
-    The :func:`plan_layout` segments: base matrices first (A, B, ...), then
-    hybrids grouped by base matrix, donor and factor, so plans are
-    reproducible row-for-row.  Each base matrix must be (N, k) in [0, 1); the
-    points are then written by :func:`_write_plan`.
+    The :func:`plan_layout` segments: base matrices first (A, B, ...), then hybrids grouped by base matrix, donor
+    and factor, so plans are reproducible row-for-row.  Each base matrix, the caller's or drawn by
+    :func:`vbsa.estimators.sample_plan`, must be (N, k) in [0, 1).  ``points`` is the read-only, Fortran-ordered
+    view of a new one-chunk buffer of the writer (:func:`_segment_chunks`): each factor's column is contiguous.
     """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
@@ -315,15 +315,7 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
-    return _write_plan(spec, lambda r0, r1: [m[r0:r1] for m in mats])
-
-
-def _write_plan(spec: DesignSpec, rows_of) -> EvaluationPlan:
-    """The plan of ``spec`` over the rows of (N, k) float bases, checked by :func:`assemble_plan` or generated.
-
-    ``points`` is the read-only, Fortran-ordered ``(rows, k)`` view of a new one-chunk buffer of the writer
-    (:func:`_segment_chunks`), the plan's own since its points outlive the call: each factor's column is contiguous.
-    """
+    rows_of = lambda r0, r1: [m[r0:r1] for m in mats]
     ((_, _, points),) = _segment_chunks(spec, rows_of, len(plan_layout(spec.kind, spec.n, spec.k)))
     points = points.reshape(spec.k, -1).T
     points.flags.writeable = False
@@ -411,14 +403,10 @@ def reference_metrics(kind: str, k: int, n_t: int | None = None) -> DesignMetric
     )
 
 
-def best_power_of_two(cost_per_row: int, target: int) -> int:
-    """Power of two N whose cost ``cost_per_row * N`` is nearest ``target``; ties go to the smaller N."""
-    return min((1 << p for p in range(_MAX_P + 1)), key=lambda n: abs(cost_per_row * n - target))
-
-
 def _matched_N(spec: DesignSpec, target: int) -> int:
     """Power of two N at which ``spec``'s design costs nearest ``target`` runs; ties go to the smaller N."""
-    return best_power_of_two(design_metrics(replace(spec, N=1)).total_points, target)
+    cost_per_row = design_metrics(replace(spec, N=1)).total_points
+    return min((1 << p for p in range(_MAX_P + 1)), key=lambda n: abs(cost_per_row * n - target))
 
 
 def budget_table(k: int, target_nt: int) -> list[DesignMetrics]:
@@ -481,7 +469,6 @@ __all__ = [
     "SHIFT",
     "assemble_plan",
     "base_label",
-    "best_power_of_two",
     "budget_table",
     "budget_table_csv",
     "cyclic_label",

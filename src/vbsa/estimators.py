@@ -319,8 +319,9 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     matrix A, the next k matrix B, and so on.  Blocks are nested, so a
     design at N holds the first N rows of the same design at 2N.  The plan
     holds every point, for external models; internal evaluation is tiled.
+    It is :func:`designs.assemble_plan` over the drawn bases.
     """
-    return designs._write_plan(spec, _draw_rows(spec, seed, repetition))
+    return designs.assemble_plan(spec, _draw_rows(spec, seed, repetition)(0, spec.N))
 
 
 def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int):
@@ -328,6 +329,8 @@ def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int):
     n_cols = spec.n * spec.k
     if 1 << (int(spec.N).bit_length() - 1) != spec.N or spec.N > 1 << qmc._MAX_P:   # before any model run
         raise ValueError(f"N must be a power of two up to 2**{qmc._MAX_P} to draw generator blocks")
+    if n_cols > qmc._MAX_DIM:
+        raise ValueError(f"{spec.kind} design at k = {spec.k} needs {n_cols} generator dimensions (max {qmc._MAX_DIM})")
     perm = None if seed is None else qmc.draw_permutation(n_cols, seed, repetition)
     return lambda r0, r1: designs.pool_matrices(qmc.sobol_rows(n_cols, r0, r1, perm), spec.n, spec.k)
 

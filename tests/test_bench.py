@@ -11,6 +11,7 @@ from vbsa.bench import (
     EstimatorConfig,
     ExperimentConfig,
     _cell_groups,
+    _rep_record,
     _with_aggregates,
     adaptive_experiment,
     convergence_experiment,
@@ -155,22 +156,25 @@ class TestConvergenceExperiment:
 
 
 def test_aggregates_follow_series_then_p_for_records_in_any_order():
-    truth = np.array([0.5, 0.25])
     rng = np.random.default_rng(4)
-    # p-major, repetition, then series: the order adaptive_experiment appends its records in
-    records = [
-        ConvergenceRecord("A2", name, 2, p, 2**p, (p + 1) * rep + len(name), rep, t_hat=rng.random(2))
-        for p in (3, 4) for rep in range(3) for name in ("saltenis", "adaptive")
-    ]
-    series, p_values = [("adaptive", 2), ("saltenis", 2), ("owen", 3)], range(3, 6)
-    out = _with_aggregates(records, series, p_values, truth)
-    assert out[: len(records)] == records
-    aggregates = out[len(records) :]
-    assert [(r.estimator, r.p) for r in aggregates] == [(s, p) for s, _ in series[:2] for p in (3, 4)]
-    for agg in aggregates:
-        cell = [r for r in records if (r.estimator, r.p) == (agg.estimator, agg.p)]
-        assert (agg.rep, agg.t_hat, agg.n_t) == (None, None, cell[0].n_t)
-        assert agg.mae == mae(np.vstack([r.t_hat for r in cell]), truth)
+    # at k = 9 each record's deviations are summed pairwise, in blocks of 8, as mae() sums each row
+    for k, truth in ((2, np.array([0.5, 0.25])), (9, rng.random(9))):
+        fn = function_spec("B1", k)
+        # p-major, repetition, then series: the order adaptive_experiment appends its records in
+        records = [
+            _rep_record(fn, name, p, DesignSpec("asymmetric", 2, 2**p, k), (p + 1) * rep + len(name), rep,
+                        rng.random(k), truth)
+            for p in (3, 4) for rep in range(3) for name in ("saltenis", "adaptive")
+        ]
+        series, p_values = [("adaptive", 2), ("saltenis", 2), ("owen", 3)], range(3, 6)
+        out = _with_aggregates(records, series, p_values)
+        assert out[: len(records)] == records
+        aggregates = out[len(records) :]
+        assert [(r.estimator, r.p) for r in aggregates] == [(s, p) for s, _ in series[:2] for p in (3, 4)]
+        for agg in aggregates:
+            cell = [r for r in records if (r.estimator, r.p) == (agg.estimator, agg.p)]
+            assert (agg.rep, agg.t_hat, agg.n_t) == (None, None, cell[0].n_t)
+            assert agg.mae == mae(np.vstack([r.t_hat for r in cell]), truth)
 
 
 class TestGroupedCells:

@@ -140,6 +140,15 @@ class TestEstimate:
         assert "estimators need N >= 2 rows per matrix (got N = 1)" in capsys.readouterr().err
         assert rows == []   # failed before the first model run
 
+    def test_design_wider_than_the_generator_named_before_any_model_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the width check"))
+        code = cli.run(["estimate", "--function", "G", "--coeffs", ",".join(["1"] * 40), "--k", "40",
+                        "--design", "asymmetric", "--N", "64", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "vbsa estimate: asymmetric design at k = 40 needs 80 generator dimensions (max 64)"]
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag,name", [("--seed", "seed"), ("--rep", "repetition")])
     def test_negative_seed_or_repetition_named(self, tmp_path, capsys, flag, name):
         code = cli.run(["estimate", "--function", "A2", "--k", "6", "--design", "asymmetric", "--N", "8",
@@ -176,7 +185,9 @@ class TestDiscrepancy:
         (["--dims", "0", "--p", "3"], "--dims must be >= 1"),
         (["--dims", "3", "--p", "3", "--pool", "0"], "--pool must be >= 1"),
         (["--dims", "40", "--p", "2", "--pool", "2"], "--dims 40 times --pool 2 exceeds the 64 generator dimensions"),
-    ], ids=["dims", "pool", "dims-times-pool"])
+        (["--dims", "3", "--p", "-1"], "--p must be between 0 and 24"),
+        (["--dims", "3", "--p", "30"], "--p must be between 0 and 24"),
+    ], ids=["dims", "pool", "dims-times-pool", "p-negative", "p-too-large"])
     def test_bad_block_flags_named(self, capsys, flags, message):
         assert cli.run(["discrepancy", *flags]) == 2
         captured = capsys.readouterr()
@@ -233,6 +244,15 @@ class TestBench:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == ["vbsa bench: p_min must be >= 0"]
         assert not (tmp_path / "convergence.csv").exists() and not (tmp_path / "errors.csv").exists()
+
+    def test_roster_wider_than_the_generator_named_before_any_model_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the width check"))
+        code = cli.run(["bench", "--function", "B1", "--k", "40", "--p-min", "2", "--p-max", "3", "--reps", "1",
+                        "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "vbsa bench: n = 2 matrices at k = 40 need 80 generator dimensions (max 64)"]
+        assert not any(tmp_path.iterdir())
 
     def test_multimatrix_n_list(self, tmp_path):
         code = cli.run(["bench", "--function", "C2", "--k", "2",

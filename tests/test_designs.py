@@ -29,7 +29,7 @@ from vbsa.designs import (
     pool_matrices,
     reference_metrics,
 )
-from vbsa.estimators import _draw_rows, sample_plan
+from vbsa.estimators import _draw_rows, estimate_total_effects, sample_plan
 from vbsa.testfns import FAMILIES, evaluate, function_spec
 
 ALL_PLAN_SPECS = [
@@ -297,6 +297,23 @@ class TestPlanOutputs:
                 got = _plan_outputs(spec, _draw_rows(spec, 3, 1), model)
                 assert got.tobytes() == evaluate(fn, points).reshape(-1, N).tobytes(), (tile_values, family)
                 assert len(rows) == calls and sum(rows) == design_metrics(spec).total_points
+
+    def test_model_evaluating_a_plan_of_its_own_leaves_its_tiles_intact(self):
+        # each tile, once the nested estimate has run in this thread, must still hold the outer plan's rows
+        spec, fn = DesignSpec("asymmetric", 2, 2**14, 12), function_spec("B1", 12)   # two row ranges per segment
+        inner_spec, inner_fn = DesignSpec("owen", 3, 2**6, 3), function_spec("A2", 3)
+        nested = []
+
+        def model(points):
+            nested.append(estimate_total_effects(inner_spec, inner_fn, seed=2).total)
+            return evaluate(fn, points)
+
+        # the plain run first, so this thread's kept buffer is one the outer plan's tiles fit in
+        plain = _plan_outputs(spec, _draw_rows(spec, 1, 0), lambda points: evaluate(fn, points))
+        got = _plan_outputs(spec, _draw_rows(spec, 1, 0), model)
+        assert got.tobytes() == plain.tobytes()
+        assert len(nested) == 2 * 13
+        assert all(t.tobytes() == nested[0].tobytes() for t in nested)
 
     def test_model_writing_into_its_input_raises(self):
         spec = DesignSpec("asymmetric", 2, 8, 3)
