@@ -284,21 +284,27 @@ def adaptive_experiment(
     by block, so the plain design is the first 2**p rows of the adaptive one.  Both are
     reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
+    Each repetition draws its pool once, at the largest p's 2**(p + 1) rows, and holds it while all its p run, so
+    every design reads a prefix of that one block (:func:`qmc.sobol_rows`); the output keeps p_values' (p, rep) order.
     """
     _check_sweep(repetitions, p_values)
     for p in (min(p_values), max(p_values)):   # every p between passes when both ends do
         adaptive_mod._check_budget_exponent(fn.k, p)
     analytic_total = testfns.analytic_indices(fn).total
-    records: list[ConvergenceRecord] = []
-    ledger_lines: list[str] = []
-    for p in p_values:
-        spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=fn.k)
-        for rep in range(repetitions):
+    n_pool = 2 ** (max(p_values) + 1)
+    cells = {}   # (p, rep): the cell's records and ledger lines
+    for rep in range(repetitions):
+        held = estimators._draw_rows(DesignSpec("asymmetric", 2, n_pool, fn.k), seed, rep)(0, n_pool)
+        for p in p_values:
+            spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=fn.k)
             plain = estimators.estimate_total_effects(spec, fn, seed, rep)
             adapted, ledger = adaptive_mod.adaptive_run(fn, p, seed=seed, repetition=rep)
-            for name, est in (("saltenis", plain), ("adaptive", adapted)):
-                records.append(_rep_record(fn, name, p, spec, (fn.k + 1) * spec.N, rep, est.total, analytic_total))
-            ledger_lines.extend(adaptive_mod.ledger_csv_rows(p, rep, ledger))
+            cells[p, rep] = ([_rep_record(fn, name, p, spec, (fn.k + 1) * spec.N, rep, est.total, analytic_total)
+                              for name, est in (("saltenis", plain), ("adaptive", adapted))],
+                             adaptive_mod.ledger_csv_rows(p, rep, ledger))
+        del held   # released before the next repetition's block is drawn
+    records = [r for p in p_values for rep in range(repetitions) for r in cells[p, rep][0]]
+    ledger_lines = [line for p in p_values for rep in range(repetitions) for line in cells[p, rep][1]]
     return _with_aggregates(records, [("saltenis", 2), ("adaptive", 2)], p_values), ledger_lines
 
 

@@ -14,7 +14,8 @@ reads its leading rows; no custom tables.  :func:`sobol_rows` draws any row
 range alone, and with a column permutation reads the direction vectors in
 permuted order, which gives the permuted rows without a copy.  The all-zeros
 origin point is skipped, so block ``i`` of size ``2**p`` holds sequence
-positions ``1 .. 2**p`` and every block is a prefix of the next larger one.
+positions ``1 .. 2**p`` and every block is a prefix of the next larger one:
+points are read-only, and a block is a view of a larger one still held.
 The L2-star discrepancy is Warnock's exact formula, its pair term summed over
 the strict upper triangle in fixed-size row blocks.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ _OFFSET = 2.0 ** (52 - _MAXBIT)   # the float whose unit in the last place is 2*
 _OFFSET_BITS = np.float64(_OFFSET).view(np.uint64)
 # Floats per working block: the discrepancy's row blocks and the plan tiles a model gets (1 MiB, cache-sized).
 _TILE_VALUES = 2**17
+_held = weakref.WeakValueDictionary()   # sobol_rows' whole-block buffers while held, by (dims, permutation bytes)
 
 
 def _in_unit_cube(values: np.ndarray, closed: bool = False) -> bool:
@@ -122,7 +125,7 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
     """First ``2**p`` Sobol' points (origin skipped) in ``dim_count`` dimensions.
 
     Deterministic, and nested: the block for ``p`` is the leading slice of the
-    block for ``p + 1``.  The values are F-ordered: ``.values.T`` is C-contiguous.
+    block for ``p + 1``.  Read-only, each column contiguous; a prefix view while a larger one is held (:func:`sobol_rows`).
     A column-scrambled block is ``sobol_rows(dim_count, 0, 2**p, perm)``.
     """
     if p < 0:
@@ -137,11 +140,14 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
 def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None = None) -> np.ndarray:
     """Rows ``r0 .. r1 - 1`` of the Sobol' blocks: bit for bit ``sobol_block(dim_count, p).values[r0:r1]``.
 
-    F-ordered.  With ``perm``, column ``i`` is generated from dimension ``perm[i]``'s direction vectors: bit for
-    bit ``permute_columns(sobol_block(dim_count, p).values, perm)[r0:r1]``.  Rows 0 up to a power of two are
-    built in place by doubling; otherwise position ``c 2**a + t`` is position t XOR the direction vectors on the
-    bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR of a prefix of 2**a positions (at most one tile)
-    per aligned chunk of the range.
+    Read-only, each column contiguous.  With ``perm``, column ``i`` is generated from dimension ``perm[i]``'s
+    direction vectors: bit for bit ``permute_columns(sobol_block(dim_count, p).values, perm)[r0:r1]``.  Rows 0 up
+    to a power of two (a whole block) are built in place by doubling; otherwise position ``c 2**a + t`` is position
+    t XOR the direction vectors on the bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR of a prefix of
+    2**a positions (at most one tile) per aligned chunk of the range.  A generated whole block is remembered by a
+    weak reference keyed by ``dim_count`` and ``perm``'s values (a scramble parameter added later must join the
+    key): while a caller holds it, a whole block of that key and at most its rows is a view of its prefix, the same
+    bits by nesting.  Nothing is kept once the last holder drops it.  Ranges never share.
     """
     if dim_count < 1:
         raise ValueError("dim_count must be positive")
@@ -149,15 +155,19 @@ def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None 
         raise ValueError(f"dim_count {dim_count} exceeds the direction-number table maximum {_MAX_DIM}")
     if not 0 <= r0 <= r1 <= 1 << _MAX_P:
         raise ValueError(f"rows {r0} .. {r1} are not a range within the first 2**{_MAX_P}")
-    v = _direction_vectors()[:dim_count]
     if perm is not None:
         _check_length(perm, dim_count)
-        v = v[perm.perm]
+    whole = r0 == 0 and r1 and not r1 & (r1 - 1)
+    slot = (dim_count, None if perm is None else perm.perm.tobytes())
+    held = _held.get(slot) if whole else None
+    if held is not None and r1 <= held.shape[1]:
+        return held[:, :r1].view(np.float64).T
+    v = _direction_vectors()[slice(dim_count) if perm is None else perm.perm]
 
     # Column i holds row r0 + i, position r0 + i + 1, as the bits of the float 2**20 + integer * 2**-32
     # (ulp 2**-32), so scaling to [0, 1) is one exact in-place subtraction of 2**20.
     x = np.empty((dim_count, r1 - r0), dtype=np.uint64)
-    if r0 == 0 and r1 and not r1 & (r1 - 1):
+    if whole:
         p = r1.bit_length() - 1
         x[:, 0] = v[:, 1] | _OFFSET_BITS   # position 1: the origin XOR direction bit 1
         for bit in range(2, p + 1):   # positions h .. 2h-1 mirror h-1 .. 0 across direction bit log2(h) + 1
@@ -180,7 +190,10 @@ def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None 
             np.bitwise_xor(prefix[:, lo - (c << a) : hi - (c << a)], key[:, None], out=x[:, lo - r0 - 1 : hi - r0 - 1])
     values = x.view(np.float64)
     values -= _OFFSET
-    return values.T
+    x.flags.writeable = False
+    if whole:
+        _held[slot] = x
+    return x.view(np.float64).T
 
 
 def _check_length(perm: ColumnPermutation, n_cols: int) -> None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vbsa import designs, estimators, qmc, testfns
+from vbsa import adaptive, designs, estimators, qmc, testfns
 from vbsa.bench import (
     ESTIMATOR_DESIGNS,
     CellError,
@@ -160,7 +160,7 @@ def test_aggregates_follow_series_then_p_for_records_in_any_order():
     # at k = 9 each record's deviations are summed pairwise, in blocks of 8, as mae() sums each row
     for k, truth in ((2, np.array([0.5, 0.25])), (9, rng.random(9))):
         fn = function_spec("B1", k)
-        # p-major, repetition, then series: the order adaptive_experiment appends its records in
+        # p-major, repetition, then series: the order adaptive_experiment emits its records in
         records = [
             _rep_record(fn, name, p, DesignSpec("asymmetric", 2, 2**p, k), (p + 1) * rep + len(name), rep,
                         rng.random(k), truth)
@@ -258,6 +258,29 @@ class TestAdaptiveExperiment:
         aggs = [r for r in records if r.rep is None]
         assert len(aggs) == 4  # 2 estimators x 2 block sizes
         assert ledgers and all(int(line.split(",")[7]) >= int(line.split(",")[6]) for line in ledgers)
+
+    @pytest.mark.parametrize("seed,p_values", [(2, range(3, 6)), (20231, range(5, 2, -1))])
+    def test_one_draw_per_repetition_and_output_in_p_rep_order(self, seed, p_values, monkeypatch):
+        # every design of a repetition reads a prefix of the block drawn at its start; the output equals
+        # running each (p, rep) on its own, in that order
+        fn, reps = function_spec("A2", 4), 2
+        generated, direction_vectors = [], qmc._direction_vectors
+        monkeypatch.setattr(qmc, "_direction_vectors", lambda: generated.append(1) or direction_vectors())
+        records, ledger_lines = adaptive_experiment(fn, p_values, reps, seed)
+        assert len(generated) == reps
+        truth, expected, expected_ledger = testfns.analytic_indices(fn).total, [], []
+        for p in p_values:
+            spec = DesignSpec("asymmetric", 2, 2**p, fn.k)
+            for rep in range(reps):
+                plain = estimators.estimate_total_effects(spec, fn, seed, rep)
+                adapted, ledger = adaptive.adaptive_run(fn, p, seed=seed, repetition=rep)
+                expected += [_rep_record(fn, name, p, spec, (fn.k + 1) * spec.N, rep, est.total, truth)
+                             for name, est in (("saltenis", plain), ("adaptive", adapted))]
+                expected_ledger += adaptive.ledger_csv_rows(p, rep, ledger)
+        expected = _with_aggregates(expected, [("saltenis", 2), ("adaptive", 2)], p_values)
+        assert [(r.estimator, r.p, r.rep) for r in records] == [(r.estimator, r.p, r.rep) for r in expected]
+        assert records_csv(records) == records_csv(expected)
+        assert ledger_lines == expected_ledger
 
     @pytest.mark.parametrize(
         "p_values,repetitions,message",

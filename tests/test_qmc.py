@@ -7,7 +7,11 @@ brute-force integration oracle, scipy's independent implementation and
 Warnock's formula in exact rational arithmetic.
 """
 
+import gc
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -63,13 +67,13 @@ class TestSobolBlock:
             sobol_rows(6, 0, 8, ColumnPermutation(np.arange(5)))
 
     def test_deterministic(self):
-        a = sobol_block(12, 7).values
+        a = sobol_block(12, 7).values.copy()   # the block itself is dropped, so b is generated again
         b = sobol_block(12, 7).values
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dim", [1, 6, 36])
     def test_nested_prefixes(self, dim):
-        big = sobol_block(dim, 10).values
+        big = sobol_block(dim, 10).values.copy()   # a held block would serve each prefix as a view of itself
         for p in range(0, 10):
             small = sobol_block(dim, p).values
             assert np.array_equal(small, big[: 2**p])
@@ -120,6 +124,7 @@ class TestSobolRows:
         perm = draw_permutation(dim, 5, p) if scrambled else None
         rows = sobol_rows(dim, r0, r1, perm)
         assert rows.T.flags.c_contiguous
+        rows = rows.copy()   # dropped: the whole block below is generated, not a view of these rows
         block = sobol_block(dim, p).values
         assert np.array_equal(rows, (block if perm is None else permute_columns(block, perm))[r0:r1])
 
@@ -154,6 +159,91 @@ class TestSobolRows:
         for r0, r1 in ((-1, 3), (4, 3), (0, 2**24 + 1)):
             with pytest.raises(ValueError, match="not a range"):
                 sobol_rows(3, r0, r1)
+
+
+class TestSharedBlocks:
+    """A whole block (rows 0 up to a power of two) is a view of a larger one of the same key while that is held."""
+
+    @staticmethod
+    def _bits(values):
+        return values.view(np.uint64).copy()
+
+    @pytest.mark.parametrize("dim,p", [(1, 4), (12, 9), (64, 6)])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_prefix_shares_while_held_and_equals_a_fresh_block(self, dim, p, scrambled):
+        perm = draw_permutation(dim, 7, p) if scrambled else None
+        held = sobol_rows(dim, 0, 2**p, perm)
+        same = None if perm is None else ColumnPermutation(perm.perm.copy())   # equal by value, another object
+        prefixes = [sobol_rows(dim, 0, 2**q, same) for q in range(p + 1)]
+        if perm is None:
+            prefixes += [sobol_block(dim, q).values for q in range(p + 1)]
+        assert all(np.shares_memory(prefix, held) and prefix.strides[0] == 8 for prefix in prefixes)   # columns
+        shared = [self._bits(prefix) for prefix in prefixes]
+        del held, prefixes
+        gc.collect()
+        for q, bits in enumerate(shared[: p + 1]):   # ascending, so no larger block is held
+            fresh = sobol_rows(dim, 0, 2**q, perm)
+            assert fresh.T.flags.c_contiguous and np.array_equal(self._bits(fresh), bits)
+        assert all(np.array_equal(bits, shared[i % (p + 1)]) for i, bits in enumerate(shared))   # sobol_block's
+
+    def test_other_keys_and_ranges_never_share(self):
+        perm = draw_permutation(6, 7, 0)
+        held = sobol_rows(6, 0, 64, perm)
+        plain = sobol_rows(6, 0, 64)
+        others = [
+            sobol_rows(6, 0, 32, draw_permutation(6, 8, 0)),   # another permutation
+            sobol_rows(6, 0, 32),   # unscrambled against scrambled
+            sobol_rows(5, 0, 32, ColumnPermutation(np.arange(5))),   # another dimension count
+            sobol_rows(5, 0, 32),
+            sobol_rows(6, 1, 32, perm),   # r0 > 0
+            sobol_rows(6, 0, 33, perm),   # r1 not a power of two
+            sobol_rows(6, 0, 128, perm),   # more rows than held
+        ]
+        for other in others:
+            assert not np.shares_memory(other, held)
+        assert not np.shares_memory(others[3], plain) and np.shares_memory(sobol_block(6, 5).values, plain)
+
+    def test_no_block_outlives_its_holders(self):
+        held = sobol_rows(6, 0, 64, draw_permutation(6, 7, 0))
+        buffer = weakref.ref(held.base)
+        prefix = sobol_rows(6, 0, 16, draw_permutation(6, 7, 0))
+        del held
+        gc.collect()
+        assert buffer() is not None   # the prefix still holds the block
+        del prefix
+        gc.collect()
+        assert buffer() is None
+
+    def test_concurrent_requests_get_the_bits_of_a_lone_block(self):
+        # threads request and hold whole blocks of mixed keys and sizes; each must read what a lone generation gives
+        keys = [(dim, perm) for dim in (3, 6) for perm in (None, draw_permutation(dim, 7, 0))]
+        ref = {(i, p): self._bits(sobol_rows(keys[i][0], 0, 2**p, keys[i][1])) for i in range(4) for p in range(9)}
+
+        def worker(seed):
+            rng, wrong, held = np.random.default_rng(seed), 0, []
+            for _ in range(300):
+                i, p = int(rng.integers(4)), int(rng.integers(9))
+                out = sobol_rows(keys[i][0], 0, 2**p, keys[i][1])
+                wrong += not np.array_equal(self._bits(out), ref[i, p])
+                held = (held + [out])[-3:]   # keep a few blocks alive, so requests share
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as ex:
+                futures = [ex.submit(worker, seed) for seed in range(6)]
+                assert [f.result(timeout=120) for f in futures] == [0] * 6
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_outputs_are_read_only(self):
+        perm = draw_permutation(6, 7, 0)
+        held = sobol_rows(6, 0, 64, perm)
+        for out in (held, sobol_rows(6, 0, 16, perm), sobol_rows(6, 3, 40, perm), sobol_rows(4, 0, 7),
+                    sobol_block(3, 4).values):
+            with pytest.raises(ValueError, match="read-only"):
+                out[0, 0] = 0.5
 
 
 class TestDirectionTable:
