@@ -87,6 +87,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_sweep(self.repetitions, self.p_values)
+        if self.p_max > qmc._MAX_P:   # beyond the generator's largest block; checked before any cell runs
+            raise ValueError(f"p_max = {self.p_max} exceeds the supported maximum {qmc._MAX_P}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
         repeated = [e for i, e in enumerate(self.estimators) if e in self.estimators[:i]]
@@ -218,8 +220,8 @@ def convergence_experiment(
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
     """Run the full repetition/block sweep; deterministic for a given config.
 
-    Repetitions may run on ``workers`` threads; records are merged in
-    repetition order afterwards so the output never depends on scheduling.
+    Every cell reads a prefix of one pool, n k columns at the roster's largest n by its largest cell's N rows,
+    permuted per repetition.  Repetitions may run on ``workers`` threads, merged in repetition order afterwards.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -232,11 +234,10 @@ def convergence_experiment(
             spec = e.design(matched_block_size(e, k, (k + 1) * 2**p), k)
             cells.append((p, spec, designs.design_metrics(spec).total_points))
         groups.extend((e, group) for group in _cell_groups(cells))
-    n_max = max(max((e.n for e in cfg.estimators), default=2), 2)
+    n_max = max(e.n for e in cfg.estimators)
     if n_max * k > qmc._MAX_DIM:   # before the pool is drawn and any model run
         raise ValueError(f"n = {n_max} matrices at k = {k} need {n_max * k} generator dimensions (max {qmc._MAX_DIM})")
-    p_pool = max(cfg.p_max, max(spec.N for _, group in groups for _, spec, _ in group).bit_length() - 1)
-    pool = qmc.sobol_block(n_max * k, p_pool).values
+    pool = qmc.sobol_rows(n_max * k, 0, max(spec.N for _, group in groups for _, spec, _ in group))
 
     reps = range(cfg.repetitions)
     if workers > 1:
@@ -285,7 +286,7 @@ def adaptive_experiment(
     reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
     Each repetition draws its pool once, at the largest p's 2**(p + 1) rows, and holds it while all its p run, so
-    every design reads a prefix of that one block (:func:`qmc.sobol_rows`); the output keeps p_values' (p, rep) order.
+    every design reads rows of that one block (:func:`qmc.sobol_rows`); the output keeps p_values' (p, rep) order.
     """
     _check_sweep(repetitions, p_values)
     for p in (min(p_values), max(p_values)):   # every p between passes when both ends do

@@ -31,11 +31,14 @@ def _default_out_dir() -> str:
     return os.environ.get("VBSA_OUT_DIR", ".")
 
 
-def _list_of(convert):
-    """An argparse ``type=`` converter for a comma-separated list of ``convert``'s values, as a tuple."""
+def _list_of(convert, choices=None):
+    """An argparse ``type=`` converter: comma list of ``convert``'s values as a tuple, each in ``choices`` if given."""
     def parse(text: str) -> tuple:
         try:
-            return tuple(convert(x) for x in text.split(","))
+            values = tuple(convert(x) for x in text.split(","))
+            if choices is not None and not set(values) <= set(choices):
+                raise ValueError(f"{next(v for v in values if v not in choices)!r} is not one of {', '.join(choices)}")
+            return values
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad list {text!r}: {exc}") from None
     return parse
@@ -70,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a convergence benchmark")
     _add_function_flags(p_bench)
-    p_bench.add_argument("--estimators", default="saltenis",
+    p_bench.add_argument("--estimators", type=_list_of(str.strip, bench.ESTIMATOR_NAMES), default=("saltenis",),
                          help="comma list from: " + ",".join(bench.ESTIMATOR_NAMES))
     p_bench.add_argument("--n", type=_list_of(int), default=(2,),
                          help="comma list of base-matrix counts for multimatrix/lamboni (default 2)")
@@ -147,13 +150,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     fn = _function_from_args(args)
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     configs: list[bench.EstimatorConfig] = []
-    for name in names:
-        # an unknown name gets one config, which EstimatorConfig rejects
-        fixed_n = bench.ESTIMATOR_DESIGNS.get(name, (None, 2))[1]
-        n_list = [fixed_n] if fixed_n is not None else args.n
-        configs.extend(bench.EstimatorConfig(name=name, n=n) for n in n_list)
+    for name in args.estimators:
+        fixed_n = bench.ESTIMATOR_DESIGNS[name][1]
+        configs.extend(bench.EstimatorConfig(name=name, n=n) for n in ([fixed_n] if fixed_n is not None else args.n))
     cfg = bench.ExperimentConfig(
         function=fn, estimators=tuple(configs),
         p_min=args.p_min, p_max=args.p_max, repetitions=args.reps, seed=args.seed,
@@ -223,8 +223,8 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
         if problem:
             print(f"discrepancy: {problem}", file=sys.stderr)
             return EXIT_USAGE
-        block = qmc.sobol_block(args.dims * args.pool, args.p)
-        pts = np.vstack(designs.pool_matrices(block.values, args.pool, args.dims))
+        pool = qmc.sobol_rows(args.dims * args.pool, 0, 2**args.p)
+        pts = np.vstack(designs.pool_matrices(pool, args.pool, args.dims))
     d = qmc.l2_star_discrepancy(pts)
     print(f"points = {pts.shape[0]}, dims = {pts.shape[1]}, L2-star discrepancy = {d!r}")
     return EXIT_OK

@@ -20,14 +20,13 @@ the design consumes).
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from dataclasses import dataclass, replace
 from itertools import combinations, groupby
 
 import numpy as np
 
-from .qmc import _MAX_DIM, _MAX_P, _TILE_VALUES, _in_unit_cube, l2_star_discrepancy, sobol_block
+from .qmc import _MAX_DIM, _MAX_P, _TILE_VALUES, _in_unit_cube, l2_star_discrepancy, sobol_rows
 
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
@@ -441,8 +440,7 @@ def budget_table(k: int, target_nt: int) -> list[DesignMetrics]:
     for row in rows:
         discrepancy = None
         if row.n * k <= _MAX_DIM:
-            pool = sobol_block(row.n * k, int(math.log2(row.N)) if row.N > 1 else 0)
-            discrepancy = l2_star_discrepancy(np.vstack(pool_matrices(pool.values, row.n, k)))
+            discrepancy = l2_star_discrepancy(np.vstack(pool_matrices(sobol_rows(row.n * k, 0, row.N), row.n, k)))
         out.append(replace(row, discrepancy=discrepancy))
     return out
 

@@ -15,7 +15,7 @@ range alone, and with a column permutation reads the direction vectors in
 permuted order, which gives the permuted rows without a copy.  The all-zeros
 origin point is skipped, so block ``i`` of size ``2**p`` holds sequence
 positions ``1 .. 2**p`` and every block is a prefix of the next larger one:
-points are read-only, and a block is a view of a larger one still held.
+points are read-only, and any rows inside a block still held are a view of it.
 The L2-star discrepancy is Warnock's exact formula, its pair term summed over
 the strict upper triangle in fixed-size row blocks.
 """
@@ -38,7 +38,7 @@ _OFFSET = 2.0 ** (52 - _MAXBIT)   # the float whose unit in the last place is 2*
 _OFFSET_BITS = np.float64(_OFFSET).view(np.uint64)
 # Floats per working block: the discrepancy's row blocks and the plan tiles a model gets (1 MiB, cache-sized).
 _TILE_VALUES = 2**17
-_held = weakref.WeakValueDictionary()   # sobol_rows' whole-block buffers while held, by (dims, permutation bytes)
+_held = weakref.WeakValueDictionary()   # whole blocks while held, by (dims, perm bytes); rows inside one view it
 
 
 def _in_unit_cube(values: np.ndarray, closed: bool = False) -> bool:
@@ -125,7 +125,7 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
     """First ``2**p`` Sobol' points (origin skipped) in ``dim_count`` dimensions.
 
     Deterministic, and nested: the block for ``p`` is the leading slice of the
-    block for ``p + 1``.  Read-only, each column contiguous; a prefix view while a larger one is held (:func:`sobol_rows`).
+    block for ``p + 1``.  Read-only, each column contiguous; a view while a larger one is held (:func:`sobol_rows`).
     A column-scrambled block is ``sobol_rows(dim_count, 0, 2**p, perm)``.
     """
     if p < 0:
@@ -146,8 +146,8 @@ def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None 
     t XOR the direction vectors on the bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR of a prefix of
     2**a positions (at most one tile) per aligned chunk of the range.  A generated whole block is remembered by a
     weak reference keyed by ``dim_count`` and ``perm``'s values (a scramble parameter added later must join the
-    key): while a caller holds it, a whole block of that key and at most its rows is a view of its prefix, the same
-    bits by nesting.  Nothing is kept once the last holder drops it.  Ranges never share.
+    key): while a caller holds it, any rows of that key inside it are a view of it, the same bits by nesting.
+    Nothing is kept once the last holder drops it.
     """
     if dim_count < 1:
         raise ValueError("dim_count must be positive")
@@ -159,9 +159,9 @@ def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None 
         _check_length(perm, dim_count)
     whole = r0 == 0 and r1 and not r1 & (r1 - 1)
     slot = (dim_count, None if perm is None else perm.perm.tobytes())
-    held = _held.get(slot) if whole else None
+    held = _held.get(slot)
     if held is not None and r1 <= held.shape[1]:
-        return held[:, :r1].view(np.float64).T
+        return held[:, r0:r1].view(np.float64).T
     v = _direction_vectors()[slice(dim_count) if perm is None else perm.perm]
 
     # Column i holds row r0 + i, position r0 + i + 1, as the bits of the float 2**20 + integer * 2**-32

@@ -77,6 +77,21 @@ class TestConvergenceExperiment:
         with pytest.raises(ValueError, match="p_min must be >= 0"):
             self._cfg(p_min=p_min)
 
+    def test_p_max_beyond_the_generator_rejected_before_any_model_run(self, monkeypatch):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the p_max check"))
+        with pytest.raises(ValueError, match="^p_max = 25 exceeds the supported maximum 24$"):
+            self._cfg(p_min=25, p_max=25)
+
+    def test_cyclic_only_roster_draws_k_columns(self, monkeypatch):
+        # one matrix per cyclic design: a pool of k columns, so k = 40 fits the 64 generator dimensions
+        widths, draw = [], qmc.draw_permutation
+        monkeypatch.setattr(qmc, "draw_permutation", lambda n_cols, *a: widths.append(n_cols) or draw(n_cols, *a))
+        cfg = self._cfg(function=function_spec("B1", 40), estimators=(EstimatorConfig("cyclic", n=1),), p_min=2,
+                        p_max=3, repetitions=2)
+        records, errors = convergence_experiment(cfg)
+        assert not errors and len([r for r in records if r.rep is not None]) == 2 * 2
+        assert widths == [40, 40]
+
     def test_repeated_estimator_rejected(self):
         with pytest.raises(ValueError, match="'multimatrix' with n = 3 is listed twice"):
             self._cfg(estimators=(EstimatorConfig("multimatrix", 3), EstimatorConfig("multimatrix", 3)))
@@ -181,6 +196,7 @@ class TestGroupedCells:
     """A repetition's cells, evaluated in tile-sized groups, give what each cell gives on its own, bit for bit."""
 
     ROSTER = tuple(EstimatorConfig(name, n=fixed or 3) for name, (_, fixed) in ESTIMATOR_DESIGNS.items())
+    OWEN = (EstimatorConfig("owen", n=3),)   # no cell at N = 2**p_max: a pool shorter than the old 2**p_max rows
 
     @staticmethod
     def _per_cell(cfg):
@@ -205,13 +221,14 @@ class TestGroupedCells:
                         errors.append(CellError(e.name, e.n, p, rep, str(exc)))
         return t_hats, errors
 
-    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("k,roster", [(1, ROSTER), (2, ROSTER), (6, ROSTER), (6, OWEN)],
+                             ids=["1", "2", "6", "6-owen-only"])
     @pytest.mark.parametrize("tile_values", [2**17, 300], ids=["default-tile", "split-groups"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_equals_per_cell_evaluation_bit_for_bit(self, monkeypatch, k, tile_values, workers):
+    def test_equals_per_cell_evaluation_bit_for_bit(self, monkeypatch, k, roster, tile_values, workers):
         monkeypatch.setattr(designs, "_TILE_VALUES", tile_values * k)
         # p = 0 and 1 hold N = 1 cells, which must fail as they do on their own
-        cfg = ExperimentConfig(function_spec("A2", k), self.ROSTER, p_min=0, p_max=8, repetitions=2, seed=5)
+        cfg = ExperimentConfig(function_spec("A2", k), roster, p_min=0, p_max=8, repetitions=2, seed=5)
         expected_t_hats, expected_errors = self._per_cell(cfg)
         calls = []
         evaluate = testfns.evaluate
@@ -223,12 +240,14 @@ class TestGroupedCells:
         assert all(t_hats[key].tobytes() == expected_t_hats[key].tobytes() for key in t_hats)
         assert max(calls) <= tile_values * k
         # each repetition: one call per group, or more for a group of one bigger than a tile
-        specs = [[e.design(matched_block_size(e, k, (k + 1) * 2**p), k) for p in cfg.p_values] for e in self.ROSTER]
+        specs = [[e.design(matched_block_size(e, k, (k + 1) * 2**p), k) for p in cfg.p_values] for e in roster]
         cells = [[(p, s, design_metrics(s).total_points) for p, s in zip(cfg.p_values, row)] for row in specs]
         groups = [group for row in cells for group in _cell_groups(row)]
         assert len(calls) >= cfg.repetitions * len(groups)
         assert max(map(len, groups)) > 1 and len(groups) < sum(map(len, cells))
-        if tile_values == 300:
+        if roster is self.OWEN:
+            assert max(s.N for row in specs for s in row) < 2**cfg.p_max
+        elif tile_values == 300:
             sizes = [sum(n_t * k for _, _, n_t in g) for g in groups]
             multi_cell_groups = [g for g in groups if len(g) > 1]
             assert len(multi_cell_groups) == len(self.ROSTER) - 1   # every roster entry but cyclic

@@ -97,7 +97,10 @@ class TestBadLists:
     @pytest.mark.parametrize("args,flag", [
         (["analytic-index", "--function", "G", "--k", "2", "--coeffs", "a,b"], "--coeffs"),
         (["bench", "--function", "A2", "--estimators", "lamboni", "--n", "3,x"], "--n"),
-    ], ids=["coeffs", "bench-n"])
+        (["bench", "--function", "A2", "--estimators", "bogus"], "--estimators"),
+        (["bench", "--function", "A2", "--estimators", "saltenis,"], "--estimators"),
+        (["bench", "--function", "A2", "--estimators", "saltenis,,owen"], "--estimators"),
+    ], ids=["coeffs", "bench-n", "bench-unknown-estimator", "bench-trailing-comma", "bench-empty-estimator"])
     def test_usage_error_without_traceback(self, args, flag):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-m", "vbsa.cli", *args],
@@ -105,6 +108,23 @@ class TestBadLists:
         assert proc.returncode == 2
         assert f"argument {flag}: bad list" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("names", ["bogus", "saltenis,", "saltenis,,owen"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_estimator_names_make_no_model_run(self, tmp_path, capsys, monkeypatch, names, source):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run with a bad roster"))
+        out = tmp_path / "out"
+        args = ["bench", "--function", "A2", "--k", "2", "--p-max", "3", "--reps", "1", "--out-dir", str(out)]
+        if source == "flag":
+            args += ["--estimators", names]
+        else:
+            (tmp_path / "run.cfg").write_text(f"estimators = {names}\n")
+            args = ["--config", str(tmp_path / "run.cfg"), *args]
+        with pytest.raises(SystemExit) as exc:
+            cli.run(args)
+        assert exc.value.code == 2
+        assert f"argument --estimators: bad list {names!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_value_goes_through_the_same_converter(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -252,6 +272,21 @@ class TestBench:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             "vbsa bench: n = 2 matrices at k = 40 need 80 generator dimensions (max 64)"]
+        assert not any(tmp_path.iterdir())
+
+    def test_cyclic_only_roster_at_k_40_runs(self, tmp_path):
+        # one matrix per cyclic design: 40 of the 64 generator dimensions
+        code = cli.run(["bench", "--function", "B1", "--k", "40", "--estimators", "cyclic", "--p-min", "2",
+                        "--p-max", "3", "--reps", "1", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "convergence.csv").exists()
+
+    def test_p_max_beyond_the_generator_named_before_any_model_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the p_max check"))
+        code = cli.run(["bench", "--function", "A2", "--k", "3", "--p-min", "25", "--p-max", "25", "--reps", "1",
+                        "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["vbsa bench: p_max = 25 exceeds the supported maximum 24"]
         assert not any(tmp_path.iterdir())
 
     def test_multimatrix_n_list(self, tmp_path):

@@ -532,6 +532,19 @@ class TestStreamedEvaluation:
         assert design_metrics(spec).total_points > 2**17
         self._assert_equals_assembled(spec, function_spec("B1", k), seed=1)
 
+    def test_ranges_of_a_held_pool_are_views_not_generated(self, monkeypatch):
+        # a design longer than one tile range reads each range, with its next row, from the held pool of 2N rows
+        spec, fn = DesignSpec(kind="asymmetric", n=2, N=2**16, k=6), function_spec("B1", 6)
+        generated, direction_vectors = [], qmc._direction_vectors
+        monkeypatch.setattr(qmc, "_direction_vectors", lambda: generated.append(1) or direction_vectors())
+        alone = estimate_total_effects(spec, fn=fn, seed=1, repetition=0)
+        assert len(generated) == 4   # four row ranges, each generated
+        held = estimators._draw_rows(DesignSpec(kind="asymmetric", n=2, N=2**17, k=6), 1, 0)(0, 2**17)
+        generated.clear()
+        shared = estimate_total_effects(spec, fn=fn, seed=1, repetition=0)
+        assert generated == [] and shared.total.tobytes() == alone.total.tobytes()
+        del held
+
     def test_peak_memory_below_the_full_points_array(self):
         spec = DesignSpec(kind="asymmetric", n=2, N=2**16, k=12)
         fn = function_spec("B1", 12)

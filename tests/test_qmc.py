@@ -153,6 +153,7 @@ class TestSobolRows:
         qmc_scipy = pytest.importorskip("scipy.stats.qmc")
         ref = qmc_scipy.Sobol(dim, scramble=False).random_base2(14)[r0 + 1 : r1 + 1]
         perm = draw_permutation(dim, 5, r0) if scrambled else None
+        assert (dim, None if perm is None else perm.perm.tobytes()) not in qmc._held   # generated, not a view
         assert np.array_equal(sobol_rows(dim, r0, r1, perm), ref if perm is None else ref[:, perm.perm])
 
     def test_bad_ranges_rejected(self):
@@ -162,7 +163,7 @@ class TestSobolRows:
 
 
 class TestSharedBlocks:
-    """A whole block (rows 0 up to a power of two) is a view of a larger one of the same key while that is held."""
+    """Any rows inside a held whole block (rows 0 up to a power of two) of the same key are a view of it."""
 
     @staticmethod
     def _bits(values):
@@ -186,18 +187,35 @@ class TestSharedBlocks:
             assert fresh.T.flags.c_contiguous and np.array_equal(self._bits(fresh), bits)
         assert all(np.array_equal(bits, shared[i % (p + 1)]) for i, bits in enumerate(shared))   # sobol_block's
 
-    def test_other_keys_and_ranges_never_share(self):
+    # rows from r0 > 0, to an end that is not a power of two, both (a plan range with its extra SHIFT row), the
+    # last row alone, and no rows
+    @pytest.mark.parametrize("r0,r1", [(1, 32), (0, 33), (17, 41), (63, 64), (5, 5)])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_rows_inside_a_held_block_share_and_equal_fresh_rows(self, r0, r1, scrambled):
+        perm = draw_permutation(6, 7, 0) if scrambled else None
+        held = sobol_rows(6, 0, 64, perm)
+        rows = sobol_rows(6, r0, r1, perm)
+        assert np.shares_memory(rows, held) or r0 == r1
+        assert rows.shape == (r1 - r0, 6) and rows.strides[0] == 8 and not rows.flags.writeable
+        shared = self._bits(rows)
+        del held, rows
+        gc.collect()
+        fresh = sobol_rows(6, r0, r1, perm)   # no block of this key is held: the range is generated
+        assert fresh.T.flags.c_contiguous and np.array_equal(self._bits(fresh), shared)
+
+    def test_other_keys_and_longer_requests_never_share(self):
         perm = draw_permutation(6, 7, 0)
         held = sobol_rows(6, 0, 64, perm)
         plain = sobol_rows(6, 0, 64)
+        # a range starting after row 0, or ending off a power of two, shares when inside the held rows
+        assert np.shares_memory(sobol_rows(6, 1, 32, perm), held) and np.shares_memory(sobol_rows(6, 0, 33, perm), held)
         others = [
             sobol_rows(6, 0, 32, draw_permutation(6, 8, 0)),   # another permutation
             sobol_rows(6, 0, 32),   # unscrambled against scrambled
             sobol_rows(5, 0, 32, ColumnPermutation(np.arange(5))),   # another dimension count
             sobol_rows(5, 0, 32),
-            sobol_rows(6, 1, 32, perm),   # r0 > 0
-            sobol_rows(6, 0, 33, perm),   # r1 not a power of two
             sobol_rows(6, 0, 128, perm),   # more rows than held
+            sobol_rows(6, 60, 65, perm),   # a range that ends past the held rows
         ]
         for other in others:
             assert not np.shares_memory(other, held)
