@@ -27,7 +27,7 @@ import numpy as np
 
 from . import designs, qmc, testfns
 from .designs import DesignSpec
-from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, _draw_rows, checked_vector
+from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, _draw_rows
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,7 @@ def adaptive_run(
     # The last block can reach 2**(p+1) rows when enough factors were dropped.
     n_max = 2 ** (p + 1)
     pool = _draw_rows(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)(0, n_max)   # A and B
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        y = model(points) if model is not None else testfns.evaluate(fn, points)
-        return checked_vector("model output", y, len(points))
+    model = model if model is not None else lambda points: testfns.evaluate(fn, points)
 
     f_a = np.empty(n_max)
     diffs = np.empty((k, n_max))
@@ -128,7 +125,7 @@ def adaptive_run(
             break
         lo, n_rows = n_rows, n_rows + new_rows
         y = designs._plan_outputs(DesignSpec("asymmetric", 2, new_rows, k),
-                                  lambda r0, r1: [m[lo + r0 : lo + r1] for m in pool], evaluator, (0, *active))
+                                  lambda r0, r1: [m[lo + r0 : lo + r1] for m in pool], model, (0, *active))
         grown = [j - 1 for j in active]
         f_a[lo:n_rows] = y[0]
         diffs[grown, lo:n_rows] = y[0] - y[1:]

@@ -192,6 +192,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    if args.k < 1 or args.budget <= args.k:   # before any design or discrepancy work
+        print("metrics: --k must be >= 1" if args.k < 1 else f"metrics: --budget {args.budget} is below the minimal "
+              f"design cost {args.k + 1} at --k {args.k}", file=sys.stderr)
+        return EXIT_USAGE
     rows = designs.budget_table(args.k, args.budget)
     csv_text = designs.budget_table_csv(rows)
     table_path = bench._write(args.out_dir, "budget_table.csv", csv_text)

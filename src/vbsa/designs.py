@@ -37,6 +37,25 @@ _BASE_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 SHIFT = -1
 
 
+class EstimationError(ValueError):
+    """Raised when an estimator's inputs are degenerate (constant vectors, etc.)."""
+
+
+def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
+    """``vec`` as a finite float vector, of length ``n_rows`` when given.
+
+    Raises :class:`EstimationError` naming ``label`` for any other shape and
+    for NaN or infinite entries.
+    """
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim != 1 or (n_rows is not None and len(vec) != n_rows):
+        raise EstimationError(f"vector {label!r} has shape {vec.shape}, expected ({n_rows or 'N'},)")
+    # the sum carries any NaN or infinity: only a sum of finite values that overflows needs the full mask
+    if not np.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
+        raise EstimationError(f"vector {label!r} holds NaN or infinite values")
+    return vec
+
+
 def base_label(index: int) -> str:
     """Label of the ``index``-th base matrix: A, B, C, ..."""
     return _BASE_NAMES[index]
@@ -329,7 +348,8 @@ def _plan_outputs(spec: DesignSpec, rows_of, model, segments: tuple[int, ...] | 
 
     A tile is as many whole segments as fit; when one segment does not fit, its rows are cut into the fewest
     equal ranges that do, and a tile is one range of one segment.  Every plan row is evaluated exactly once.
-    The model gets each tile as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.
+    The model gets each tile as a read-only, Fortran-ordered ``(rows, k)`` view: writing into it raises.  Its
+    outputs pass :func:`checked_vector`, so a wrong length, NaN or infinity raises at that tile, before the next.
     The tiles are written into one buffer per thread, kept from call to call, so a tile is valid only until the
     model returns; a model that evaluates a plan itself gets a buffer of its own for that.  Besides the outputs,
     the call holds the buffer and one range's rows from the row source ``rows_of`` (:func:`_segment_chunks`).
@@ -349,7 +369,7 @@ def _plan_outputs(spec: DesignSpec, rows_of, model, segments: tuple[int, ...] | 
         points = chunk.reshape(k, -1).T
         points.flags.writeable = False
         size, h = chunk.shape[1:]
-        y[lo : lo + size, r0 : r0 + h] = model(points).reshape(size, h)
+        y[lo : lo + size, r0 : r0 + h] = checked_vector("model output", model(points), size * h).reshape(size, h)
     _tiles.storage = storage
     return y
 

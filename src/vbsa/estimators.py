@@ -10,7 +10,9 @@ raises :class:`EstimationError` naming the first such label, with the same
 text for both forms.  Every estimator is a few array expressions over that
 array and the couples of :func:`designs.factor_segments`, the same design
 table that lays out the plan; ``effects_used`` is the table's couple count
-times N; N >= 2.  Internal evaluation goes by cache-sized plan tiles.
+times N; N >= 2.  Every estimator holds its temporaries in factor chunks of
+at most one tile of values (:func:`_factor_chunks`), never a gathered copy of
+the whole array.  Internal evaluation goes by cache-sized plan tiles.
 Conventions fixed for reproducibility: variances are population (1/N)
 moments; Pearson correlations match numerator/denominator normalisation so
 |rho| <= 1; Owen and Glen-Isaacs report negative estimates as-is.
@@ -30,15 +32,11 @@ from typing import Mapping
 import numpy as np
 
 from . import designs, qmc, testfns
-from .designs import DesignSpec
+from .designs import DesignSpec, EstimationError, checked_vector
 
 EvaluationSet = Mapping[str, np.ndarray]
 # what an estimator reads: an evaluation set or the (segments, N) output array
 Outputs = EvaluationSet | np.ndarray
-
-
-class EstimationError(ValueError):
-    """Raised when an estimator's inputs are degenerate (constant vectors, etc.)."""
 
 
 @dataclass(frozen=True)
@@ -53,38 +51,6 @@ class TotalIndexEstimate:
     @property
     def k(self) -> int:
         return len(self.total)
-
-
-def _row_correlations(y: np.ndarray):
-    """Product-moment correlation between rows of ``y``, with matched normalisation.
-
-    Every row is centred and its norm taken once; the returned ``rho(u, v)``
-    correlates rows u and v (indices, slices or index arrays) over the last axis.
-    """
-    d = y - np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]   # y.mean(axis=1), bit for bit
-    norms = np.vecdot(d, d)
-    if np.any(norms == 0.0):
-        raise EstimationError("correlation of a constant vector is undefined")
-
-    def rho(u, v) -> np.ndarray:
-        # the clip to [-1, 1] guards float round-off only; the estimator itself satisfies |rho| <= 1
-        return np.minimum(np.maximum(np.vecdot(d[u], d[v]) / np.sqrt(norms[u] * norms[v]), -1.0), 1.0)
-
-    return rho
-
-
-def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
-    """``vec`` as a finite float vector, of length ``n_rows`` when given.
-
-    Raises :class:`EstimationError` naming ``label`` for any other shape and
-    for NaN or infinite entries.
-    """
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or (n_rows is not None and len(vec) != n_rows):
-        raise EstimationError(f"vector {label!r} has shape {vec.shape}, expected ({n_rows or 'N'},)")
-    if not np.isfinite(vec).all():
-        raise EstimationError(f"vector {label!r} holds NaN or infinite values")
-    return vec
 
 
 def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
@@ -121,7 +87,7 @@ def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
 def _factor_chunks(k: int, per_factor: int) -> list[slice]:
     """Consecutive factors whose temporaries, ``per_factor`` values each, fill at most one tile, or one factor."""
     width = max(1, qmc._TILE_VALUES // per_factor)
-    return [slice(j, j + width) for j in range(0, k, width)]
+    return [slice(j, min(j + width, k)) for j in range(0, k, width)]
 
 
 def _checked_variance(y: np.ndarray, context: str) -> float:
@@ -188,13 +154,24 @@ def _d3_terms(y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     channel, corrected = (raw - p_j * raw_other) / (1 - p_j^2): ``c_aj`` from
     raw ``c_dmj`` and ``c_amj`` from raw ``c_dj``.
     """
-    a, b = np.zeros(k, dtype=np.intp), np.ones(k, dtype=np.intp)
-    ab = np.arange(2, 2 + k)   # A_B(j); B_A(j) is ab + k
-    # the six correlations in one call: rows (a, ab), (b, ba), (b, ab), (a, ba), (a, b), (ab, ba)
-    r = _row_correlations(y)(np.array([a, b, b, a, a, ab]), np.array([ab, ab + k, ab, ab + k, b, ab + k]))
-    c_dmj = 0.5 * (r[0] + r[1])
-    c_dj = 0.5 * (r[2] + r[3])
-    p_j = 0.5 * (r[4] + r[5])
+    N = y.shape[1]
+    base = y[:2] - np.add.reduce(y[:2], axis=1, keepdims=True) / N   # A and B centred, y.mean(axis=1) bit for bit
+    hybrids = y[2:].reshape(2, k, N)   # A_B(j) and B_A(j)
+    # gram[u, v, j]: side u's row dotted with side v's (side 0: A_B(j), or A in column k; side 1: B_A(j), or B);
+    # cross[u, v, j]: A (u = 0) or B (u = 1) dotted with factor j's hybrid of side v
+    gram, cross = np.empty((2, 2, k + 1)), np.empty((2, 2, k))
+    gram[:, :, k] = np.vecdot(base[:, None], base)
+    for j in _factor_chunks(k, 2 * N):   # each chunk centres only its own hybrids
+        h = hybrids[:, j] - np.add.reduce(hybrids[:, j], axis=2, keepdims=True) / N
+        gram[:, :, j], cross[:, :, j] = np.vecdot(h[:, None], h), np.vecdot(base[:, None, None], h)
+    norms = gram.diagonal().T   # (2, k + 1)
+    if not norms.all():   # a zero norm: a constant row
+        raise EstimationError("correlation of a constant vector is undefined")
+    # the clip to [-1, 1] guards float round-off only; the estimator itself satisfies |rho| <= 1
+    r = np.minimum(np.maximum(cross / np.sqrt(norms[:, k:, None] * norms[:, :k]), -1.0), 1.0)
+    p = np.minimum(np.maximum(gram[0, 1] / np.sqrt(norms[0] * norms[1]), -1.0), 1.0)
+    # c_dmj over (A, A_B(j)) and (B, B_A(j)), c_dj over (B, A_B(j)) and (A, B_A(j)), p_j over (A, B), (A_B(j), B_A(j))
+    c_dmj, c_dj, p_j = 0.5 * (r[0, 0] + r[1, 1]), 0.5 * (r[1, 0] + r[0, 1]), 0.5 * (p[k] + p[:k])
     if np.any(np.abs(p_j) >= 1.0):
         j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
         raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")

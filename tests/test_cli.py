@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbsa import cli, testfns
+from vbsa import cli, designs, testfns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -64,6 +64,25 @@ class TestMetrics:
         table = (tmp_path / "budget_table.csv").read_text()
         assert len(table.strip().splitlines()) == 8
         assert (tmp_path / "design_scatter.svg").read_text().startswith("<svg")
+
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--k", "0", "--budget", "100"], "--k must be >= 1"),
+        (["--k", "-2", "--budget", "100"], "--k must be >= 1"),
+        (["--k", "6", "--budget", "3"], "--budget 3 is below the minimal design cost 7 at --k 6"),
+        (["--k", "6", "--budget", "-1"], "--budget -1 is below the minimal design cost 7 at --k 6"),
+    ], ids=["k-zero", "k-negative", "budget-below-cost", "budget-negative"])
+    def test_bad_flags_named_before_any_work(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr(designs, "budget_table", lambda k, target: pytest.fail("budget table before the check"))
+        assert cli.run(["metrics", *flags, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"metrics: {message}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_budget_of_the_minimal_cost_accepted(self, tmp_path, capsys):
+        assert cli.run(["metrics", "--k", "6", "--budget", "7", "--out-dir", str(tmp_path)]) == 0
+        assert "asymmetric,1,2,7," in capsys.readouterr().out
 
 
 class TestAnalyticIndex:

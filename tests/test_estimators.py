@@ -26,7 +26,6 @@ from vbsa.estimators import (
     EstimationError,
     _d3_terms,
     _outputs,
-    _row_correlations,
     cyclic_single_matrix_T,
     estimate_csv,
     estimate_total_effects,
@@ -84,6 +83,30 @@ class TestSampleVariance:
             runner(evals)
 
 
+def _row_correlations(y):
+    """Reference correlations by the gather formulation: every row of ``y`` centred and its norm taken at once;
+    ``rho(u, v)`` correlates rows u and v (indices or index arrays) over the last axis, with matched normalisation."""
+    d = y - np.add.reduce(y, axis=1, keepdims=True) / y.shape[1]
+    norms = np.vecdot(d, d)
+    if np.any(norms == 0.0):
+        raise EstimationError("correlation of a constant vector is undefined")
+    return lambda u, v: np.minimum(np.maximum(np.vecdot(d[u], d[v]) / np.sqrt(norms[u] * norms[v]), -1.0), 1.0)
+
+
+def _d3_reference(y, k):
+    """``_d3_terms`` by the gather formulation: the six correlations over two (6, k, N) row stacks in one call."""
+    a, b = np.zeros(k, dtype=np.intp), np.ones(k, dtype=np.intp)
+    ab = np.arange(2, 2 + k)   # A_B(j); B_A(j) is ab + k
+    r = _row_correlations(y)(np.array([a, b, b, a, a, ab]), np.array([ab, ab + k, ab, ab + k, b, ab + k]))
+    c_dmj, c_dj, p_j = 0.5 * (r[0] + r[1]), 0.5 * (r[2] + r[3]), 0.5 * (r[4] + r[5])
+    if np.any(np.abs(p_j) >= 1.0):
+        j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
+        raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
+    c_aj = (c_dmj - p_j * c_dj) / (1.0 - p_j**2)
+    c_amj = (c_dj - p_j * c_dmj) / (1.0 - p_j**2)
+    return c_dmj, c_dj, p_j, c_aj, c_amj
+
+
 def _rho(u, v):
     return _row_correlations(np.array([u, v]))(0, 1)
 
@@ -104,11 +127,6 @@ class TestPearsonRho:
     def test_constant_vector_rejected(self):
         with pytest.raises(EstimationError, match="constant"):
             _rho(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
-
-    def test_row_slices_match_single_rows(self):
-        y = np.random.default_rng(5).random((5, 16))
-        rho = _row_correlations(y)
-        assert np.array_equal(rho(0, slice(1, 5)), [rho(0, j) for j in range(1, 5)])
 
 
 class TestSaltenis:
@@ -188,6 +206,69 @@ class TestGlenIsaacs:
         assert c_aj.shape == (3,)
         assert c_aj == pytest.approx((c_dmj - p_j * c_dj) / (1 - p_j**2), abs=1e-14)
         assert c_amj == pytest.approx((c_dj - p_j * c_dmj) / (1 - p_j**2), abs=1e-14)
+
+
+class TestD3GatherReference:
+    """``_d3_terms`` and ``glen_isaacs_d3_T`` give the bits and error texts of the gather formulation."""
+
+    @staticmethod
+    def _outputs(N, k, seed):
+        """Random (2 + 2k, N) outputs at three scales, also rounded to ties, and rows raising either error text."""
+        rng = np.random.default_rng(seed)
+        for scale in (1e-8, 1.0, 1e8):
+            y = (rng.standard_normal((2 + 2 * k, N)) + rng.uniform(-3, 3)) * scale
+            yield y
+            yield np.round(y / scale) * scale
+        y = rng.random((2 + 2 * k, N))
+        y[2 + k] = 0.3   # B_A(1) constant
+        yield y
+        y = rng.random((2 + 2 * k, N))
+        y[1] = -y[0]
+        for j in (k // 2, k - 1):   # rho(A, B) = rho(A_B(j), B_A(j)) = -1, so |p_j| = 1 first at factor k // 2 + 1
+            y[2 + k + j] = -y[2 + j]
+        yield y.copy()
+        y[2 + k - 1] = 0.5   # a constant A_B(k) as well: the constant-vector text comes first
+        yield y
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 12])
+    @pytest.mark.parametrize("N", [2, 3, 8, 1000, 2**13])
+    @pytest.mark.parametrize("tile_values", [qmc._TILE_VALUES, 1])
+    def test_equals_reference_bit_for_bit(self, N, k, tile_values, monkeypatch):
+        monkeypatch.setattr(qmc, "_TILE_VALUES", tile_values)
+        texts = set()
+        for y in self._outputs(N, k, seed=k * N):
+            try:
+                expected = _d3_reference(y, k)
+            except EstimationError as exc:
+                texts.add(str(exc))
+                with pytest.raises(EstimationError) as got:
+                    _d3_terms(y, k)
+                assert str(got.value) == str(exc)
+                continue
+            assert [t.tobytes() for t in _d3_terms(y, k)] == [t.tobytes() for t in expected]
+            variance = estimators._checked_variance(y[:2], "matrices A and B")
+            c_dmj, _, p_j, c_aj, c_amj = expected
+            numerator = (1.0 - c_dmj + p_j * c_aj / (1.0 - c_aj * c_amj)) * variance
+            est = glen_isaacs_d3_T(y, k)
+            assert est.numerator.tobytes() == numerator.tobytes()
+            assert est.total.tobytes() == (numerator / variance).tobytes()
+            assert est.variance == variance
+        assert "correlation of a constant vector is undefined" in texts
+        # at N = 2 any two rows correlate to +-1, so random outputs already fail at an earlier factor
+        assert f"spurious correlation |p_{k // 2 + 1}| = 1; correction undefined" in texts or N == 2
+        assert any(text.startswith("spurious correlation") for text in texts)
+
+    def test_traced_peak_at_most_4_mib(self):
+        # the gather formulation held 85 MiB here, 6.5 times the 13 MiB outputs
+        y = np.random.default_rng(0).random((26, 2**16))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            glen_isaacs_d3_T(y, 12)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
 
 
 class TestOwen:
@@ -556,7 +637,7 @@ class TestStreamedEvaluation:
             tracemalloc.stop()
         assert peak < design_metrics(spec).total_points * spec.k * 8
 
-    @pytest.mark.parametrize("kind,n,N", [("asymmetric", 2, 2**16), ("lamboni", 4, 2**14)])
+    @pytest.mark.parametrize("kind,n,N", [("asymmetric", 2, 2**16), ("lamboni", 4, 2**14), ("symmetric2", 2, 2**14)])
     def test_working_set_does_not_grow_with_n(self, kind, n, N):
         # the traced peak beyond the (segments, N) outputs is the same, within one tile, at N and at 4N; both
         # sizes take several row ranges per segment, and each estimate runs on a new thread, with a new tile buffer

@@ -4,9 +4,11 @@ For a real model each row is one expensive run, so the package must never
 evaluate more rows than its ledger or N_T says.  Both checks count at the
 model boundary: the ``adaptive_run`` ``model=`` hook, and ``testfns.evaluate``
 under ``estimate_total_effects``, ``convergence_experiment`` and
-``adaptive_experiment``.
+``adaptive_experiment``.  The same boundary checks every tile's outputs, so a
+faulty model stops the run at the tile that shows the fault.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from vbsa import testfns
 from vbsa.adaptive import adaptive_run, ledger_csv_header
 from vbsa.bench import ESTIMATOR_DESIGNS, EstimatorConfig, ExperimentConfig, adaptive_experiment, convergence_experiment
 from vbsa.designs import DESIGN_KINDS, DesignSpec, design_metrics
-from vbsa.estimators import estimate_total_effects
+from vbsa.estimators import EstimationError, estimate_total_effects
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,3 +104,44 @@ def test_large_plan_calls_bounded_tiles(N, k, evaluated_rows):
     assert len(evaluated_rows) > 1
     assert all(rows * k <= 2**17 for rows in evaluated_rows)
     assert sum(evaluated_rows) == design_metrics(spec).total_points
+
+
+FAULTS = {
+    "nan": (lambda y: np.where(np.arange(len(y)) == 1, np.nan, y), "holds NaN or infinite values"),
+    "inf": (lambda y: np.where(np.arange(len(y)) == 0, -np.inf, y), "holds NaN or infinite values"),
+    "short": (lambda y: y[:-1], "has shape"),
+}
+
+
+@pytest.fixture(params=FAULTS, ids=list(FAULTS))
+def faulty_third_call(request, monkeypatch):
+    """Row counts of every ``testfns.evaluate`` call; the third call's outputs carry the fault of the param."""
+    rows = []
+    evaluate = testfns.evaluate
+    fault, message = FAULTS[request.param]
+
+    def faulty(fn, points):
+        rows.append(len(points))
+        y = evaluate(fn, points)
+        return fault(y) if len(rows) == 3 else y
+
+    monkeypatch.setattr(testfns, "evaluate", faulty)
+    return rows, f"^vector 'model output' {message}"
+
+
+def test_faulty_model_stops_an_estimate_at_that_tile(faulty_third_call):
+    rows, message = faulty_third_call
+    spec = DesignSpec(kind="asymmetric", n=2, N=2**14, k=12)   # 13 segments of two row ranges: 26 tiles
+    with pytest.raises(EstimationError, match=message):
+        estimate_total_effects(spec, fn=testfns.function_spec("B1", 12), seed=1)
+    assert len(rows) == 3
+
+
+def test_faulty_model_stops_a_sweep_with_no_cell_error(faulty_third_call):
+    # a model fault is a bug, not a degenerate cell: it raises before any later tile or repetition runs
+    rows, message = faulty_third_call
+    roster = (EstimatorConfig("saltenis"), EstimatorConfig("glen_isaacs"))
+    cfg = ExperimentConfig(testfns.function_spec("A2", 4), roster, p_min=5, p_max=7, repetitions=3, seed=1)
+    with pytest.raises(EstimationError, match=message):
+        convergence_experiment(cfg)
+    assert len(rows) == 3
