@@ -12,8 +12,9 @@ Within a repetition, each estimator's consecutive block sizes are evaluated
 in groups: as many whole cells as fit in one plan tile (``_TILE_VALUES``
 values) share one plan write and one model call over their stacked bases,
 and each cell's estimator then reads its own columns of the outputs.  Every
-plan row is still evaluated once, for its own cell, so the records equal
-those of evaluating each cell on its own, bit for bit.
+plan row is still evaluated once, for its own cell.  Each cell's estimator
+reads a block of repetitions' outputs stacked, in one call.  So the records
+equal those of each cell and repetition on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -152,28 +153,35 @@ def _rep_record(
     return ConvergenceRecord(fn.family, name, spec.n, p, spec.N, n_t, rep, t_hat=total, mae=deviation)
 
 
-def _rep_records(
-    cfg: ExperimentConfig,
-    analytic_total: np.ndarray,
-    pool: np.ndarray,
-    groups: list[tuple[EstimatorConfig, list[_Cell]]],
-    rep: int,
-) -> tuple[list[ConvergenceRecord], list[CellError]]:
-    pool_r = qmc.permute_columns(pool, qmc.draw_permutation(pool.shape[1], cfg.seed, rep))
-    records: list[ConvergenceRecord] = []
-    errors: list[CellError] = []
-    for est, group in groups:
-        y = _group_outputs([spec for _, spec, _ in group], pool_r, cfg.function)
-        offset = 0
-        for p, spec, n_t in group:
-            cell, offset = y[:, offset : offset + spec.N], offset + spec.N
-            try:
-                result = estimators.run_estimator(spec, cell)
-            except estimators.EstimationError as exc:   # degenerate cells must not abort the sweep
-                errors.append(CellError(est.name, est.n, p, rep, str(exc)))
-                continue
-            records.append(_rep_record(cfg.function, est.name, p, spec, n_t, rep, result.total, analytic_total))
-    errors.sort(key=lambda e: e.p)   # stable: by p, then in roster order
+def _group_records(cfg: ExperimentConfig, analytic_total: np.ndarray, pool: np.ndarray, perms: list,
+                   est: EstimatorConfig, group: list[_Cell], reps: range) -> tuple[list, list[CellError]]:
+    """The records and cell errors of a group of cells over a block of repetitions, one estimator call per cell.
+
+    Each repetition permutes the group's pool rows and evaluates its plans on its own; each cell's columns of the
+    outputs go into its ``(repetitions, segments, N)`` stack.  A stack that raises is estimated again one repetition
+    at a time, so each error is that repetition's own and the others keep their records.
+    """
+    specs = [spec for _, spec, _ in group]
+    ends = np.cumsum([spec.N for spec in specs]).tolist()
+    prefix = pool[: max(spec.N for spec in specs)]
+    stacks = [np.empty((len(reps), len(designs.plan_layout(s.kind, s.n, s.k)), s.N)) for s in specs]
+    for i, rep in enumerate(reps):
+        y = _group_outputs(specs, qmc.permute_columns(prefix, perms[rep]), cfg.function)
+        for stack, end in zip(stacks, ends):
+            stack[i] = y[:, end - stack.shape[-1] : end]
+    records, errors = [], []
+    for (p, spec, n_t), stack in zip(group, stacks):
+        try:
+            totals = list(zip(reps, estimators.run_estimator(spec, stack).total))
+        except estimators.EstimationError:
+            totals = []
+            for rep, y in zip(reps, stack):
+                try:
+                    totals.append((rep, estimators.run_estimator(spec, y).total))
+                except estimators.EstimationError as exc:   # degenerate cells must not abort the sweep
+                    errors.append(CellError(est.name, est.n, p, rep, str(exc)))
+        records.extend(_rep_record(cfg.function, est.name, p, spec, n_t, rep, total, analytic_total)
+                       for rep, total in totals)
     return records, errors
 
 
@@ -221,35 +229,42 @@ def convergence_experiment(
     """Run the full repetition/block sweep; deterministic for a given config.
 
     Every cell reads a prefix of one pool, n k columns at the roster's largest n by its largest cell's N rows,
-    permuted per repetition.  Repetitions may run on ``workers`` threads, merged in repetition order afterwards.
+    permuted per repetition.  The loop runs over groups of cells (:func:`_cell_groups`), then over blocks of as many
+    repetitions as fit one tile of the group's outputs (``_TILE_VALUES`` // the sum of its N_T, at least one).  Blocks
+    may run on ``workers`` threads; records are sorted by estimator, p and rep, errors by rep, p and roster order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     k = cfg.function.k
     analytic_total = testfns.analytic_indices(cfg.function).total
-    groups = []   # (estimator, cells evaluated together)
+    reps = range(cfg.repetitions)
+    blocks = []   # (estimator, cells evaluated together, repetitions estimated together)
     for e in cfg.estimators:
         cells = []
         for p in cfg.p_values:
             spec = e.design(matched_block_size(e, k, (k + 1) * 2**p), k)
             cells.append((p, spec, designs.design_metrics(spec).total_points))
-        groups.extend((e, group) for group in _cell_groups(cells))
+        for group in _cell_groups(cells):
+            size = max(1, designs._TILE_VALUES // sum(n_t for _, _, n_t in group))
+            blocks.extend((e, group, reps[r : r + size]) for r in range(0, cfg.repetitions, size))
     n_max = max(e.n for e in cfg.estimators)
     if n_max * k > qmc._MAX_DIM:   # before the pool is drawn and any model run
         raise ValueError(f"n = {n_max} matrices at k = {k} need {n_max * k} generator dimensions (max {qmc._MAX_DIM})")
-    pool = qmc.sobol_rows(n_max * k, 0, max(spec.N for _, group in groups for _, spec, _ in group))
+    pool = qmc.sobol_rows(n_max * k, 0, max(spec.N for _, group, _ in blocks for _, spec, _ in group))
+    perms = [qmc.draw_permutation(n_max * k, cfg.seed, rep) for rep in reps]
 
-    reps = range(cfg.repetitions)
+    run = lambda block: _group_records(cfg, analytic_total, pool, perms, *block)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            per_rep = list(ex.map(lambda r: _rep_records(cfg, analytic_total, pool, groups, r), reps))
+            per_block = list(ex.map(run, blocks))
     else:
-        per_rep = [_rep_records(cfg, analytic_total, pool, groups, r) for r in reps]
+        per_block = [run(block) for block in blocks]
 
-    records = [rec for recs, _ in per_rep for rec in recs]
-    errors = [err for _, errs in per_rep for err in errs]
+    records = [rec for recs, _ in per_block for rec in recs]
+    errors = [err for _, errs in per_block for err in errs]
     series = [(e.name, e.n) for e in cfg.estimators]
     records.sort(key=lambda r: (series.index((r.estimator, r.n)), r.p, r.rep))
+    errors.sort(key=lambda e: (e.rep, e.p, series.index((e.estimator, e.n))))
     return _with_aggregates(records, series, cfg.p_values), errors
 
 

@@ -41,6 +41,7 @@ class EstimationError(ValueError):
     """Raised when an estimator's inputs are degenerate (constant vectors, etc.)."""
 
 
+@np.errstate(invalid="ignore", over="ignore")   # the finiteness sum: +inf with -inf, or an overflow, is no warning
 def checked_vector(label: str, vec, n_rows: int | None = None) -> np.ndarray:
     """``vec`` as a finite float vector, of length ``n_rows`` when given.
 

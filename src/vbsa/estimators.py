@@ -5,14 +5,17 @@ in either of two forms: the ``(segments, N)`` float array whose rows follow
 :func:`designs.plan_layout` (what internal evaluation produces, read without
 a copy), or an :class:`EvaluationSet` keyed by the plan's matrix labels (what
 ``EvaluationPlan.split_outputs`` gives an external model), stacked into that
-array.  The array is checked once: a missing, misshapen or non-finite row
-raises :class:`EstimationError` naming the first such label, with the same
-text for both forms.  Every estimator is a few array expressions over that
+array.  An array may be a stack ``(..., segments, N)``, such as a sweep's
+repetitions: every reduction runs over the trailing axes, so entry r of the
+estimate equals that of ``y[r]`` alone, bit for bit.  The array is checked
+once: a missing, misshapen or non-finite row raises :class:`EstimationError`
+naming the first such label, with the same text for both forms.  Every estimator is a few array expressions over that
 array and the couples of :func:`designs.factor_segments`, the same design
 table that lays out the plan; ``effects_used`` is the table's couple count
 times N; N >= 2.  Every estimator holds its temporaries in factor chunks of
-at most one tile of values (:func:`_factor_chunks`), never a gathered copy of
-the whole array.  Internal evaluation goes by cache-sized plan tiles.
+at most one tile of values, counting the whole stack (:func:`_factor_chunks`),
+never a gathered copy of the whole array.  Internal evaluation goes by
+cache-sized plan tiles.
 Conventions fixed for reproducibility: variances are population (1/N)
 moments; Pearson correlations match numerator/denominator normalisation so
 |rho| <= 1; Owen and Glen-Isaacs report negative estimates as-is.
@@ -37,24 +40,26 @@ from .designs import DesignSpec, EstimationError, checked_vector
 EvaluationSet = Mapping[str, np.ndarray]
 # what an estimator reads: an evaluation set or the (segments, N) output array
 Outputs = EvaluationSet | np.ndarray
+_EPS4 = 4.0 * np.finfo(float).eps   # the zero-variance tolerance's factor, read once (np.finfo costs about 0.7 us)
 
 
 @dataclass(frozen=True)
 class TotalIndexEstimate:
     """Per-factor total-effect estimates with their building blocks."""
 
-    total: np.ndarray          # T-hat, length k
+    total: np.ndarray          # T-hat, length k, or (..., k) over stacked outputs
     numerator: np.ndarray      # per-factor numerator, T-hat = numerator / variance
-    variance: float            # V-hat(Y) used for normalisation
+    variance: float | np.ndarray   # V-hat(Y) used for normalisation, one per leading index when stacked
     effects_used: np.ndarray   # elementary effects consumed per factor
 
     @property
     def k(self) -> int:
-        return len(self.total)
+        return self.total.shape[-1]
 
 
+@np.errstate(invalid="ignore", over="ignore")   # the finiteness sum: +inf with -inf, or an overflow, is no warning
 def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
-    """The outputs as one ``(segments, N)`` array in :func:`designs.plan_layout` order.
+    """The outputs as one ``(..., segments, N)`` array in :func:`designs.plan_layout` order.
 
     ``evals`` is an evaluation set, stacked here, or already that array, used
     as it is (a C-contiguous float array is not copied).  Either way a bad
@@ -65,13 +70,14 @@ def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
     layout = designs.plan_layout(kind, n, k)
     if isinstance(evals, np.ndarray):
         y = np.ascontiguousarray(evals, dtype=float)
-        if y.ndim != 2 or len(y) > len(layout):
+        if y.ndim < 2 or y.shape[-2] > len(layout):
             raise EstimationError(f"output array has shape {y.shape}, expected ({len(layout)}, N)")
-        if len(y) < len(layout):
-            raise EstimationError(f"evaluation set is missing vector {layout[len(y)][0]!r}")
+        if y.shape[-2] < len(layout):
+            raise EstimationError(f"evaluation set is missing vector {layout[y.shape[-2]][0]!r}")
         # the sum carries any NaN or infinity: only a sum of finite values that overflows needs the full mask
-        if not np.isfinite(np.add.reduce(y, axis=None)) and not (finite := np.isfinite(y).all(axis=1)).all():
-            raise EstimationError(f"vector {layout[int(np.argmin(finite))][0]!r} holds NaN or infinite values")
+        if not np.isfinite(np.add.reduce(y, axis=None)) and not (finite := np.isfinite(y).all(axis=-1)).all():
+            # a stack names the first bad row of its first bad entry, as that entry's own call does
+            raise EstimationError(f"vector {layout[np.argmin(finite) % len(layout)][0]!r} holds NaN or infinite values")
     else:
         rows = []   # checked in layout order, so the first missing or bad vector is the one named
         for label, *_ in layout:
@@ -79,8 +85,8 @@ def _outputs(evals: Outputs, kind: str, n: int, k: int) -> np.ndarray:
                 raise EstimationError(f"evaluation set is missing vector {label!r}")
             rows.append(checked_vector(label, evals[label], len(rows[0]) if rows else None))
         y = np.array(rows)
-    if y.shape[1] < 2:
-        raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {y.shape[1]})")
+    if y.shape[-1] < 2:
+        raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {y.shape[-1]})")
     return y
 
 
@@ -90,49 +96,57 @@ def _factor_chunks(k: int, per_factor: int) -> list[slice]:
     return [slice(j, min(j + width, k)) for j in range(0, k, width)]
 
 
-def _checked_variance(y: np.ndarray, context: str) -> float:
-    """Population (1/N) V-hat(Y) over all values of ``y``, which must not all be equal.
+def _checked_variance(y: np.ndarray, context: str) -> float | np.ndarray:
+    """Population (1/N) V-hat(Y) over a vector or ``(rows, N)`` array ``y``, a float, or per entry of a stack.
 
-    Equal values whose mean does not round exactly leave rounding noise (three
+    The values must not all be equal.  Equal values whose mean does not round exactly leave rounding noise (three
     0.1s give 1.9e-34), so a variance up to (4 eps max|y|)^2 counts as zero.
     """
+    axes, size = (None, y.size) if y.ndim <= 2 else ((-2, -1), y.shape[-2] * y.shape[-1])
     # np.var's own ufunc steps, without its Python wrapper: the same bits
-    mean = np.add.reduce(y, axis=None, keepdims=True)
-    x = np.subtract(y, np.true_divide(mean, y.size, out=mean))
-    v = float(np.add.reduce(np.multiply(x, x, out=x), axis=None)) / y.size
-    if v <= (4.0 * np.finfo(float).eps * max(float(y.max()), -float(y.min()))) ** 2:
+    mean = np.add.reduce(y, axis=axes, keepdims=True)
+    x = np.abs(y)
+    bound = _EPS4 * x.max(axis=axes)   # max|y|, read before x's buffer takes the deviations
+    x = np.subtract(y, np.true_divide(mean, size, out=mean), out=x)
+    v = np.add.reduce(np.multiply(x, x, out=x), axis=axes) / size
+    noise = v <= bound**2   # one flag, or one per entry of a stack
+    if noise if axes is None else noise.any():
         raise EstimationError(f"zero output variance in {context}; indices undefined")
-    return v
+    return float(v) if axes is None else v
 
 
-def _estimate(kind: str, n: int, N: int, numerator: np.ndarray, variance: float) -> TotalIndexEstimate:
+def _per_factor(variance: float | np.ndarray) -> float | np.ndarray:   # to meet (..., k) arrays: a stack's as a column
+    return variance[..., None] if isinstance(variance, np.ndarray) else variance
+
+
+def _estimate(kind: str, n: int, N: int, numerator: np.ndarray, variance: float | np.ndarray) -> TotalIndexEstimate:
     """T-hat = numerator / variance, with the design's couples times N effects per factor."""
-    left, _ = designs.factor_segments(kind, n, len(numerator))
+    left, _ = designs.factor_segments(kind, n, numerator.shape[-1])
     return TotalIndexEstimate(
-        total=numerator / variance,
+        total=numerator / _per_factor(variance),
         numerator=numerator,
         variance=variance,
-        effects_used=np.full(len(numerator), left.shape[1] * N),
+        effects_used=np.full(numerator.shape, left.shape[1] * N),
     )
 
 
 def _squared_difference_T(y: np.ndarray, kind: str, n: int, k: int) -> TotalIndexEstimate:
     """The squared-difference estimator over the couples of ``kind``'s design table entry.
 
-    ``y`` is the plan's ``(segments, N)`` output array (:func:`_outputs`).
+    ``y`` is the plan's ``(..., segments, N)`` output array (:func:`_outputs`).
     numerator_j = 1/2 mean over factor j's couples and rows of
     (f(left) - f(right))^2, normalised by the variance of matrix A.
     """
-    variance = _checked_variance(y[:1], "matrix A")
+    variance = _checked_variance(y[..., :1, :], "matrix A")
     left, right = designs.factor_segments(kind, n, k)
-    numerator = np.empty(k)
-    for j in _factor_chunks(k, right[0].size * y.shape[1]):
-        diff = y[right[j]]
+    numerator = np.empty((*y.shape[:-2], k))
+    for j in _factor_chunks(k, right[0].size * y.size // y.shape[-2]):
+        diff = y.take(right[j], axis=-2)   # C-ordered, so each (couples, N) sum adds as in one array's
         # asymmetric and cyclic: every left segment is matrix A, so broadcast its row
-        np.subtract(y[left[j]] if left.any() else y[0], diff, out=diff)
-        numerator[j] = np.square(diff, out=diff).sum(axis=(1, 2))
+        np.subtract(y.take(left[j], axis=-2) if left.any() else y[..., :1, None, :], diff, out=diff)
+        numerator[..., j] = np.add.reduce(np.square(diff, out=diff), axis=(-2, -1))
         del diff   # released before the next chunk is gathered
-    return _estimate(kind, n, y.shape[1], numerator / (2.0 * right[0].size * y.shape[1]), variance)
+    return _estimate(kind, n, y.shape[-1], numerator / (2.0 * right[0].size * y.shape[-1]), variance)
 
 
 def saltenis_T(evals: Outputs, k: int) -> TotalIndexEstimate:
@@ -154,26 +168,28 @@ def _d3_terms(y: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     channel, corrected = (raw - p_j * raw_other) / (1 - p_j^2): ``c_aj`` from
     raw ``c_dmj`` and ``c_amj`` from raw ``c_dj``.
     """
-    N = y.shape[1]
-    base = y[:2] - np.add.reduce(y[:2], axis=1, keepdims=True) / N   # A and B centred, y.mean(axis=1) bit for bit
-    hybrids = y[2:].reshape(2, k, N)   # A_B(j) and B_A(j)
-    # gram[u, v, j]: side u's row dotted with side v's (side 0: A_B(j), or A in column k; side 1: B_A(j), or B);
-    # cross[u, v, j]: A (u = 0) or B (u = 1) dotted with factor j's hybrid of side v
-    gram, cross = np.empty((2, 2, k + 1)), np.empty((2, 2, k))
-    gram[:, :, k] = np.vecdot(base[:, None], base)
-    for j in _factor_chunks(k, 2 * N):   # each chunk centres only its own hybrids
-        h = hybrids[:, j] - np.add.reduce(hybrids[:, j], axis=2, keepdims=True) / N
-        gram[:, :, j], cross[:, :, j] = np.vecdot(h[:, None], h), np.vecdot(base[:, None, None], h)
-    norms = gram.diagonal().T   # (2, k + 1)
+    N = y.shape[-1]
+    base = y[..., :2, :] - np.add.reduce(y[..., :2, :], axis=-1, keepdims=True) / N   # A and B centred, as y.mean
+    hybrids = y[..., 2:, :].reshape(*y.shape[:-2], 2, k, N)   # A_B(j) and B_A(j)
+    # gram[..., u, v, j]: side u's row dotted with side v's (side 0: A_B(j), or A in column k; side 1: B_A(j), or B);
+    # cross[..., u, v, j]: A (u = 0) or B (u = 1) dotted with factor j's hybrid of side v
+    gram, cross = np.empty((*y.shape[:-2], 2, 2, k + 1)), np.empty((*y.shape[:-2], 2, 2, k))
+    gram[..., k] = np.vecdot(base[..., :, None, :], base[..., None, :, :])
+    for j in _factor_chunks(k, 2 * y.size // y.shape[-2]):   # each chunk centres only its own hybrids
+        h = hybrids[..., j, :] - np.add.reduce(hybrids[..., j, :], axis=-1, keepdims=True) / N
+        gram[..., j] = np.vecdot(h[..., :, None, :, :], h[..., None, :, :, :])
+        cross[..., j] = np.vecdot(base[..., :, None, None, :], h[..., None, :, :, :])
+    norms = gram.diagonal(0, -3, -2).swapaxes(-1, -2)   # (..., 2, k + 1)
     if not norms.all():   # a zero norm: a constant row
         raise EstimationError("correlation of a constant vector is undefined")
     # the clip to [-1, 1] guards float round-off only; the estimator itself satisfies |rho| <= 1
-    r = np.minimum(np.maximum(cross / np.sqrt(norms[:, k:, None] * norms[:, :k]), -1.0), 1.0)
-    p = np.minimum(np.maximum(gram[0, 1] / np.sqrt(norms[0] * norms[1]), -1.0), 1.0)
+    r = np.minimum(np.maximum(cross / np.sqrt(norms[..., :, k:, None] * norms[..., None, :, :k]), -1.0), 1.0)
+    p = np.minimum(np.maximum(gram[..., 0, 1, :] / np.sqrt(norms[..., 0, :] * norms[..., 1, :]), -1.0), 1.0)
     # c_dmj over (A, A_B(j)) and (B, B_A(j)), c_dj over (B, A_B(j)) and (A, B_A(j)), p_j over (A, B), (A_B(j), B_A(j))
-    c_dmj, c_dj, p_j = 0.5 * (r[0, 0] + r[1, 1]), 0.5 * (r[1, 0] + r[0, 1]), 0.5 * (p[k] + p[:k])
-    if np.any(np.abs(p_j) >= 1.0):
-        j = int(np.argmax(np.abs(p_j) >= 1.0)) + 1
+    c_dmj, c_dj = 0.5 * (r[..., 0, 0, :] + r[..., 1, 1, :]), 0.5 * (r[..., 1, 0, :] + r[..., 0, 1, :])
+    p_j = 0.5 * (p[..., k:] + p[..., :k])
+    if (spurious := np.abs(p_j) >= 1.0).any():
+        j = int(np.argmax(spurious.reshape(-1, k).any(axis=0))) + 1
         raise EstimationError(f"spurious correlation |p_{j}| = 1; correction undefined")
     c_aj = (c_dmj - p_j * c_dj) / (1.0 - p_j**2)
     c_amj = (c_dj - p_j * c_dmj) / (1.0 - p_j**2)
@@ -188,10 +204,10 @@ def glen_isaacs_d3_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     p_j -> 0, leaving 1 - c_dmj -> T_j.
     """
     y = _outputs(evals, "symmetric2", 2, k)
-    variance = _checked_variance(y[:2], "matrices A and B")
+    variance = _checked_variance(y[..., :2, :], "matrices A and B")
     c_dmj, _, p_j, c_aj, c_amj = _d3_terms(y, k)
     total = 1.0 - c_dmj + p_j * c_aj / (1.0 - c_aj * c_amj)
-    return _estimate("symmetric2", 2, y.shape[1], total * variance, variance)
+    return _estimate("symmetric2", 2, y.shape[-1], total * _per_factor(variance), variance)
 
 
 def owen_T(evals: Outputs, k: int) -> TotalIndexEstimate:
@@ -201,13 +217,13 @@ def owen_T(evals: Outputs, k: int) -> TotalIndexEstimate:
     with V-hat(Y) pooled over the independent runs of A and B.
     """
     y = _outputs(evals, "owen", 3, k)
-    variance = _checked_variance(y[:2], "matrices A and B")
-    f_ba, f_cb = y[2:].reshape(2, k, -1)   # hybrids B_A(j), C_B(j)
-    products = np.empty(k)
-    for j in _factor_chunks(k, y.shape[1]):
-        products[j] = np.add.reduce((y[1] - f_cb[j]) * (f_ba[j] - y[0]), axis=1)
-    numerator = variance - products / y.shape[1]   # np.mean's steps
-    return _estimate("owen", 3, y.shape[1], numerator, variance)
+    variance = _checked_variance(y[..., :2, :], "matrices A and B")
+    f_ba, f_cb = y[..., 2 : k + 2, :], y[..., k + 2 :, :]   # hybrids B_A(j), C_B(j)
+    products = np.empty((*y.shape[:-2], k))
+    for j in _factor_chunks(k, y.size // y.shape[-2]):
+        products[..., j] = np.add.reduce((y[..., 1:2, :] - f_cb[..., j, :]) * (f_ba[..., j, :] - y[..., :1, :]), -1)
+    numerator = _per_factor(variance) - products / y.shape[-1]   # np.mean's steps
+    return _estimate("owen", 3, y.shape[-1], numerator, variance)
 
 
 def multimatrix_T(evals: Outputs, k: int, n: int) -> TotalIndexEstimate:
@@ -230,22 +246,22 @@ def lamboni_T(evals: Outputs, k: int, n: int) -> TotalIndexEstimate:
     symmetric squared-difference estimator.
     """
     y = _outputs(evals, "lamboni", n, k)
-    N = y.shape[1]
-    variance = _checked_variance(y[:n], "pooled base matrices")
+    N = y.shape[-1]
+    variance = _checked_variance(y[..., :n, :], "pooled base matrices")
     # hybrids by base m, donor q != m, factor j
-    hybrids = y[n:].reshape(n, n - 1, k, N)
-    numerator = np.empty(k)
-    for j in _factor_chunks(k, n * N):
+    hybrids = y[..., n:, :].reshape(*y.shape[:-2], n, n - 1, k, N)
+    numerator = np.empty((*y.shape[:-2], k))
+    for j in _factor_chunks(k, n * y.size // y.shape[-2]):
         # sum over donors q of (f(h_m) - f(h_m<-q)), added in q order, the order of a sum over the donor axis
-        inner = y[:n, None, :] - hybrids[:, 0, j]
+        inner = y[..., :n, None, :] - hybrids[..., 0, j, :]
         for q in range(1, n - 1):
-            inner += y[:n, None, :] - hybrids[:, q, j]
+            inner += y[..., :n, None, :] - hybrids[..., q, j, :]
         inner /= n - 1
         np.square(inner, out=inner)
-        # as the sum over axes (0, 2) of all k factors at once: each (m, j) row summed pairwise, rows added in m order;
-        # a one-factor chunk would merge the axes into one pairwise sum, so at k > 1 it spells that order out
-        numerator[j] = (np.add.reduce(inner, axis=(0, 2)) if inner.shape[1] > 1 or k == 1
-                        else np.add.accumulate(np.add.reduce(inner, axis=2))[-1])
+        # as the sum over the (m, row) axes of all k factors at once: each (m, j) row summed pairwise, rows added in
+        # m order; a one-factor chunk would merge the axes into one pairwise sum, so at k > 1 it spells that order out
+        numerator[..., j] = (np.add.reduce(inner, axis=(-3, -1)) if inner.shape[-2] > 1 or k == 1
+                             else np.add.accumulate(np.add.reduce(inner, axis=-1), axis=-2)[..., -1, :])
     return _estimate("lamboni", n, N, (n - 1) / (N * n * n) * numerator, variance)
 
 
@@ -260,7 +276,7 @@ def cyclic_single_matrix_T(evals: Outputs, k: int) -> TotalIndexEstimate:
 
 
 def run_estimator(spec: DesignSpec, evals: Outputs) -> TotalIndexEstimate:
-    """Run the estimator named by ``spec.kind``'s design table row over an evaluation set or ``(segments, N)`` array."""
+    """Run the estimator named by ``spec.kind``'s table row over an evaluation set or ``(..., segments, N)`` array."""
     rule = designs.DESIGN_KINDS[spec.kind]
     estimator = globals()[rule.estimator]   # looked up per call, so a rebound module attribute (a tracer) runs
     return estimator(evals, spec.k) if rule.n is not None else estimator(evals, spec.k, spec.n)
@@ -314,13 +330,11 @@ def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int):
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:
     """CSV rendering of an estimate (factor,T_hat,numerator,effects_used)."""
-    lines = ["factor,T_hat,numerator,effects_used"]
-    for j in range(estimate.k):
-        lines.append(
-            f"{j + 1},{float(estimate.total[j])!r},{float(estimate.numerator[j])!r},"
-            f"{int(estimate.effects_used[j])}"
-        )
-    return "\n".join(lines) + "\n"
+    if estimate.total.ndim != 1:
+        raise ValueError(f"estimate_csv renders one estimate, not a stack of shape {estimate.total.shape}")
+    rows = zip(estimate.total.tolist(), estimate.numerator.tolist(), estimate.effects_used.tolist())
+    lines = [f"{j},{t!r},{u!r},{int(e)}" for j, (t, u, e) in enumerate(rows, start=1)]
+    return "\n".join(["factor,T_hat,numerator,effects_used", *lines]) + "\n"
 
 
 __all__ = [

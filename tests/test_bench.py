@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vbsa import adaptive, designs, estimators, qmc, testfns
+from vbsa import adaptive, bench, designs, estimators, qmc, testfns
 from vbsa.bench import (
     ESTIMATOR_DESIGNS,
     CellError,
@@ -253,6 +253,73 @@ class TestGroupedCells:
             assert len(multi_cell_groups) == len(self.ROSTER) - 1   # every roster entry but cyclic
             assert len(groups) > len(self.ROSTER) + len(cfg.p_values) - 1   # split at the tile boundary
             assert max(sizes) > tile_values * k   # and some cell bigger than a tile
+
+    @staticmethod
+    def _blocks(cfg):
+        """Each group of the sweep with its block size, as ``convergence_experiment`` runs them."""
+        k = cfg.function.k
+        out = []
+        for e in cfg.estimators:
+            specs = [e.design(matched_block_size(e, k, (k + 1) * 2**p), k) for p in cfg.p_values]
+            for g in _cell_groups([(p, s, design_metrics(s).total_points) for p, s in zip(cfg.p_values, specs)]):
+                out.append((e, g, max(1, designs._TILE_VALUES // sum(n_t for _, _, n_t in g))))
+        return out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_groups_spanning_several_blocks(self, monkeypatch, workers):
+        monkeypatch.setattr(designs, "_TILE_VALUES", 60 * 2)
+        cfg = ExperimentConfig(function_spec("A2", 2), self.ROSTER, p_min=0, p_max=6, repetitions=7, seed=5)
+        # some group of several cells runs in blocks of more than one repetition but fewer than all
+        assert any(len(g) > 1 and 1 < size < cfg.repetitions for _, g, size in self._blocks(cfg))
+        expected_t_hats, expected_errors = self._per_cell(cfg)
+        records, errors = convergence_experiment(cfg, workers=workers)
+        assert errors == expected_errors and errors
+        t_hats = {(r.estimator, r.n, r.p, r.rep): r.t_hat for r in records if r.rep is not None}
+        assert t_hats.keys() == expected_t_hats.keys()
+        assert all(t_hats[key].tobytes() == expected_t_hats[key].tobytes() for key in t_hats)
+
+    def test_one_estimator_call_per_cell_and_block(self, monkeypatch):
+        monkeypatch.setattr(designs, "_TILE_VALUES", 300 * 2)   # blocks of 1 to 12 repetitions
+        cfg = ExperimentConfig(function_spec("A2", 2), self.ROSTER, p_min=4, p_max=8, repetitions=7, seed=5)
+        calls = {}
+        for rule in designs.DESIGN_KINDS.values():
+            def counted(evals, *args, _name=rule.estimator, _original=getattr(estimators, rule.estimator)):
+                key = (_name, args[1:], evals.shape[-1])   # estimator, n when it takes one, N
+                calls[key] = calls.get(key, 0) + 1
+                return _original(evals, *args)
+            monkeypatch.setattr(estimators, rule.estimator, counted)
+        records, errors = convergence_experiment(cfg)
+        assert not errors
+        expected = {}
+        for e, g, size in self._blocks(cfg):
+            for _, spec, _ in g:
+                fixed = designs.DESIGN_KINDS[spec.kind].n
+                expected[designs.DESIGN_KINDS[spec.kind].estimator, () if fixed else (spec.n,), spec.N] = \
+                    -(-cfg.repetitions // size)
+        assert calls == expected
+        assert max(calls.values()) > 1 and sum(calls.values()) < len([r for r in records if r.rep is not None])
+
+    def test_a_degenerate_repetition_in_a_block_keeps_its_own_error_and_the_other_records(self, monkeypatch):
+        cfg = ExperimentConfig(function_spec("A2", 2), (EstimatorConfig("saltenis"),), p_min=2, p_max=5,
+                               repetitions=3, seed=5)
+        assert [(len(g), size >= 3) for _, g, size in self._blocks(cfg)] == [(4, True)]   # one group, one block
+        clean, _ = convergence_experiment(cfg)
+        outputs, calls = bench._group_outputs, []
+
+        def constant_first_cell_at_rep_1(specs, pool_r, fn):   # repetitions run in order within a block
+            y = outputs(specs, pool_r, fn)
+            if len(calls) == 1:
+                y[:, : specs[0].N] = 0.25
+            calls.append(len(specs))
+            return y
+
+        monkeypatch.setattr(bench, "_group_outputs", constant_first_cell_at_rep_1)
+        records, errors = convergence_experiment(cfg)
+        assert errors == [CellError("saltenis", 2, 2, 1, "zero output variance in matrix A; indices undefined")]
+        kept = [r for r in clean if r.rep is None or (r.p, r.rep) != (2, 1)]
+        assert [(r.p, r.rep, r.mae) for r in records if r.rep is not None] == \
+            [(r.p, r.rep, r.mae) for r in kept if r.rep is not None]
+        assert all(a.t_hat.tobytes() == b.t_hat.tobytes() for a, b in zip(records, kept) if a.rep is not None)
 
     @staticmethod
     def _cells(kind, n, Ns, k=2):

@@ -4,6 +4,7 @@ structural properties (scale/shift invariance, null factors, symmetry)."""
 import math
 import re
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,6 +26,7 @@ from vbsa.designs import (
 from vbsa.estimators import (
     EstimationError,
     _d3_terms,
+    checked_vector,
     _outputs,
     cyclic_single_matrix_T,
     estimate_csv,
@@ -676,7 +678,7 @@ class TestArrayEntry:
         assert np.array_equal(from_array.effects_used, from_dict.effects_used)
 
     @pytest.mark.parametrize("kind,n", PLAN_CASES)
-    @pytest.mark.parametrize("fault", ["nan", "inf", "missing_segment", "single_row"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "both_infs", "missing_segment", "single_row"])
     def test_same_error_text_as_labelled_rows(self, kind, n, fault):
         spec = DesignSpec(kind=kind, n=n, N=8, k=3)
         layout = plan_layout(kind, n, 3)
@@ -685,6 +687,8 @@ class TestArrayEntry:
             y[-2, 3] = np.nan
         elif fault == "inf":
             y[1, 0] = -np.inf
+        elif fault == "both_infs":   # a NaN sum, which must raise no RuntimeWarning before the EstimationError
+            y[1, :2] = np.inf, -np.inf
         elif fault == "missing_segment":
             y = y[:-1]
         else:
@@ -697,10 +701,24 @@ class TestArrayEntry:
         assert str(from_array.value) == str(from_dict.value)
 
     def test_finite_outputs_whose_sum_overflows_accepted(self):
-        # finiteness is read off the sum first; a sum that overflows on finite values is checked row by row
+        # finiteness is read off the sum first; a sum that overflows on finite values is checked row by row, and
+        # the overflow is no warning
         y = np.full((2, 4), 1e308)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert _outputs(y, "asymmetric", 2, 1) is y
+            assert np.array_equal(checked_vector("v", y[0]), y[0])
+
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["array", "stack"])
+    def test_plus_and_minus_infinity_raise_no_warning(self, lead):
+        y = np.random.default_rng(0).random((*lead, 3, 8))
+        y[..., 2, :2] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="'A_B\\(2\\)' holds NaN or infinite values"):
+                saltenis_T(y, 2)
+            with pytest.raises(EstimationError, match="'model output' holds NaN or infinite values"):
+                checked_vector("model output", [1.0, np.inf, -np.inf], 3)
 
     def test_extra_segment_rejected(self):
         spec = DesignSpec(kind="asymmetric", n=2, N=8, k=2)
@@ -714,6 +732,81 @@ class TestArrayEntry:
         assert _outputs(y, kind, n, 2) is y
         run_estimator(DesignSpec(kind=kind, n=n, N=16, k=2), y)
         assert np.array_equal(y, before)
+
+
+STACK_CASES = [(kind, n) for kind, rule in DESIGN_KINDS.items() for n in ([rule.n] if rule.n else [2, 3, 6])]
+
+
+class TestStackedOutputs:
+    """A ``(..., segments, N)`` stack gives, entry by entry, what each ``(segments, N)`` array gives alone."""
+
+    @pytest.mark.parametrize("kind,n", STACK_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    @pytest.mark.parametrize("N", [2, 3, 8, 1000])
+    def test_stack_equals_single_calls_bit_for_bit(self, kind, n, k, N):
+        spec = DesignSpec(kind=kind, n=n, N=N, k=k)
+        rng = np.random.default_rng(N * k + n)
+        y = rng.standard_normal((3, len(plan_layout(kind, n, k)), N)) * 10.0 ** rng.integers(-3, 4, (3, 1, 1))
+        singles = []
+        for r in range(3):
+            try:
+                singles.append(run_estimator(spec, y[r]))
+            except EstimationError as exc:
+                singles.append(str(exc))
+        if any(isinstance(s, str) for s in singles):   # at N = 2 every D3 correlation is +-1
+            with pytest.raises(EstimationError):
+                run_estimator(spec, y)
+            return
+        for stack in (y, y[:, None]):   # one leading axis, and two
+            stacked = run_estimator(spec, stack)
+            assert stacked.k == k and stacked.total.shape == (*stack.shape[:-2], k)
+            for r, single in enumerate(singles):
+                entry = (r, 0)[: stack.ndim - 2]
+                assert stacked.total[entry].tobytes() == single.total.tobytes()
+                assert stacked.numerator[entry].tobytes() == single.numerator.tobytes()
+                assert stacked.variance[entry] == single.variance and isinstance(single.variance, float)
+                assert np.array_equal(stacked.effects_used[entry], single.effects_used)
+
+    def test_factor_chunks_count_the_whole_stack(self, monkeypatch):
+        # a tile of 3 x 8 values: one repetition of 8 rows fits 3 factors, a stack of 3 one factor per chunk
+        monkeypatch.setattr(qmc, "_TILE_VALUES", 3 * 8)
+        widths = []
+        chunks = estimators._factor_chunks
+        monkeypatch.setattr(estimators, "_factor_chunks", lambda k, per: widths.append(per) or chunks(k, per))
+        y = np.random.default_rng(0).random((3, len(plan_layout("owen", 3, 6)), 8))
+        stacked = owen_T(y, 6)
+        assert widths == [3 * 8]
+        assert all(stacked.total[r].tobytes() == owen_T(y[r], 6).total.tobytes() for r in range(3))
+
+    @pytest.mark.parametrize("fault", ["constant", "nan"])
+    def test_one_bad_entry_fails_the_stack_with_its_single_text(self, fault):
+        y = np.random.default_rng(0).random((3, len(plan_layout("asymmetric", 2, 2)), 8))
+        y[2, 1, 3] = np.nan   # the later entry's bad row comes first in the layout
+        if fault == "constant":
+            y[1, 0] = 0.25   # matrix A constant in entry 1 only
+        else:
+            y[1, 2, 5] = np.inf
+        with pytest.raises(EstimationError) as single:
+            saltenis_T(y[1], 2)
+        with pytest.raises(EstimationError, match=re.escape(str(single.value))):
+            saltenis_T(y[:2], 2)
+        if fault == "nan":   # the first bad entry is named, not the first bad segment of any entry
+            with pytest.raises(EstimationError, match=re.escape(str(single.value))):
+                saltenis_T(y, 2)
+
+    def test_variance_is_a_float_for_a_vector_or_an_array_and_per_entry_for_a_stack(self):
+        y = np.random.default_rng(0).random((2, 3, 8))
+        assert isinstance(estimators._checked_variance(y[0, 0], "v"), float)   # adaptive_run's base vector
+        assert isinstance(estimators._checked_variance(y[0], "v"), float)
+        per_entry = estimators._checked_variance(y, "v")
+        assert per_entry.shape == (2,) and [float(v) for v in per_entry] == [estimators._checked_variance(y[r], "v")
+                                                                             for r in range(2)]
+
+    def test_estimate_csv_refuses_a_stack(self):
+        y = np.random.default_rng(0).random((2, len(plan_layout("asymmetric", 2, 2)), 8))
+        estimate_csv(saltenis_T(y[0], 2))
+        with pytest.raises(ValueError, match=re.escape("not a stack of shape (2, 2)")):
+            estimate_csv(saltenis_T(y, 2))
 
 
 def _oracle_variance(y, context):

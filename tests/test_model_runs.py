@@ -109,6 +109,8 @@ def test_large_plan_calls_bounded_tiles(N, k, evaluated_rows):
 FAULTS = {
     "nan": (lambda y: np.where(np.arange(len(y)) == 1, np.nan, y), "holds NaN or infinite values"),
     "inf": (lambda y: np.where(np.arange(len(y)) == 0, -np.inf, y), "holds NaN or infinite values"),
+    # +inf and -inf together: the finiteness sum is NaN, and must raise no RuntimeWarning on the way
+    "both_infs": (lambda y: np.concatenate([[np.inf, -np.inf], y[2:]]), "holds NaN or infinite values"),
     "short": (lambda y: y[:-1], "has shape"),
 }
 
