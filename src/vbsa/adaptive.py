@@ -11,8 +11,9 @@ staying inside the budget; the cost ledger records what was actually spent.
 The rows are those of the asymmetric plan :func:`vbsa.estimators.sample_plan`
 draws at ``N = 2**(p + 1)``, the most rows a factor can reach; only its
 2k-column pool is held.  The warm-up and every doubling run one block: the
-next rows of A and of each active factor's hybrid A_B(j), in ascending j, go
-through the cache-sized tiles of :func:`vbsa.designs._plan_outputs`, then a
+next rows of A and of each active factor's hybrid A_B(j), in ascending j,
+drawn by :func:`vbsa.designs._draw_rows` at the block's offset as views of
+that pool, go through the tiles of :func:`vbsa.designs._plan_outputs`, then a
 ledger entry follows; dropped factors' rows are never written.  Outputs and
 elementary effects fill arrays preallocated for those rows.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import designs, qmc, testfns
 from .designs import DesignSpec
-from .estimators import EstimationError, TotalIndexEstimate, _checked_variance, _draw_rows
+from .estimators import EstimationError, TotalIndexEstimate, _checked_variance
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,8 @@ def adaptive_run(
     budget = (k + 1) * 2**p
     # The last block can reach 2**(p+1) rows when enough factors were dropped.
     n_max = 2 ** (p + 1)
-    pool = _draw_rows(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)(0, n_max)   # A and B
+    # Held, never read: while it lives, every block's _draw_rows rows are views of this one block (qmc.sobol_rows).
+    held = designs._draw_rows(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)(0, n_max)
     model = model if model is not None else lambda points: testfns.evaluate(fn, points)
 
     f_a = np.empty(n_max)
@@ -124,8 +126,8 @@ def adaptive_run(
         if spent + cost > budget:
             break
         lo, n_rows = n_rows, n_rows + new_rows
-        y = designs._plan_outputs(DesignSpec("asymmetric", 2, new_rows, k),
-                                  lambda r0, r1: [m[lo + r0 : lo + r1] for m in pool], model, (0, *active))
+        block = DesignSpec("asymmetric", 2, new_rows, k)   # rows lo .. n_rows - 1, a view of the held block
+        y = designs._plan_outputs(block, designs._draw_rows(block, seed, repetition, lo), model, (0, *active))
         grown = [j - 1 for j in active]
         f_a[lo:n_rows] = y[0]
         diffs[grown, lo:n_rows] = y[0] - y[1:]

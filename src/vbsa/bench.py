@@ -11,10 +11,10 @@ total indices.
 Within a repetition, each estimator's consecutive block sizes are evaluated
 in groups: as many whole cells as fit in one plan tile (``_TILE_VALUES``
 values) share one plan write and one model call over their stacked bases,
-and each cell's estimator then reads its own columns of the outputs.  Every
-plan row is still evaluated once, for its own cell.  Each cell's estimator
-reads a block of repetitions' outputs stacked, in one call.  So the records
-equal those of each cell and repetition on its own, bit for bit.
+the columns the group reads, gathered from the pool's row prefixes.  Every
+plan row is still evaluated once, for its own cell, and each cell's
+estimator reads its own columns of a block of repetitions' outputs, stacked,
+in one call, so the records are each cell's and repetition's own, bit for bit.
 """
 
 from __future__ import annotations
@@ -157,16 +157,22 @@ def _group_records(cfg: ExperimentConfig, analytic_total: np.ndarray, pool: np.n
                    est: EstimatorConfig, group: list[_Cell], reps: range) -> tuple[list, list[CellError]]:
     """The records and cell errors of a group of cells over a block of repetitions, one estimator call per cell.
 
-    Each repetition permutes the group's pool rows and evaluates its plans on its own; each cell's columns of the
-    outputs go into its ``(repetitions, segments, N)`` stack.  A stack that raises is estimated again one repetition
-    at a time, so each error is that repetition's own and the others keep their records.
+    A cell's bases are the first N rows of its repetition's permuted pool.  Every pool column's row prefixes of the
+    cells are stacked once per block (a lone cell's are a view of the pool); each repetition gathers only the n k
+    columns its permutation puts first, one contiguous row each, and evaluates one plan over them
+    (:func:`designs._plan_outputs`) whose segments write row by row: a cell's column range of the outputs is its own
+    plan's, and goes into its ``(repetitions, segments, N)`` stack.  A stack that raises is estimated again one
+    repetition at a time, so each error is that repetition's own and the others keep their records.
     """
     specs = [spec for _, spec, _ in group]
     ends = np.cumsum([spec.N for spec in specs]).tolist()
-    prefix = pool[: max(spec.N for spec in specs)]
+    plan = replace(specs[0], N=ends[-1])
+    prefixes = pool.T[:, : plan.N] if len(specs) == 1 else np.concatenate([pool.T[:, : s.N] for s in specs], axis=1)
     stacks = [np.empty((len(reps), len(designs.plan_layout(s.kind, s.n, s.k)), s.N)) for s in specs]
     for i, rep in enumerate(reps):
-        y = _group_outputs(specs, qmc.permute_columns(prefix, perms[rep]), cfg.function)
+        rows = prefixes[perms[rep].perm[: plan.n * plan.k]].T   # F-ordered like the pool: the columns the group reads
+        y = designs._plan_outputs(plan, lambda r0, r1: designs.pool_matrices(rows[r0:r1], plan.n, plan.k),
+                                  lambda points: testfns.evaluate(cfg.function, points))
         for stack, end in zip(stacks, ends):
             stack[i] = y[:, end - stack.shape[-1] : end]
     records, errors = [], []
@@ -206,32 +212,15 @@ def _cell_groups(cells: list[_Cell]) -> list[list[_Cell]]:
     return groups
 
 
-def _group_outputs(specs: list[DesignSpec], pool_r: np.ndarray, fn: FunctionSpec) -> np.ndarray:
-    """``fn``'s ``(segments, sum of N)`` outputs over the plans of a group's cells, side by side.
-
-    Each cell's bases are the first N rows of the repetition's pool; a group stacks those row prefixes, in one
-    Fortran-ordered copy like the pool, and evaluates the plan over the stack with one :func:`designs._plan_outputs`
-    call.  Every segment of that plan writes row by row, so a cell's column range of the outputs is its own plan's.
-    """
-    spec = specs[0]
-    rows = pool_r[: spec.N]
-    if len(specs) > 1:
-        width = spec.n * spec.k
-        rows = np.concatenate([pool_r.T[:width, : s.N] for s in specs], axis=1).T
-        spec = replace(spec, N=rows.shape[0])
-    rows_of = lambda r0, r1: designs.pool_matrices(rows[r0:r1], spec.n, spec.k)
-    return designs._plan_outputs(spec, rows_of, lambda points: testfns.evaluate(fn, points))
-
-
 def convergence_experiment(
     cfg: ExperimentConfig, workers: int = 1
 ) -> tuple[list[ConvergenceRecord], list[CellError]]:
     """Run the full repetition/block sweep; deterministic for a given config.
 
-    Every cell reads a prefix of one pool, n k columns at the roster's largest n by its largest cell's N rows,
-    permuted per repetition.  The loop runs over groups of cells (:func:`_cell_groups`), then over blocks of as many
-    repetitions as fit one tile of the group's outputs (``_TILE_VALUES`` // the sum of its N_T, at least one).  Blocks
-    may run on ``workers`` threads; records are sorted by estimator, p and rep, errors by rep, p and roster order.
+    Every cell reads a prefix of one pool, n k columns at the roster's largest n by its largest cell's N rows, each
+    repetition gathering the n k columns its permutation puts first.  Groups of cells (:func:`_cell_groups`) run in
+    blocks of as many repetitions as fit one tile of the group's outputs (``_TILE_VALUES`` // the sum of its N_T, at
+    least one), on ``workers`` threads; records sort by estimator, p and rep, errors by rep, p and roster order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -310,7 +299,7 @@ def adaptive_experiment(
     n_pool = 2 ** (max(p_values) + 1)
     cells = {}   # (p, rep): the cell's records and ledger lines
     for rep in range(repetitions):
-        held = estimators._draw_rows(DesignSpec("asymmetric", 2, n_pool, fn.k), seed, rep)(0, n_pool)
+        held = designs._draw_rows(DesignSpec("asymmetric", 2, n_pool, fn.k), seed, rep)(0, n_pool)
         for p in p_values:
             spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=fn.k)
             plain = estimators.estimate_total_effects(spec, fn, seed, rep)

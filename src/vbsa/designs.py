@@ -26,7 +26,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .qmc import _MAX_DIM, _MAX_P, _TILE_VALUES, _in_unit_cube, l2_star_discrepancy, sobol_rows
+from .qmc import _MAX_DIM, _MAX_P, _TILE_VALUES, _in_unit_cube, draw_permutation, l2_star_discrepancy, sobol_rows
 
 REFERENCE_KINDS = ("couples", "stars", "winding_stairs")
 
@@ -341,6 +341,24 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
     return EvaluationPlan(spec=spec, points=points)
 
 
+def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int, lo: int = 0):
+    """The row source of the seeded design: ``(r0, r1)`` to rows lo + r0 .. lo + r1 - 1 of its n bases, generated.
+
+    The bases are the n*k-column Sobol' pool, its columns permuted by ``(seed, repetition)`` unless ``seed`` is None
+    (:func:`pool_matrices`).  Blocks are nested, so the outputs of the plan at N followed row-wise by those at
+    ``lo = N`` are the plan's at 2N; the cyclic design, whose last row wraps onto row 0, is refused at an offset.
+    """
+    n_cols = spec.n * spec.k
+    if lo and spec.kind == "cyclic_single":
+        raise ValueError(f"{spec.kind} design has no rows at an offset: its last row wraps onto row 0")
+    if 1 << (int(spec.N).bit_length() - 1) != spec.N or spec.N > 1 << _MAX_P:   # before any model run
+        raise ValueError(f"N must be a power of two up to 2**{_MAX_P} to draw generator blocks")
+    if n_cols > _MAX_DIM:
+        raise ValueError(f"{spec.kind} design at k = {spec.k} needs {n_cols} generator dimensions (max {_MAX_DIM})")
+    perm = None if seed is None else draw_permutation(n_cols, seed, repetition)
+    return lambda r0, r1: pool_matrices(sobol_rows(n_cols, lo + r0, lo + r1, perm), spec.n, spec.k)
+
+
 _tiles = threading.local()   # .storage: this thread's tile buffer for _plan_outputs, grown only, at most _TILE_VALUES
 
 
@@ -354,9 +372,9 @@ def _plan_outputs(spec: DesignSpec, rows_of, model, segments: tuple[int, ...] | 
     The tiles are written into one buffer per thread, kept from call to call, so a tile is valid only until the
     model returns; a model that evaluates a plan itself gets a buffer of its own for that.  Besides the outputs,
     the call holds the buffer and one range's rows from the row source ``rows_of`` (:func:`_segment_chunks`).
-    Unchecked precondition: the rows are generated Sobol' points, from ``estimators._draw_rows``, or slices of the
-    stacked row prefixes of one repetition's pool for a group of sweep cells, from ``bench._group_outputs``, or of
-    an adaptive block, from ``adaptive.adaptive_run``.  Given ``segments``, :func:`plan_layout` indices, y holds theirs.
+    Unchecked precondition: the rows are generated Sobol' points, from :func:`_draw_rows`, or the stacked row
+    prefixes of a group of sweep cells, gathered from one repetition's pool by ``bench._group_records``.  Given
+    ``segments``, :func:`plan_layout` indices, y holds theirs.
     """
     N, k = spec.N, spec.k
     y = np.empty((len(plan_layout(spec.kind, spec.n, k) if segments is None else segments), N))

@@ -13,9 +13,9 @@ naming the first such label, with the same text for both forms.  Every estimator
 array and the couples of :func:`designs.factor_segments`, the same design
 table that lays out the plan; ``effects_used`` is the table's couple count
 times N; N >= 2.  Every estimator holds its temporaries in factor chunks of
-at most one tile of values, counting the whole stack (:func:`_factor_chunks`),
-never a gathered copy of the whole array.  Internal evaluation goes by
-cache-sized plan tiles.
+at most one tile of values, counting the whole stack, or one factor's couples
+x N values when larger (:func:`_factor_chunks`), never a gathered copy of the
+whole array.  Internal evaluation goes by cache-sized plan tiles.
 Conventions fixed for reproducibility: variances are population (1/N)
 moments; Pearson correlations match numerator/denominator normalisation so
 |rho| <= 1; Owen and Glen-Isaacs report negative estimates as-is.
@@ -299,7 +299,8 @@ def estimate_total_effects(
         raise ValueError(f"function dimension {fn.k} does not match design k = {spec.k}")
     if spec.N < 2:   # the estimators' own check, made before any model run
         raise EstimationError(f"estimators need N >= 2 rows per matrix (got N = {spec.N})")
-    y = designs._plan_outputs(spec, _draw_rows(spec, seed, repetition), lambda points: testfns.evaluate(fn, points))
+    rows_of = designs._draw_rows(spec, seed, repetition)
+    y = designs._plan_outputs(spec, rows_of, lambda points: testfns.evaluate(fn, points))
     return run_estimator(spec, y)
 
 
@@ -314,18 +315,7 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     holds every point, for external models; internal evaluation is tiled.
     It is :func:`designs.assemble_plan` over the drawn bases.
     """
-    return designs.assemble_plan(spec, _draw_rows(spec, seed, repetition)(0, spec.N))
-
-
-def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int):
-    """The row source of :func:`sample_plan`'s draw: ``(r0, r1)`` to rows r0 .. r1 - 1 of its n bases, generated."""
-    n_cols = spec.n * spec.k
-    if 1 << (int(spec.N).bit_length() - 1) != spec.N or spec.N > 1 << qmc._MAX_P:   # before any model run
-        raise ValueError(f"N must be a power of two up to 2**{qmc._MAX_P} to draw generator blocks")
-    if n_cols > qmc._MAX_DIM:
-        raise ValueError(f"{spec.kind} design at k = {spec.k} needs {n_cols} generator dimensions (max {qmc._MAX_DIM})")
-    perm = None if seed is None else qmc.draw_permutation(n_cols, seed, repetition)
-    return lambda r0, r1: designs.pool_matrices(qmc.sobol_rows(n_cols, r0, r1, perm), spec.n, spec.k)
+    return designs.assemble_plan(spec, designs._draw_rows(spec, seed, repetition)(0, spec.N))
 
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:

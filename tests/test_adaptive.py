@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vbsa import qmc
 from vbsa.adaptive import BlockRecord, adaptive_run, ledger_csv_header, ledger_csv_rows, std_elementary_effects
 from vbsa.designs import DesignSpec
 from vbsa.estimators import EstimationError, estimate_total_effects, sample_plan
@@ -88,6 +89,14 @@ class TestAdaptiveRun:
         # dropped factors keep their last spread; active ones keep updating
         warm = np.asarray(ledger.blocks[0].std_effects)
         assert warm.max() > 0.0
+
+    @pytest.mark.parametrize("rule_enabled", [True, False])
+    def test_one_generated_block_per_call_however_many_doublings(self, monkeypatch, rule_enabled):
+        # every block's rows are views of the one held pool: drawing a block alone was slower
+        generated, direction_vectors = [], qmc._direction_vectors
+        monkeypatch.setattr(qmc, "_direction_vectors", lambda: generated.append(1) or direction_vectors())
+        _, ledger = adaptive_run(function_spec("A2", 6), 10, seed=97, repetition=3, rule_enabled=rule_enabled)
+        assert len(ledger.blocks) >= 5 and len(generated) == 1
 
     def test_deterministic(self):
         fn = function_spec("A3", 6)

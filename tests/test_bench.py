@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vbsa import adaptive, bench, designs, estimators, qmc, testfns
+from vbsa import adaptive, designs, estimators, qmc, testfns
 from vbsa.bench import (
     ESTIMATOR_DESIGNS,
     CellError,
@@ -304,17 +304,18 @@ class TestGroupedCells:
                                repetitions=3, seed=5)
         assert [(len(g), size >= 3) for _, g, size in self._blocks(cfg)] == [(4, True)]   # one group, one block
         clean, _ = convergence_experiment(cfg)
-        outputs, calls = bench._group_outputs, []
+        outputs, calls = designs._plan_outputs, []
 
-        def constant_first_cell_at_rep_1(specs, pool_r, fn):   # repetitions run in order within a block
-            y = outputs(specs, pool_r, fn)
+        def constant_first_cell_at_rep_1(spec, rows_of, model):   # one group plan per repetition, in order
+            y = outputs(spec, rows_of, model)
             if len(calls) == 1:
-                y[:, : specs[0].N] = 0.25
-            calls.append(len(specs))
+                y[:, :4] = 0.25   # the p = 2 cell's N = 4 columns
+            calls.append(spec.N)
             return y
 
-        monkeypatch.setattr(bench, "_group_outputs", constant_first_cell_at_rep_1)
+        monkeypatch.setattr(designs, "_plan_outputs", constant_first_cell_at_rep_1)
         records, errors = convergence_experiment(cfg)
+        assert calls == [4 + 8 + 16 + 32] * 3   # one plan over the group's stacked cells per repetition
         assert errors == [CellError("saltenis", 2, 2, 1, "zero output variance in matrix A; indices undefined")]
         kept = [r for r in clean if r.rep is None or (r.p, r.rep) != (2, 1)]
         assert [(r.p, r.rep, r.mae) for r in records if r.rep is not None] == \

@@ -16,6 +16,7 @@ from vbsa.designs import (
     SHIFT,
     DesignSpec,
     _chunk_runs,
+    _draw_rows,
     _plan_outputs,
     _segment_chunks,
     assemble_plan,
@@ -29,7 +30,7 @@ from vbsa.designs import (
     pool_matrices,
     reference_metrics,
 )
-from vbsa.estimators import _draw_rows, estimate_total_effects, sample_plan
+from vbsa.estimators import estimate_total_effects, sample_plan
 from vbsa.testfns import FAMILIES, evaluate, function_spec
 
 ALL_PLAN_SPECS = [
@@ -390,6 +391,46 @@ class TestSegmentSubsets:
         assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 4, 4, (0, 1, 3, 4))] == [
             (((0, 4, 0),), ((1, 2, 0, 1, 0), (2, 4, 0, 1, 2))),
         ]
+
+
+class TestRowOffset:
+    """``_draw_rows`` at an offset ``lo``: rows lo .. lo + N - 1 of the seeded design, so a plan doubles by its new rows."""
+
+    OFFSET_KIND_NS = [(kind, n) for kind, n in KIND_NS if kind != "cyclic_single"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind_n=st.sampled_from(OFFSET_KIND_NS), k=st.integers(1, 6), p=st.integers(0, 9),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind_n=("lamboni", 3), k=6, p=10, seed=7)   # M = 1024, the largest plan
+    @example(kind_n=("owen", 3), k=6, p=10, seed=7)
+    def test_the_plan_at_M_and_its_rows_from_M_are_the_plan_at_2M(self, kind_n, k, p, seed):
+        kind, n = kind_n
+        spec, doubled, fn = DesignSpec(kind, n, 2**p, k), DesignSpec(kind, n, 2**(p + 1), k), function_spec("B1", k)
+        received = []
+
+        def arrival(points):
+            received.append(points.copy())
+            first = sum(map(len, received)) - len(points)
+            return np.arange(first, first + len(points), dtype=float)
+
+        order = _plan_outputs(spec, _draw_rows(spec, seed, 3, lo=spec.N), arrival).ravel().astype(np.int64)
+        # the new rows reach the model once each, N_T(2M) - N_T(M) of them, and they are the doubled plan's
+        assert sum(map(len, received)) == design_metrics(doubled).total_points - design_metrics(spec).total_points
+        assert np.array_equal(np.sort(order), np.arange(len(order)))
+        count = len(plan_layout(kind, n, k))
+        plan = sample_plan(doubled, seed, 3).points.reshape(count, doubled.N, k)
+        assert np.array_equal(np.concatenate(received)[order].reshape(count, spec.N, k), plan[:, spec.N :])
+        # and the outputs of the first M rows, then of the next M, are the doubled plan's, bit for bit
+        model = lambda points: evaluate(fn, points)
+        halves = [_plan_outputs(spec, _draw_rows(spec, seed, 3, lo=lo), model) for lo in (0, spec.N)]
+        whole = _plan_outputs(doubled, _draw_rows(doubled, seed, 3), model)
+        assert np.concatenate(halves, axis=1).tobytes() == whole.tobytes()
+
+    def test_cyclic_single_at_an_offset_is_refused_by_name(self):
+        spec = DesignSpec("cyclic_single", 1, 8, 3)
+        with pytest.raises(ValueError, match="cyclic_single design has no rows at an offset"):
+            _draw_rows(spec, 1, 0, lo=8)
+        assert np.array_equal(_draw_rows(spec, 1, 0, lo=0)(0, 8)[0], sample_plan(spec, 1, 0).points[:8])
 
 
 class TestTileBuffer:

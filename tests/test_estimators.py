@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from vbsa import estimators, qmc, testfns
+from vbsa import designs, estimators, qmc, testfns
 from vbsa.designs import (
     DESIGN_KINDS,
     DesignSpec,
@@ -622,7 +622,7 @@ class TestStreamedEvaluation:
         monkeypatch.setattr(qmc, "_direction_vectors", lambda: generated.append(1) or direction_vectors())
         alone = estimate_total_effects(spec, fn=fn, seed=1, repetition=0)
         assert len(generated) == 4   # four row ranges, each generated
-        held = estimators._draw_rows(DesignSpec(kind="asymmetric", n=2, N=2**17, k=6), 1, 0)(0, 2**17)
+        held = designs._draw_rows(DesignSpec(kind="asymmetric", n=2, N=2**17, k=6), 1, 0)(0, 2**17)
         generated.clear()
         shared = estimate_total_effects(spec, fn=fn, seed=1, repetition=0)
         assert generated == [] and shared.total.tobytes() == alone.total.tobytes()

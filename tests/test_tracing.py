@@ -93,6 +93,5 @@ def test_traced_names_resolve_and_count_every_layer():
     # inside adaptive_run, through the tile writer rather than a whole plan
     assert all(n > 0 for n in out["rerouted"].values()), out["rerouted"]
     assert out["evaluated_rows"] == out["reported_runs"]
-    # the sweep scrambles each group's rows of its pool through qmc.permute_columns, once per repetition and group:
-    # two repetitions of seven estimators, one p each
-    assert out["sweep_permutations"] == 2 * 7
+    # the sweep gathers each group's columns of its pool's row prefixes itself, without qmc.permute_columns
+    assert out["sweep_permutations"] == 0
