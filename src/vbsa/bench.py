@@ -56,10 +56,9 @@ class EstimatorConfig:
         if self.name not in ESTIMATOR_DESIGNS:
             raise ValueError(f"unknown estimator {self.name!r}; expected one of {ESTIMATOR_NAMES}")
         fixed_n = ESTIMATOR_DESIGNS[self.name][1]
-        if fixed_n is not None and self.n != fixed_n:
+        if fixed_n is not None and self.n != fixed_n:   # saltenis_symmetric fixes an n its design kind leaves free
             raise ValueError(f"estimator {self.name!r} uses n = {fixed_n}")
-        if fixed_n is None and self.n < 2:
-            raise ValueError(f"estimator {self.name!r} needs n >= 2")
+        self.design(1, 1)   # the design kind's own n rule
 
     def design(self, N: int, k: int) -> DesignSpec:
         return DesignSpec(kind=ESTIMATOR_DESIGNS[self.name][0], n=self.n, N=N, k=k)

@@ -277,7 +277,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_apply_config_file(parser, argv))
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, estimators.EstimationError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # EstimationError is a ValueError
         print(f"vbsa {args.command}: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

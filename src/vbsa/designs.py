@@ -231,10 +231,10 @@ def pool_matrices(pool: np.ndarray, n: int, k: int) -> list[np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def _chunk_runs(kind: str, n: int, k: int, per_chunk: int, segments: tuple | None = None) -> tuple[tuple, ...]:
+def _chunk_runs(kind: str, n: int, k: int, per_chunk: int, segments) -> tuple[tuple, ...]:
     """The writes of each chunk of ``per_chunk`` :func:`plan_layout` segments into one reused buffer.
 
-    The segments are the layout's, or those of its indices ``segments`` (None: all) in that order.
+    The segments are those of the layout's indices ``segments``, in that order.
     One ``(first, size, base_runs, donor_runs)`` per chunk, with segments
     counted from the chunk's first.  A base run ``(a, b, m)`` is segments
     a..b-1, which all start as base matrix m; a donor run ``(a, b, m, donor,
@@ -254,7 +254,7 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int, segments: tuple | Non
             a = b
         return out
 
-    layout = plan_layout(kind, n, k) if segments is None else [plan_layout(kind, n, k)[s] for s in segments]
+    layout = [plan_layout(kind, n, k)[s] for s in segments]
     chunks, last = [], []   # (base, donor column or None) of each slot, as the previous chunk left it
     for lo in range(0, len(layout), per_chunk):
         part = layout[lo : lo + per_chunk]
@@ -273,24 +273,22 @@ def _chunk_runs(kind: str, n: int, k: int, per_chunk: int, segments: tuple | Non
     return tuple(chunks)
 
 
-def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int | None = None, storage=None, segments=None):
+def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int, storage: np.ndarray, segments):
     """Write runs of ``per_chunk`` segments, ``rows`` rows at a time, into one reused buffer; yield (first, r0, chunk).
 
     ``chunk[:, s]`` is rows r0 .. r0 + ``chunk.shape[2]`` - 1 of segment first + s, each factor's column one
     contiguous row, so ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  Row
-    ranges of ``rows`` (all N when None) go outer and chunks inner, so consecutive chunks hold the same rows; the
-    first chunk of each range writes its bases in full.  The buffer is the caller's ``storage``, a float array of
-    at least k x per_chunk x rows values, or a new array when None.  ``rows_of(r0, r1)`` gives rows r0 .. r1 - 1 of
+    ranges of ``rows`` go outer and chunks inner, so consecutive chunks hold the same rows; the first chunk of
+    each range writes its bases in full.  The buffer is the caller's ``storage``, a float array of at least
+    k x per_chunk x rows values.  ``rows_of(r0, r1)`` gives rows r0 .. r1 - 1 of
     the n bases, checked or generated: each range and its next row (row 0 after the last) for :data:`SHIFT`.  Each
     run of segments sharing a base is one broadcast from the base, and each couple's run of hybrids writes its donor
     columns through one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment;
     a slot that keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
-    ``segments`` (None: all) are the :func:`plan_layout` indices written, ``first`` counting among them.
+    ``segments`` are the :func:`plan_layout` indices written, at most ``per_chunk`` to a chunk, ``first``
+    counting among them.
     """
     N = spec.N
-    rows = N if rows is None else rows
-    per_chunk = min(per_chunk, len(plan_layout(spec.kind, spec.n, spec.k) if segments is None else segments))
-    storage = np.empty(spec.k * per_chunk * rows) if storage is None else storage
     for r0 in range(0, N, rows):
         h = min(rows, N - r0)
         wraps = r0 + h == N   # the SHIFT donor's last row is row 0
@@ -335,7 +333,8 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
     rows_of = lambda r0, r1: [m[r0:r1] for m in mats]
-    ((_, _, points),) = _segment_chunks(spec, rows_of, len(plan_layout(spec.kind, spec.n, spec.k)))
+    size = len(plan_layout(spec.kind, spec.n, spec.k))
+    ((_, _, points),) = _segment_chunks(spec, rows_of, size, spec.N, np.empty(spec.k * size * spec.N), range(size))
     points = points.reshape(spec.k, -1).T
     points.flags.writeable = False
     return EvaluationPlan(spec=spec, points=points)
@@ -355,6 +354,8 @@ def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int, lo: int = 0)
         raise ValueError(f"N must be a power of two up to 2**{_MAX_P} to draw generator blocks")
     if n_cols > _MAX_DIM:
         raise ValueError(f"{spec.kind} design at k = {spec.k} needs {n_cols} generator dimensions (max {_MAX_DIM})")
+    if repetition < 0:   # draw_permutation's rule, kept without a seed too
+        raise ValueError("repetition must be >= 0")
     perm = None if seed is None else draw_permutation(n_cols, seed, repetition)
     return lambda r0, r1: pool_matrices(sobol_rows(n_cols, lo + r0, lo + r1, perm), spec.n, spec.k)
 
@@ -377,7 +378,8 @@ def _plan_outputs(spec: DesignSpec, rows_of, model, segments: tuple[int, ...] | 
     ``segments``, :func:`plan_layout` indices, y holds theirs.
     """
     N, k = spec.N, spec.k
-    y = np.empty((len(plan_layout(spec.kind, spec.n, k) if segments is None else segments), N))
+    segments = range(len(plan_layout(spec.kind, spec.n, k))) if segments is None else segments
+    y = np.empty((len(segments), N))
     ranges = -(-N // max(1, _TILE_VALUES // k))
     rows = -(-N // ranges)
     per_chunk = min(len(y), max(1, _TILE_VALUES // (rows * k)))

@@ -10,9 +10,10 @@ repetitions: every reduction runs over the trailing axes, so entry r of the
 estimate equals that of ``y[r]`` alone, bit for bit.  The array is checked
 once: a missing, misshapen or non-finite row raises :class:`EstimationError`
 naming the first such label, with the same text for both forms.  Every estimator is a few array expressions over that
-array and the couples of :func:`designs.factor_segments`, the same design
-table that lays out the plan; ``effects_used`` is the table's couple count
-times N; N >= 2.  Every estimator holds its temporaries in factor chunks of
+array.  The squared-difference ones (Saltenis, multi-matrix, cyclic) read the
+couples of :func:`designs.factor_segments`, the same design table that lays
+out the plan; D3, Owen and Lamboni read fixed slices of the layout.
+``effects_used`` is the table's couple count times N; N >= 2.  Every estimator holds its temporaries in factor chunks of
 at most one tile of values, counting the whole stack, or one factor's couples
 x N values when larger (:func:`_factor_chunks`), never a gathered copy of the
 whole array.  Internal evaluation goes by cache-sized plan tiles.

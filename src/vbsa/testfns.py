@@ -11,7 +11,7 @@ with rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -28,52 +28,48 @@ B3_COEFF = 6.42
 
 @dataclass(frozen=True)
 class FunctionSpec:
-    """A test-function identity: family, dimension and (where used) G coefficients."""
+    """A test-function identity: family, dimension and (for the G products) G coefficients.
+
+    ``coefficients``, settled and checked at construction, is what the G-product
+    families evaluate: ``a`` when given, else the family's default; None for the others.
+    """
 
     family: str
     k: int
     a: tuple[float, ...] | None = None
+    coefficients: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown function family {self.family!r}; expected one of {FAMILIES}")
         if self.k < 1:
             raise ValueError("factor count k must be >= 1")
-        if self.a is not None:
-            a = tuple(float(x) for x in self.a)
-            if len(a) != self.k:
-                raise ValueError(f"coefficient vector has length {len(a)}, expected k = {self.k}")
-            if not all(0 <= x < np.inf for x in a):   # NaN fails both comparisons
+        coefficients = self.a
+        if coefficients is not None:
+            if self.family in ("A1", "B1", "B2", "C2"):
+                raise ValueError(f"family {self.family!r} takes no coefficient vector")
+            coefficients = tuple(float(x) for x in coefficients)
+            if len(coefficients) != self.k:
+                raise ValueError(f"coefficient vector has length {len(coefficients)}, expected k = {self.k}")
+            if not all(0 <= x < np.inf for x in coefficients):   # NaN fails both comparisons
                 raise ValueError("G-function coefficients must be finite and non-negative")
-            object.__setattr__(self, "a", a)
-
-    @property
-    def coefficients(self) -> tuple[float, ...] | None:
-        """Effective coefficient vector (defaults filled in for A2/A3/B3/C1)."""
-        if self.a is not None:
-            return self.a
-        if self.family in ("A2", "A3"):
+            object.__setattr__(self, "a", coefficients)
+        elif self.family in ("A2", "A3"):
             ladder = A2_COEFFS if self.family == "A2" else A3_COEFFS
             if self.k > len(ladder):
                 raise ValueError(
                     f"{self.family} has default coefficients for k <= {len(ladder)}; "
                     "pass an explicit coefficient vector"
                 )
-            return ladder[: self.k]
-        if self.family == "B3":
-            return (B3_COEFF,) * self.k
-        if self.family == "C1":
-            return (0.0,) * self.k
-        if self.family == "G":
+            coefficients = ladder[: self.k]
+        elif self.family in ("B3", "C1"):
+            coefficients = (B3_COEFF if self.family == "B3" else 0.0,) * self.k
+        elif self.family == "G":
             raise ValueError("family 'G' requires an explicit coefficient vector")
-        return None
+        object.__setattr__(self, "coefficients", coefficients)
 
 
-def function_spec(family: str, k: int, a: tuple[float, ...] | None = None) -> FunctionSpec:
-    """Build a :class:`FunctionSpec`, validating coefficient defaults early."""
-    spec = FunctionSpec(family=family, k=k, a=a)
-    spec.coefficients  # trigger default validation for coefficient families
-    return spec
+function_spec = FunctionSpec
 
 
 @dataclass(frozen=True)
@@ -103,15 +99,13 @@ def evaluate(fn: FunctionSpec, x: np.ndarray) -> np.ndarray:
         signs = (-1.0) ** np.arange(1, fn.k + 1)
         prefix = np.cumprod(x, axis=-1)
         return np.sum(signs * prefix, axis=-1)
-    if fam in ("A2", "A3", "B3", "C1", "G"):
+    if fn.coefficients is not None:
         return _g_product(x, np.asarray(fn.coefficients))
     if fam == "B1":
         return np.prod((fn.k - x) / (fn.k - 0.5), axis=-1)
     if fam == "B2":
         return (1.0 + 1.0 / fn.k) ** fn.k * np.prod(x ** (1.0 / fn.k), axis=-1)
-    if fam == "C2":
-        return 2.0**fn.k * np.prod(x, axis=-1)
-    raise AssertionError(f"unhandled family {fam}")
+    return 2.0**fn.k * np.prod(x, axis=-1)   # C2
 
 
 def _multiplicative_indices(var: np.ndarray) -> AnalyticIndices:
@@ -168,7 +162,7 @@ def analytic_indices(fn: FunctionSpec) -> AnalyticIndices:
     k = fn.k
     if fn.family == "A1":
         return _a1_indices(k)
-    if fn.family in ("A2", "A3", "B3", "C1", "G"):
+    if fn.coefficients is not None:
         a = np.asarray(fn.coefficients)
         return _multiplicative_indices((1.0 / 3.0) / (1.0 + a) ** 2)
     if fn.family == "B1":
@@ -176,9 +170,7 @@ def analytic_indices(fn: FunctionSpec) -> AnalyticIndices:
     if fn.family == "B2":
         # g_j = (1 + 1/k) x^(1/k): E[g] = 1, E[g^2] = (k+1)^2 / (k (k+2)).
         return _multiplicative_indices(np.full(k, 1.0 / (k * (k + 2.0))))
-    if fn.family == "C2":
-        return _multiplicative_indices(np.full(k, 1.0 / 3.0))
-    raise ValueError(f"no analytic indices for family {fn.family!r}")
+    return _multiplicative_indices(np.full(k, 1.0 / 3.0))   # C2
 
 
 def indices_csv(fn: FunctionSpec) -> str:

@@ -92,6 +92,16 @@ class TestConvergenceExperiment:
         assert not errors and len([r for r in records if r.rep is not None]) == 2 * 2
         assert widths == [40, 40]
 
+    @pytest.mark.parametrize("name,n,message", [
+        ("lamboni", 1, "^design kind 'lamboni' requires n >= 2$"),
+        ("multimatrix", 0, "^design kind 'multimatrix' requires n >= 2$"),
+        ("saltenis_symmetric", 3, "^estimator 'saltenis_symmetric' uses n = 2$"),   # its design kind takes any n
+        ("owen", 2, "^estimator 'owen' uses n = 3$"),
+    ])
+    def test_estimator_n_rules(self, name, n, message):
+        with pytest.raises(ValueError, match=message):
+            EstimatorConfig(name, n=n)
+
     def test_repeated_estimator_rejected(self):
         with pytest.raises(ValueError, match="'multimatrix' with n = 3 is listed twice"):
             self._cfg(estimators=(EstimatorConfig("multimatrix", 3), EstimatorConfig("multimatrix", 3)))

@@ -195,6 +195,13 @@ class TestEstimate:
         assert code == 1
         assert capsys.readouterr().err == f"vbsa estimate: {name} must be >= 0\n"
 
+    def test_negative_repetition_refused_without_a_seed(self, tmp_path, capsys):
+        code = cli.run(["estimate", "--function", "A2", "--k", "6", "--design", "asymmetric", "--N", "8",
+                        "--rep", "-1", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "vbsa estimate: repetition must be >= 0\n"
+        assert not (tmp_path / "estimate.csv").exists()
+
 
 class TestDiscrepancy:
     def test_block_discrepancy(self, capsys):
@@ -322,7 +329,7 @@ class TestBench:
         code = cli.run(["bench", "--function", "C2", "--k", "2", "--estimators", "lamboni", "--n", n,
                         "--p-min", "4", "--p-max", "4", "--reps", "2", "--out-dir", str(tmp_path)])
         assert code == 1
-        assert "needs n >= 2" in capsys.readouterr().err
+        assert "requires n >= 2" in capsys.readouterr().err
         assert not (tmp_path / "convergence.csv").exists()
 
     @pytest.mark.parametrize("estimators,n", [("lamboni", "2,2"), ("saltenis,saltenis", "2")])

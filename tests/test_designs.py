@@ -187,7 +187,8 @@ class TestSegmentChunks:
             # 1 keeps a slot's base across chunks wherever a couple's hybrids follow their base;
             # 5 and k + 1 split couples' hybrids mid-run; `segments` is one chunk
             for per_chunk in sorted({1, 2, 5, k + 1, segments}):
-                chunks = _segment_chunks(spec, _array_rows(bases), per_chunk)
+                chunks = _segment_chunks(spec, _array_rows(bases), per_chunk, N, np.empty(k * per_chunk * N),
+                                         range(segments))
                 chunks = [(lo, r0, chunk.copy()) for lo, r0, chunk in chunks]
                 assert [(lo, r0) for lo, r0, _ in chunks] == [(lo, 0) for lo in range(0, segments, per_chunk)]
                 assert np.array_equal(np.concatenate([chunk for *_, chunk in chunks], axis=1), expected)
@@ -204,7 +205,8 @@ class TestSegmentChunks:
         for per_chunk in (1, 3):
             got = np.full_like(expected, np.nan)
             order = []
-            for lo, r0, chunk in _segment_chunks(spec, _array_rows(bases), per_chunk, rows):
+            storage, segments = np.empty(k * per_chunk * rows), range(expected.shape[1])
+            for lo, r0, chunk in _segment_chunks(spec, _array_rows(bases), per_chunk, rows, storage, segments):
                 assert chunk.shape[2] == min(rows, N - r0)
                 got[:, lo : lo + chunk.shape[1], r0 : r0 + chunk.shape[2]] = chunk
                 order.append((r0, lo))
@@ -213,18 +215,18 @@ class TestSegmentChunks:
 
     def test_one_write_per_run(self):
         # multimatrix n = 6: 6 bases and 30 couples, so 12 base runs and 30 donor runs over 186 segments
-        ((first, size, base_runs, donor_runs),) = _chunk_runs("multimatrix", 6, 6, 186)
+        ((first, size, base_runs, donor_runs),) = _chunk_runs("multimatrix", 6, 6, 186, range(186))
         assert (first, size, len(base_runs), len(donor_runs)) == (0, 186, 12, 30)
         # a chunk boundary inside a couple splits its run: A_B(1..4) then A_B(5..6); both slots of
         # the second chunk keep base A, so it writes no base run and first restores slot 1's column 1
-        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 6, 5)] == [
+        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 6, 5, range(7))] == [
             (((0, 5, 0),), ((1, 5, 0, 1, 0),)),
             ((), ((1, 2, 0, 0, 0), (0, 2, 0, 1, 4))),
         ]
 
     def test_slot_keeping_its_base_restores_then_writes_one_column(self):
         # one segment per chunk: A, then A_B(1..3) in the same slot
-        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 3, 1)] == [
+        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 3, 1, range(4))] == [
             (((0, 1, 0),), ()),
             ((), ((0, 1, 0, 1, 0),)),
             ((), ((0, 1, 0, 0, 0), (0, 1, 0, 1, 1))),
@@ -233,7 +235,7 @@ class TestSegmentChunks:
 
     def test_slot_changing_its_base_is_rewritten_whole(self):
         # owen, two segments per chunk: [A, B], [B_A(1), B_A(2)], [C_B(1), C_B(2)]
-        assert [runs[2:] for runs in _chunk_runs("owen", 3, 2, 2)] == [
+        assert [runs[2:] for runs in _chunk_runs("owen", 3, 2, 2, range(6))] == [
             (((0, 1, 0), (1, 2, 1)), ()),
             (((0, 1, 1),), ((0, 2, 1, 0, 0),)),   # slot 1 keeps B, which no donor touched
             (((0, 2, 2),), ((0, 2, 2, 1, 0),)),

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vbsa import designs, estimators, qmc, testfns
+from vbsa.adaptive import adaptive_run
 from vbsa.designs import (
     DESIGN_KINDS,
     DesignSpec,
@@ -587,6 +588,20 @@ class TestEntryPoint:
         spec = DesignSpec(kind="asymmetric", n=2, N=8, k=3)
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             estimate_total_effects(spec, fn=function_spec("A2", 3), seed=seed, repetition=repetition)
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_negative_repetition_refused_before_any_model_run(self, seed, monkeypatch):
+        # the row source checks it, so it holds without a seed too, where no permutation is drawn
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the repetition check"))
+        spec, fn = DesignSpec(kind="asymmetric", n=2, N=8, k=6), function_spec("A2", 6)
+        entries = [
+            lambda: estimate_total_effects(spec, fn=fn, seed=seed, repetition=-1),
+            lambda: sample_plan(spec, seed=seed, repetition=-1),
+            lambda: adaptive_run(fn, 8, seed=seed, repetition=-1, model=lambda points: pytest.fail("model run")),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match="^repetition must be >= 0$"):
+                entry()
 
 
 class TestStreamedEvaluation:

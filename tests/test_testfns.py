@@ -96,6 +96,31 @@ class TestFunctionSpec:
     def test_a3_ladder(self):
         assert function_spec("A3", 6).coefficients == A3_COEFFS
 
+    @pytest.mark.parametrize("family,k,message", [
+        ("G", 3, "^family 'G' requires an explicit coefficient vector$"),
+        ("A2", 7, "^A2 has default coefficients for k <= 6; pass an explicit coefficient vector$"),
+    ])
+    def test_missing_default_refused_at_construction(self, family, k, message):
+        with pytest.raises(ValueError, match=message):
+            FunctionSpec(family, k)
+
+    @pytest.mark.parametrize("family", ["A1", "B1", "B2", "C2"])
+    def test_coefficients_refused_outside_the_g_products(self, family):
+        # they would otherwise be ignored by evaluate and analytic_indices
+        with pytest.raises(ValueError, match=f"^family '{family}' takes no coefficient vector$"):
+            FunctionSpec(family, 2, a=(1.0, 2.0))
+        assert FunctionSpec(family, 2).coefficients is None
+
+    def test_coefficients_settled_at_construction(self):
+        assert FunctionSpec("B3", 2).coefficients == (6.42, 6.42)
+        assert FunctionSpec("C1", 3).coefficients == (0.0, 0.0, 0.0)
+        assert FunctionSpec("A2", 4, a=[1, 2, 3, 4]).coefficients == (1.0, 2.0, 3.0, 4.0)
+        # derived, so neither compared nor shown
+        assert FunctionSpec("A2", 3) == FunctionSpec("A2", 3) and hash(FunctionSpec("A2", 3)) == hash(FunctionSpec("A2", 3))
+        assert repr(FunctionSpec("A2", 3)) == "FunctionSpec(family='A2', k=3, a=None)"
+        with pytest.raises(TypeError):
+            FunctionSpec("G", 2, a=(1.0, 1.0), coefficients=(0.0, 0.0))
+
 
 def _qmc_total_indices(fn: FunctionSpec, p: int = 16) -> np.ndarray:
     """Independent sampling oracle: squared-difference total indices at 2^p."""
