@@ -10,12 +10,12 @@ staying inside the budget; the cost ledger records what was actually spent.
 
 The rows are those of the asymmetric plan :func:`vbsa.estimators.sample_plan`
 draws at ``N = 2**(p + 1)``, the most rows a factor can reach; only its
-2k-column pool is held.  The warm-up and every doubling run one block: the
-next rows of A and of each active factor's hybrid A_B(j), in ascending j,
-drawn by :func:`vbsa.designs._draw_rows` at the block's offset as views of
-that pool, go through the tiles of :func:`vbsa.designs._plan_outputs`, then a
-ledger entry follows; dropped factors' rows are never written.  Outputs and
-elementary effects fill arrays preallocated for those rows.
+2k-column pool is held (:func:`vbsa.qmc.sobol_rows`).  The warm-up and every
+doubling run one block: the next rows of A and of each active factor's hybrid
+A_B(j), in ascending j, drawn by :func:`vbsa.designs._draw_rows` at the
+block's offset, go through the tiles of :func:`vbsa.designs._plan_outputs`,
+then a ledger entry follows; dropped factors' rows are never written.  Outputs
+and elementary effects fill arrays preallocated for those rows.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def adaptive_run(
     budget = (k + 1) * 2**p
     # The last block can reach 2**(p+1) rows when enough factors were dropped.
     n_max = 2 ** (p + 1)
-    # Held, never read: while it lives, every block's _draw_rows rows are views of this one block (qmc.sobol_rows).
+    # Held, never read: every block's rows come from it (the held-block rule of qmc.sobol_rows).
     held = designs._draw_rows(DesignSpec("asymmetric", 2, n_max, k), seed, repetition)(0, n_max)
     model = model if model is not None else lambda points: testfns.evaluate(fn, points)
 
@@ -126,7 +126,7 @@ def adaptive_run(
         if spent + cost > budget:
             break
         lo, n_rows = n_rows, n_rows + new_rows
-        block = DesignSpec("asymmetric", 2, new_rows, k)   # rows lo .. n_rows - 1, a view of the held block
+        block = DesignSpec("asymmetric", 2, new_rows, k)   # rows lo .. n_rows - 1 of the held block
         y = designs._plan_outputs(block, designs._draw_rows(block, seed, repetition, lo), model, (0, *active))
         grown = [j - 1 for j in active]
         f_a[lo:n_rows] = y[0]

@@ -158,10 +158,10 @@ def _group_records(cfg: ExperimentConfig, analytic_total: np.ndarray, pool: np.n
 
     A cell's bases are the first N rows of its repetition's permuted pool.  Every pool column's row prefixes of the
     cells are stacked once per block (a lone cell's are a view of the pool); each repetition gathers only the n k
-    columns its permutation puts first, one contiguous row each, and evaluates one plan over them
-    (:func:`designs._plan_outputs`) whose segments write row by row: a cell's column range of the outputs is its own
-    plan's, and goes into its ``(repetitions, segments, N)`` stack.  A stack that raises is estimated again one
-    repetition at a time, so each error is that repetition's own and the others keep their records.
+    columns its permutation puts first, one contiguous row each: the F-ordered ``(N, n k)`` pool of one plan over
+    them (:func:`designs._plan_outputs`), whose segments write row by row.  A cell's column range of the outputs is
+    its own plan's, and goes into its ``(repetitions, segments, N)`` stack.  A stack that raises is estimated again
+    one repetition at a time, so each error is that repetition's own and the others keep their records.
     """
     specs = [spec for _, spec, _ in group]
     ends = np.cumsum([spec.N for spec in specs]).tolist()
@@ -170,7 +170,7 @@ def _group_records(cfg: ExperimentConfig, analytic_total: np.ndarray, pool: np.n
     stacks = [np.empty((len(reps), len(designs.plan_layout(s.kind, s.n, s.k)), s.N)) for s in specs]
     for i, rep in enumerate(reps):
         rows = prefixes[perms[rep].perm[: plan.n * plan.k]].T   # F-ordered like the pool: the columns the group reads
-        y = designs._plan_outputs(plan, lambda r0, r1: designs.pool_matrices(rows[r0:r1], plan.n, plan.k),
+        y = designs._plan_outputs(plan, lambda r0, r1: rows[r0:r1],
                                   lambda points: testfns.evaluate(cfg.function, points))
         for stack, end in zip(stacks, ends):
             stack[i] = y[:, end - stack.shape[-1] : end]
@@ -288,8 +288,8 @@ def adaptive_experiment(
     by block, so the plain design is the first 2**p rows of the adaptive one.  Both are
     reported against the budget ``(k + 1) 2**p``; the runs the adaptive one
     spent are in the ledger lines (:func:`vbsa.adaptive.ledger_csv_header`).
-    Each repetition draws its pool once, at the largest p's 2**(p + 1) rows, and holds it while all its p run, so
-    every design reads rows of that one block (:func:`qmc.sobol_rows`); the output keeps p_values' (p, rep) order.
+    Each repetition draws its pool once, at the largest p's 2**(p + 1) rows, and holds it while all its p run (the
+    held-block rule of :func:`qmc.sobol_rows`); the output keeps p_values' (p, rep) order.
     """
     _check_sweep(repetitions, p_values)
     for p in (min(p_values), max(p_values)):   # every p between passes when both ends do
@@ -301,9 +301,10 @@ def adaptive_experiment(
         held = designs._draw_rows(DesignSpec("asymmetric", 2, n_pool, fn.k), seed, rep)(0, n_pool)
         for p in p_values:
             spec = DesignSpec(kind="asymmetric", n=2, N=2**p, k=fn.k)
+            n_t = designs.design_metrics(spec).total_points
             plain = estimators.estimate_total_effects(spec, fn, seed, rep)
             adapted, ledger = adaptive_mod.adaptive_run(fn, p, seed=seed, repetition=rep)
-            cells[p, rep] = ([_rep_record(fn, name, p, spec, (fn.k + 1) * spec.N, rep, est.total, analytic_total)
+            cells[p, rep] = ([_rep_record(fn, name, p, spec, n_t, rep, est.total, analytic_total)
                               for name, est in (("saltenis", plain), ("adaptive", adapted))],
                              adaptive_mod.ledger_csv_rows(p, rep, ledger))
         del held   # released before the next repetition's block is drawn

@@ -123,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Splice ``--config`` key = value pairs in as ``--key value`` flags after the subcommand; explicit flags win."""
-    if "--config" not in argv:
+    """Splice ``--config[=]FILE`` key = value lines in as ``--key value`` flags after the subcommand; flags win."""
+    at = next((i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
+    argv = [*argv[:at], *argv[at].split("=", 1), *argv[at + 1 :]]
     if at + 1 >= len(argv):
         parser.error("--config needs a file path")
     path = Path(argv[at + 1])

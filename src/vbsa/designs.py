@@ -11,10 +11,11 @@ couples of segments differing only in factor j (:func:`factor_segments`, read
 by the estimators), and the cost metrics (:func:`design_metrics`).  Internal
 evaluation goes by cache-sized tiles of at most ``_TILE_VALUES`` values
 (rows x k): whole segments when they fit, else row ranges of one segment
-(:func:`_plan_outputs`).  Competing designs are compared through their economy
-``e = E_T / N_T`` (elementary effects per model run) and explorativity
-``chi = nN / N_T`` (fraction of non-repeated coordinates among all coordinates
-the design consumes).
+(:func:`_plan_outputs`), written from rows of one ``(N, n k)`` pool, base
+matrix m in columns m k .. m k + k - 1 (:func:`_chunk_runs`).  Competing
+designs are compared through their economy ``e = E_T / N_T`` (elementary
+effects per model run) and explorativity ``chi = nN / N_T`` (fraction of
+non-repeated coordinates among all coordinates the design consumes).
 """
 
 from __future__ import annotations
@@ -170,6 +171,9 @@ class DesignSpec:
     def __post_init__(self) -> None:
         if self.kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}; expected one of {PLAN_KINDS}")
+        for name in ("n", "N", "k"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.N < 1 or self.k < 1:
             raise ValueError("N and k must be >= 1")
         fixed_n = DESIGN_KINDS[self.kind].n
@@ -234,42 +238,33 @@ def pool_matrices(pool: np.ndarray, n: int, k: int) -> list[np.ndarray]:
 def _chunk_runs(kind: str, n: int, k: int, per_chunk: int, segments) -> tuple[tuple, ...]:
     """The writes of each chunk of ``per_chunk`` :func:`plan_layout` segments into one reused buffer.
 
-    The segments are those of the layout's indices ``segments``, in that order.
-    One ``(first, size, base_runs, donor_runs)`` per chunk, with segments
-    counted from the chunk's first.  A base run ``(a, b, m)`` is segments
-    a..b-1, which all start as base matrix m; a donor run ``(a, b, m, donor,
-    col)`` is hybrids of one couple in consecutive j, segment a + i taking column
-    col + i of ``donor`` (of m rotated up one row for :data:`SHIFT`).  A
-    buffer slot that holds the same base as in the previous chunk gets no
-    base run: a leading donor run with ``donor == m`` restores the column the
-    previous chunk's donor wrote there, so the slot takes two columns, not k.
+    The segments are those of the layout's indices ``segments``, in that order.  One ``(first, size, base_runs,
+    columns, shifted)`` per chunk, with segments counted from the chunk's first.  A base run ``(a, b, c)`` is
+    segments a..b-1, which all start as the base matrix in pool columns c .. c + k - 1.  ``columns`` is a pair of
+    index arrays: buffer rows ``j * per_chunk + s`` (factor column j of slot s), and the pool columns they take.
+    A slot with the same base as in the previous chunk gets no base run: its previous donor column is restored
+    from the base first, unless its new donor writes that column, so no buffer row appears twice; then come the
+    hybrids' donor columns.  ``shifted`` is the same for :data:`SHIFT` donors, read one row on.  Empty is None.
     """
 
-    def runs(keys) -> list[tuple]:
-        out, a = [], 0
-        for key, group in groupby(keys):
-            b = a + len(list(group))
-            if key is not None:
-                out.append((a, b, key))
-            a = b
-        return out
+    def table(entries):   # (slot s, pool matrix, j): buffer row (j - 1) * per_chunk + s takes its column j - 1
+        pairs = [((j - 1) * per_chunk + s, m * k + j - 1) for s, m, j in entries]
+        return tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)) or None
 
     layout = [plan_layout(kind, n, k)[s] for s in segments]
-    chunks, last = [], []   # (base, donor column or None) of each slot, as the previous chunk left it
-    for lo in range(0, len(layout), per_chunk):
-        part = layout[lo : lo + per_chunk]
-        now = [(m, None if donor is None else j - 1) for _, m, donor, j in part]
-        kept = [s < len(last) and last[s][0] == m for s, (m, _) in enumerate(now)]
-        base_runs = tuple(runs([None if keep else m for keep, (m, _) in zip(kept, now)]))
-        # a kept slot's restored column steps one per slot along a run, like a couple's donor columns
-        restores = runs([(m, last[s][1] - s) if kept[s] and last[s][1] is not None else None
-                         for s, (m, _) in enumerate(now)])
-        # a couple's hybrids are in ascending j, so a run is the slots where j steps one per slot
-        hybrids = runs([None if donor is None else (m, donor, j - s) for s, (_, m, donor, j) in enumerate(part)])
-        donor_runs = tuple([(a, b, m, m, a + shift) for a, b, (m, shift) in restores]
-                           + [(a, b, m, donor, part[a][3] - 1) for a, b, (m, donor, _) in hybrids])
-        chunks.append((lo, len(part), base_runs, donor_runs))
-        last = now
+    chunks, last = [], []   # the previous chunk's segments, slot by slot
+    for first in range(0, len(layout), per_chunk):
+        part = layout[first : first + per_chunk]
+        kept = [s < len(last) and last[s][1] == m for s, (_, m, *_) in enumerate(part)]
+        runs = [list(g) for _, g in groupby(range(len(part)), key=lambda s: None if kept[s] else part[s][1])]
+        base_runs = tuple((g[0], g[-1] + 1, part[g[0]][1] * k) for g in runs if not kept[g[0]])
+        # a base has j = 0, so a kept slot's restore is dropped when its new hybrid writes the same column
+        restores = [(s, m, j) for s, (_, m, _, j) in enumerate(last[: len(part)])
+                    if kept[s] and j not in (0, part[s][3])]
+        columns = table(restores + [(s, q, j) for s, (_, _, q, j) in enumerate(part) if q not in (None, SHIFT)])
+        shifted = table([(s, m, j) for s, (_, m, q, j) in enumerate(part) if q == SHIFT])
+        chunks.append((first, len(part), base_runs, columns, shifted))
+        last = part
     return tuple(chunks)
 
 
@@ -280,40 +275,32 @@ def _segment_chunks(spec: DesignSpec, rows_of, per_chunk: int, rows: int, storag
     contiguous row, so ``chunk.reshape(k, -1).T`` is the chunk's ``(rows, k)`` points, Fortran-ordered.  Row
     ranges of ``rows`` go outer and chunks inner, so consecutive chunks hold the same rows; the first chunk of
     each range writes its bases in full.  The buffer is the caller's ``storage``, a float array of at least
-    k x per_chunk x rows values.  ``rows_of(r0, r1)`` gives rows r0 .. r1 - 1 of
-    the n bases, checked or generated: each range and its next row (row 0 after the last) for :data:`SHIFT`.  Each
-    run of segments sharing a base is one broadcast from the base, and each couple's run of hybrids writes its donor
-    columns through one strided diagonal view of the buffer, so the Python work per chunk is per run, not per segment;
-    a slot that keeps its base from the previous chunk only restores and rewrites donor columns (:func:`_chunk_runs`).
-    ``segments`` are the :func:`plan_layout` indices written, at most ``per_chunk`` to a chunk, ``first``
-    counting among them.
+    k x per_chunk x rows values.  ``rows_of(r0, r1)`` gives rows r0 .. r1 - 1 of the ``(N, n k)`` pool, checked
+    or generated: each range and its next row (row 0 after the last) for :data:`SHIFT`.  Each run of segments
+    sharing a base is one broadcast from the pool, and the donor and restored columns are one indexed copy per
+    table of :func:`_chunk_runs`, so the Python work per chunk is per run, not per segment.  ``segments`` are the
+    :func:`plan_layout` indices written, at most ``per_chunk`` to a chunk, ``first`` counting among them.
     """
-    N = spec.N
+    N, k = spec.N, spec.k
     for r0 in range(0, N, rows):
         h = min(rows, N - r0)
         wraps = r0 + h == N   # the SHIFT donor's last row is row 0
-        mats = None   # the previous range's rows are released before the next are drawn
-        mats = rows_of(r0, min(r0 + h + 1, N))
-        buffer = storage[: spec.k * per_chunk * h].reshape(spec.k, per_chunk, h)
-        col_stride, seg_stride, row_stride = buffer.strides
-        for lo, size, base_runs, donor_runs in _chunk_runs(spec.kind, spec.n, spec.k, per_chunk, segments):
+        pool = None   # the previous range's rows are released before the next are drawn
+        pool = rows_of(r0, min(r0 + h + 1, N)).T
+        buffer = storage[: k * per_chunk * h].reshape(k, per_chunk, h)
+        columns_of = buffer.reshape(k * per_chunk, h)   # row j * per_chunk + s: factor column j of slot s
+        for first, size, base_runs, columns, shifted in _chunk_runs(spec.kind, spec.n, k, per_chunk, segments):
             chunk = buffer[:, :size]
-            for a, b, m in base_runs:
-                chunk[:, a:b] = mats[m].T[:, None, :h]
-            for a, b, m, donor, col in donor_runs:
-                # element [i, r] is row r0 + r, column col + i of segment a + i
-                diag = np.ndarray(
-                    (b - a, h), buffer=buffer, offset=a * seg_stride + col * col_stride,
-                    strides=(seg_stride + col_stride, row_stride),
-                )
-                if donor == SHIFT:
-                    columns = mats[m].T[col : col + b - a]
-                    diag[:, : h - wraps] = columns[:, 1 : h + 1 - wraps]
-                    if wraps:
-                        diag[:, -1] = rows_of(0, 1)[m].T[col : col + b - a, 0]
-                else:
-                    diag[...] = mats[donor].T[col : col + b - a, :h]
-            yield lo, r0, chunk
+            for a, b, c in base_runs:
+                chunk[:, a:b] = pool[c : c + k, None, :h]
+            if columns is not None:
+                columns_of[columns[0]] = pool[columns[1], :h]
+            if shifted is not None:
+                at, cols = shifted
+                columns_of[at, : h - wraps] = pool[cols, 1 : h + 1 - wraps]
+                if wraps:
+                    columns_of[at, h - 1] = rows_of(0, 1)[0, cols]
+            yield first, r0, chunk
 
 
 def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> EvaluationPlan:
@@ -321,8 +308,8 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
 
     The :func:`plan_layout` segments: base matrices first (A, B, ...), then hybrids grouped by base matrix, donor
     and factor, so plans are reproducible row-for-row.  Each base matrix, the caller's or drawn by
-    :func:`vbsa.estimators.sample_plan`, must be (N, k) in [0, 1).  ``points`` is the read-only, Fortran-ordered
-    view of a new one-chunk buffer of the writer (:func:`_segment_chunks`): each factor's column is contiguous.
+    :func:`vbsa.estimators.sample_plan`, must be (N, k) in [0, 1); checked, they are copied into one pool.
+    ``points`` is the read-only, Fortran-ordered view of a new one-chunk buffer of the writer (:func:`_segment_chunks`).
     """
     if len(base_matrices) != spec.n:
         raise ValueError(f"design kind {spec.kind!r} needs {spec.n} base matrices, got {len(base_matrices)}")
@@ -332,8 +319,9 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
             raise ValueError(f"base matrix shape {vals.shape} does not match (N, k) = {(spec.N, spec.k)}")
         if not _in_unit_cube(vals):
             raise ValueError(f"base matrix {i} has coordinates outside [0, 1)")
-    rows_of = lambda r0, r1: [m[r0:r1] for m in mats]
+    pool = np.concatenate([m.T for m in mats]).T   # F-ordered, like a drawn pool
     size = len(plan_layout(spec.kind, spec.n, spec.k))
+    rows_of = lambda r0, r1: pool[r0:r1]
     ((_, _, points),) = _segment_chunks(spec, rows_of, size, spec.N, np.empty(spec.k * size * spec.N), range(size))
     points = points.reshape(spec.k, -1).T
     points.flags.writeable = False
@@ -341,9 +329,9 @@ def assemble_plan(spec: DesignSpec, base_matrices: list[np.ndarray]) -> Evaluati
 
 
 def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int, lo: int = 0):
-    """The row source of the seeded design: ``(r0, r1)`` to rows lo + r0 .. lo + r1 - 1 of its n bases, generated.
+    """The row source of the seeded design: ``(r0, r1)`` to rows lo + r0 .. lo + r1 - 1 of its pool, generated.
 
-    The bases are the n*k-column Sobol' pool, its columns permuted by ``(seed, repetition)`` unless ``seed`` is None
+    The pool is the n*k-column Sobol' block, its columns permuted by ``(seed, repetition)`` unless ``seed`` is None
     (:func:`pool_matrices`).  Blocks are nested, so the outputs of the plan at N followed row-wise by those at
     ``lo = N`` are the plan's at 2N; the cyclic design, whose last row wraps onto row 0, is refused at an offset.
     """
@@ -357,7 +345,7 @@ def _draw_rows(spec: DesignSpec, seed: int | None, repetition: int, lo: int = 0)
     if repetition < 0:   # draw_permutation's rule, kept without a seed too
         raise ValueError("repetition must be >= 0")
     perm = None if seed is None else draw_permutation(n_cols, seed, repetition)
-    return lambda r0, r1: pool_matrices(sobol_rows(n_cols, lo + r0, lo + r1, perm), spec.n, spec.k)
+    return lambda r0, r1: sobol_rows(n_cols, lo + r0, lo + r1, perm)
 
 
 _tiles = threading.local()   # .storage: this thread's tile buffer for _plan_outputs, grown only, at most _TILE_VALUES
@@ -372,7 +360,7 @@ def _plan_outputs(spec: DesignSpec, rows_of, model, segments: tuple[int, ...] | 
     outputs pass :func:`checked_vector`, so a wrong length, NaN or infinity raises at that tile, before the next.
     The tiles are written into one buffer per thread, kept from call to call, so a tile is valid only until the
     model returns; a model that evaluates a plan itself gets a buffer of its own for that.  Besides the outputs,
-    the call holds the buffer and one range's rows from the row source ``rows_of`` (:func:`_segment_chunks`).
+    the call holds the buffer and one range's pool rows from the row source ``rows_of`` (:func:`_segment_chunks`).
     Unchecked precondition: the rows are generated Sobol' points, from :func:`_draw_rows`, or the stacked row
     prefixes of a group of sweep cells, gathered from one repetition's pool by ``bench._group_records``.  Given
     ``segments``, :func:`plan_layout` indices, y holds theirs.
@@ -425,6 +413,8 @@ def reference_metrics(kind: str, k: int, n_t: int | None = None) -> DesignMetric
     """
     if kind not in REFERENCE_KINDS:
         raise ValueError(f"unknown reference design {kind!r}; expected one of {REFERENCE_KINDS}")
+    if k < 1 or (n_t is not None and n_t < 1):
+        raise ValueError(f"k and n_t must be >= 1, got k = {k}, n_t = {n_t}")
     if kind == "couples":
         nt = n_t if n_t is not None else 2
         et = nt // 2

@@ -316,7 +316,8 @@ def sample_plan(spec: DesignSpec, seed: int | None = None, repetition: int = 0) 
     holds every point, for external models; internal evaluation is tiled.
     It is :func:`designs.assemble_plan` over the drawn bases.
     """
-    return designs.assemble_plan(spec, designs._draw_rows(spec, seed, repetition)(0, spec.N))
+    pool = designs._draw_rows(spec, seed, repetition)(0, spec.N)
+    return designs.assemble_plan(spec, designs.pool_matrices(pool, spec.n, spec.k))
 
 
 def estimate_csv(estimate: TotalIndexEstimate) -> str:

@@ -15,7 +15,7 @@ range alone, and with a column permutation reads the direction vectors in
 permuted order, which gives the permuted rows without a copy.  The all-zeros
 origin point is skipped, so block ``i`` of size ``2**p`` holds sequence
 positions ``1 .. 2**p`` and every block is a prefix of the next larger one:
-points are read-only, and any rows inside a block still held are a view of it.
+points are read-only, and rows come from a held block as :func:`sobol_rows` states.
 The L2-star discrepancy is Warnock's exact formula, its pair term summed over
 the strict upper triangle in fixed-size row blocks.
 """
@@ -75,7 +75,10 @@ class ColumnPermutation:
     perm: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.perm, dtype=np.intp)
+        given = np.asarray(self.perm)
+        if given.size and given.dtype.kind not in "iu":
+            raise ValueError(f"column permutation must hold integers, got dtype {given.dtype}")
+        p = np.array(given, dtype=np.intp)
         if sorted(p.tolist()) != list(range(len(p))):
             raise ValueError("column permutation must be a bijection over 0..len-1")
         p.flags.writeable = False
@@ -125,7 +128,7 @@ def sobol_block(dim_count: int, p: int) -> SampleMatrix:
     """First ``2**p`` Sobol' points (origin skipped) in ``dim_count`` dimensions.
 
     Deterministic, and nested: the block for ``p`` is the leading slice of the
-    block for ``p + 1``.  Read-only, each column contiguous; a view while a larger one is held (:func:`sobol_rows`).
+    block for ``p + 1``.  Read-only, each column contiguous: the rows of :func:`sobol_rows`.
     A column-scrambled block is ``sobol_rows(dim_count, 0, 2**p, perm)``.
     """
     if p < 0:
@@ -144,10 +147,10 @@ def sobol_rows(dim_count: int, r0: int, r1: int, perm: ColumnPermutation | None 
     direction vectors: bit for bit ``permute_columns(sobol_block(dim_count, p).values, perm)[r0:r1]``.  Rows 0 up
     to a power of two (a whole block) are built in place by doubling; otherwise position ``c 2**a + t`` is position
     t XOR the direction vectors on the bits of ``(gray(c) << a) ^ ((c & 1) << (a - 1))``: one XOR of a prefix of
-    2**a positions (at most one tile) per aligned chunk of the range.  A generated whole block is remembered by a
-    weak reference keyed by ``dim_count`` and ``perm``'s values (a scramble parameter added later must join the
-    key): while a caller holds it, any rows of that key inside it are a view of it, the same bits by nesting.
-    Nothing is kept once the last holder drops it.
+    2**a positions (at most one tile) per aligned chunk of the range.  The held-block rule: a generated whole block
+    is remembered by a weak reference keyed by ``dim_count`` and ``perm``'s values (a scramble parameter added
+    later must join the key); while a caller holds it, any rows of that key inside it are a view of it, the same
+    bits by nesting.  Nothing is kept once the last holder drops it.
     """
     if dim_count < 1:
         raise ValueError("dim_count must be positive")

@@ -42,6 +42,8 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown function family {self.family!r}; expected one of {FAMILIES}")
+        if not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"factor count k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError("factor count k must be >= 1")
         coefficients = self.a

@@ -222,8 +222,8 @@ class TestGroupedCells:
             for p in cfg.p_values:
                 for e in cfg.estimators:
                     spec = specs[e, p]
-                    rows = pool_r[: spec.N]
-                    y = designs._plan_outputs(spec, lambda r0, r1: designs.pool_matrices(rows[r0:r1], spec.n, k),
+                    rows = pool_r[: spec.N, : spec.n * k]
+                    y = designs._plan_outputs(spec, lambda r0, r1: rows[r0:r1],
                                               lambda points: testfns.evaluate(fn, points))
                     try:
                         t_hats[e.name, e.n, p, rep] = estimators.run_estimator(spec, y).total

@@ -438,6 +438,20 @@ class TestConfigFile:
             cli.run(["--config", "/nonexistent.cfg", "metrics", "--k", "6", "--budget", "500"])
         assert exc.value.code == 2
 
+    def test_config_given_with_equals_applies_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("p_min = 3\np_max = 4\nreps = 2\n")
+        code = cli.run([f"--config={cfg}", "bench", "--function", "A2", "--k", "6", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert "p = 3..4, 2 repetitions" in capsys.readouterr().out
+
+    def test_missing_config_file_given_with_equals_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        with pytest.raises(SystemExit) as exc:
+            cli.run([f"--config={missing}", "metrics", "--k", "6", "--budget", "500"])
+        assert exc.value.code == 2
+        assert f"config file {missing} does not exist" in capsys.readouterr().err
+
 
 class TestOutDirEnvVar:
     def test_env_default_used(self, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -154,8 +155,10 @@ class TestAssemblePlan:
 
 
 def _array_rows(bases: list[np.ndarray]):
-    """The row source over whole base matrices."""
-    return lambda r0, r1: [b[r0:r1] for b in bases]
+    """The row source over whole base matrices: rows of the pool they stack into, F-ordered when they are."""
+    pool = np.hstack(bases)
+    pool = np.asfortranarray(pool) if bases[0].flags.f_contiguous else pool
+    return lambda r0, r1: pool[r0:r1]
 
 
 def _per_segment_reference(spec: DesignSpec, bases: list[np.ndarray]) -> np.ndarray:
@@ -214,32 +217,69 @@ class TestSegmentChunks:
             assert np.array_equal(got, expected)
 
     def test_one_write_per_run(self):
-        # multimatrix n = 6: 6 bases and 30 couples, so 12 base runs and 30 donor runs over 186 segments
-        ((first, size, base_runs, donor_runs),) = _chunk_runs("multimatrix", 6, 6, 186, range(186))
-        assert (first, size, len(base_runs), len(donor_runs)) == (0, 186, 12, 30)
-        # a chunk boundary inside a couple splits its run: A_B(1..4) then A_B(5..6); both slots of
-        # the second chunk keep base A, so it writes no base run and first restores slot 1's column 1
-        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 6, 5, range(7))] == [
-            (((0, 5, 0),), ((1, 5, 0, 1, 0),)),
-            ((), ((1, 2, 0, 0, 0), (0, 2, 0, 1, 4))),
+        # multimatrix n = 6: 6 bases and 30 couples, so 12 base runs over 186 segments and the 180 hybrids'
+        # donor columns in one table
+        ((first, size, base_runs, columns, shifted),) = _chunk_runs("multimatrix", 6, 6, 186, range(186))
+        assert (first, size, len(base_runs), len(columns[0]), shifted) == (0, 186, 12, 180, None)
+        # a chunk boundary inside a couple: A_B(1..4) then A_B(5..6); both slots of the second chunk keep
+        # base A, so it writes no base run and first restores slot 1's column 1 (buffer row 0 * 5 + 1)
+        assert _tables("asymmetric", 2, 6, 5, range(7)) == [
+            (((0, 5, 0),), [(1, 6), (7, 7), (13, 8), (19, 9)], None),
+            ((), [(1, 0), (20, 10), (26, 11)], None),
         ]
 
     def test_slot_keeping_its_base_restores_then_writes_one_column(self):
         # one segment per chunk: A, then A_B(1..3) in the same slot
-        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 3, 1, range(4))] == [
-            (((0, 1, 0),), ()),
-            ((), ((0, 1, 0, 1, 0),)),
-            ((), ((0, 1, 0, 0, 0), (0, 1, 0, 1, 1))),
-            ((), ((0, 1, 0, 0, 1), (0, 1, 0, 1, 2))),
+        assert _tables("asymmetric", 2, 3, 1, range(4)) == [
+            (((0, 1, 0),), None, None),
+            ((), [(0, 3)], None),
+            ((), [(0, 0), (1, 4)], None),
+            ((), [(1, 1), (2, 5)], None),
         ]
 
     def test_slot_changing_its_base_is_rewritten_whole(self):
         # owen, two segments per chunk: [A, B], [B_A(1), B_A(2)], [C_B(1), C_B(2)]
-        assert [runs[2:] for runs in _chunk_runs("owen", 3, 2, 2, range(6))] == [
-            (((0, 1, 0), (1, 2, 1)), ()),
-            (((0, 1, 1),), ((0, 2, 1, 0, 0),)),   # slot 1 keeps B, which no donor touched
-            (((0, 2, 2),), ((0, 2, 2, 1, 0),)),
+        assert _tables("owen", 3, 2, 2, range(6)) == [
+            (((0, 1, 0), (1, 2, 2)), None, None),
+            (((0, 1, 2),), [(0, 0), (3, 1)], None),   # slot 1 keeps B, which no donor touched
+            (((0, 2, 4),), [(0, 2), (3, 3)], None),
         ]
+
+
+def _tables(kind: str, n: int, k: int, per_chunk: int, segments):
+    """Each chunk's base runs and the (buffer row, pool column) pairs of its ``columns`` and ``shifted`` tables."""
+    pairs = lambda table: None if table is None else list(zip(*(side.tolist() for side in table)))
+    return [(base_runs, pairs(columns), pairs(shifted))
+            for _, _, base_runs, columns, shifted in _chunk_runs(kind, n, k, per_chunk, segments)]
+
+
+class TestChunkTables:
+    """The writes of ``_chunk_runs``: numpy does not order repeated indices in an assignment, so none repeats."""
+
+    @pytest.mark.parametrize("kind,n", KIND_NS)
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_each_buffer_row_is_written_once_and_kept_bases_are_not_rewritten(self, kind, n, k):
+        layout = plan_layout(kind, n, k)
+        subsets = [range(len(layout))]
+        if kind == "asymmetric":   # the adaptive blocks: A and the active factors' hybrids
+            subsets += [(0, *active) for r in range(1, k + 1) for active in combinations(range(1, k + 1), r)]
+        for segments in subsets:
+            for per_chunk in sorted({1, 2, 5, k + 1, len(segments)}):
+                last = []   # the base of each slot after the previous chunk
+                for i, (base_runs, *tables) in enumerate(_tables(kind, n, k, per_chunk, segments)):
+                    part = [layout[s] for s in segments[i * per_chunk : (i + 1) * per_chunk]]
+                    for table in tables:
+                        if table is not None:
+                            assert len({row for row, _ in table}) == len(table)
+                    written = [pair for table in tables if table is not None for pair in table]
+                    for s, (_, m, donor, j) in enumerate(part):
+                        if donor is not None:   # the hybrid's donor column, once
+                            col = (m if donor == SHIFT else donor) * k + j - 1
+                            assert [c for row, c in written if row == (j - 1) * per_chunk + s] == [col]
+                    based = sorted((s, c) for a, b, c in base_runs for s in range(a, b))
+                    assert based == [(s, m * k) for s, (_, m, *_) in enumerate(part)
+                                     if not (s < len(last) and last[s] == m)]
+                    last = [m for _, m, *_ in part]
 
 
 class TestPlanOutputs:
@@ -389,9 +429,9 @@ class TestSegmentSubsets:
         assert subset.tobytes() == full[list(segments)].tobytes()
 
     def test_a_gap_in_j_breaks_a_donor_run(self):
-        # A, A_B(1), A_B(3), A_B(4) in one chunk: the donor columns are 0, then 2 and 3
-        assert [runs[2:] for runs in _chunk_runs("asymmetric", 2, 4, 4, (0, 1, 3, 4))] == [
-            (((0, 4, 0),), ((1, 2, 0, 1, 0), (2, 4, 0, 1, 2))),
+        # A, A_B(1), A_B(3), A_B(4) in one chunk: the donor columns are 0, then 2 and 3 of B
+        assert _tables("asymmetric", 2, 4, 4, (0, 1, 3, 4)) == [
+            (((0, 4, 0),), [(1, 4), (10, 6), (15, 7)], None),
         ]
 
 
@@ -432,7 +472,8 @@ class TestRowOffset:
         spec = DesignSpec("cyclic_single", 1, 8, 3)
         with pytest.raises(ValueError, match="cyclic_single design has no rows at an offset"):
             _draw_rows(spec, 1, 0, lo=8)
-        assert np.array_equal(_draw_rows(spec, 1, 0, lo=0)(0, 8)[0], sample_plan(spec, 1, 0).points[:8])
+        (base,) = pool_matrices(_draw_rows(spec, 1, 0, lo=0)(0, 8), 1, 3)
+        assert np.array_equal(base, sample_plan(spec, 1, 0).points[:8])
 
 
 class TestTileBuffer:
@@ -446,7 +487,8 @@ class TestTileBuffer:
 
     def test_plan_points_unchanged_by_later_tiles(self):
         spec = DesignSpec("owen", 3, 64, 4)
-        plans = [assemble_plan(spec, _draw_rows(spec, 1, 0)(0, spec.N)), sample_plan(spec, seed=1)]
+        bases = pool_matrices(_draw_rows(spec, 1, 0)(0, spec.N), spec.n, spec.k)
+        plans = [assemble_plan(spec, bases), sample_plan(spec, seed=1)]
         before = [plan.points.copy() for plan in plans]
         for seed in (2, 3):
             _plan_outputs(spec, _draw_rows(spec, seed, 0), lambda points: points[:, 0].copy())
@@ -498,6 +540,13 @@ class TestDesignSpecValidation:
     def test_fixed_matrix_counts(self, kind, n):
         with pytest.raises(ValueError, match="requires"):
             DesignSpec(kind=kind, n=n, N=4, k=2)
+
+    @pytest.mark.parametrize("field,counts,value", [("n", (2.0, 8, 3), 2.0), ("N", (2, 8.0, 3), 8.0),
+                                                    ("k", (2, 8, 3.0), 3.0)])
+    def test_non_integer_counts_rejected_by_name(self, field, counts, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            DesignSpec("asymmetric", *counts)
+        assert DesignSpec("asymmetric", *map(np.int64, (2, 8, 3))).N == 8
 
 
 # The paper's closed forms per kind: (N_T, E_T, chi) as functions of (n, N, k).
@@ -570,6 +619,11 @@ class TestDesignMetrics:
         assert long.explorativity == pytest.approx(1 / k, rel=1e-3)
         with pytest.raises(ValueError, match="reference"):
             reference_metrics("asymmetric", k)
+
+    @pytest.mark.parametrize("k,n_t", [(0, None), (-1, 4), (3, 0), (3, -4)])
+    def test_reference_designs_refuse_counts_below_one(self, k, n_t):
+        with pytest.raises(ValueError, match=f"^k and n_t must be >= 1, got k = {k}, n_t = {n_t}$"):
+            reference_metrics("couples", k, n_t=n_t)
 
 
 class TestBudgetTable:

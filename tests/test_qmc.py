@@ -294,6 +294,11 @@ class TestPermuteColumns:
         with pytest.raises(ValueError, match="bijection"):
             ColumnPermutation(np.array([0, 0, 2]))
 
+    def test_non_integer_values_rejected(self):
+        with pytest.raises(ValueError, match="^column permutation must hold integers, got dtype float64$"):
+            ColumnPermutation(np.array([0.7, 1.2]))
+        assert ColumnPermutation(np.array([1, 0], dtype=np.uint8)).perm.tolist() == [1, 0]
+
     @pytest.mark.parametrize("seed,repetition,name", [(-1, 0, "seed"), (3, -2, "repetition")])
     def test_negative_seed_or_repetition_named(self, seed, repetition, name):
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):

@@ -71,6 +71,11 @@ class TestFunctionSpec:
         with pytest.raises(ValueError, match="unknown"):
             FunctionSpec(family="Z9", k=2)
 
+    def test_non_integer_k_rejected(self):
+        with pytest.raises(ValueError, match="^factor count k must be an integer, got 3.0$"):
+            FunctionSpec("B1", 3.0)
+        assert FunctionSpec("B1", np.int64(3)).k == 3
+
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             FunctionSpec(family="G", k=2, a=(1.0, -0.5))
