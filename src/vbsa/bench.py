@@ -31,32 +31,29 @@ from . import designs, estimators, qmc, testfns
 from .designs import DesignMetrics, DesignSpec, reference_metrics
 from .testfns import FunctionSpec
 
-# Each estimator name with the design kind it runs on and its base-matrix
-# count: a fixed n, or None for any n >= 2.
+# Each estimator name with the design kind it runs on and its base-matrix count (a fixed n,
+# or None for any n >= 2): every kind's own estimator, then one fixing an n its kind leaves free.
 ESTIMATOR_DESIGNS: dict[str, tuple[str, int | None]] = {
-    "saltenis": ("asymmetric", 2),
+    **{rule.sweep_name: (kind, rule.n) for kind, rule in designs.DESIGN_KINDS.items()},
     "saltenis_symmetric": ("lamboni", 2),   # two-matrix symmetric squared differences
-    "glen_isaacs": ("symmetric2", 2),
-    "owen": ("owen", 3),
-    "multimatrix": ("multimatrix", None),
-    "lamboni": ("lamboni", None),
-    "cyclic": ("cyclic_single", 1),
 }
 ESTIMATOR_NAMES = tuple(ESTIMATOR_DESIGNS)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """One competing method: estimator name plus its base-matrix count."""
+    """One competing method: estimator name plus its base-matrix count (default: the fixed n, else 2)."""
 
     name: str
-    n: int = 2
+    n: int | None = None
 
     def __post_init__(self) -> None:
         if self.name not in ESTIMATOR_DESIGNS:
             raise ValueError(f"unknown estimator {self.name!r}; expected one of {ESTIMATOR_NAMES}")
         fixed_n = ESTIMATOR_DESIGNS[self.name][1]
-        if fixed_n is not None and self.n != fixed_n:   # saltenis_symmetric fixes an n its design kind leaves free
+        if self.n is None:
+            object.__setattr__(self, "n", fixed_n or 2)
+        elif fixed_n is not None and self.n != fixed_n:
             raise ValueError(f"estimator {self.name!r} uses n = {fixed_n}")
         self.design(1, 1)   # the design kind's own n rule
 

@@ -64,6 +64,7 @@ def _add_out_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vbsa",
+        allow_abbrev=False,   # --conf is no --config; subcommand flags still abbreviate
         description="Variance-based sensitivity analysis: total-effect estimators, "
                     "sampling designs and convergence benchmarks.",
     )
@@ -124,9 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Splice ``--config[=]FILE`` key = value lines in as ``--key value`` flags after the subcommand; flags win."""
-    at = next((i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")), None)
-    if at is None:
+    found = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
+    if not found:
         return argv
+    if len(found) > 1:
+        parser.error("--config may be given only once")
+    at = found[0]
     argv = [*argv[:at], *argv[at].split("=", 1), *argv[at + 1 :]]
     if at + 1 >= len(argv):
         parser.error("--config needs a file path")
@@ -151,14 +155,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     fn = _function_from_args(args)
-    configs: list[bench.EstimatorConfig] = []
-    for name in args.estimators:
-        fixed_n = bench.ESTIMATOR_DESIGNS[name][1]
-        configs.extend(bench.EstimatorConfig(name=name, n=n) for n in ([fixed_n] if fixed_n is not None else args.n))
-    cfg = bench.ExperimentConfig(
-        function=fn, estimators=tuple(configs),
-        p_min=args.p_min, p_max=args.p_max, repetitions=args.reps, seed=args.seed,
-    )
+    configs = tuple(bench.EstimatorConfig(name, n) for name in args.estimators   # a fixed n is the default
+                    for n in ((None,) if bench.ESTIMATOR_DESIGNS[name][1] else args.n))
+    cfg = bench.ExperimentConfig(function=fn, estimators=configs, p_min=args.p_min, p_max=args.p_max,
+                                 repetitions=args.reps, seed=args.seed)
     records, errors = bench.convergence_experiment(cfg, workers=args.workers)
     written = []
     if records:

@@ -78,17 +78,18 @@ class DesignKind:
     """The layout rule of one design kind.
 
     ``n`` is the fixed base-matrix count, or None for any n >= 2; then the
-    :mod:`vbsa.estimators` function named ``estimator`` also takes n.  A plan
-    holds the first ``bases`` base matrices (all n when None), then, for each
-    (base, donor) couple in ``couples`` (every ordered couple of distinct
-    matrices when None), the hybrids j = 1..k.  Each hybrid is paired with its
-    base matrix when the plan holds it; ``hybrid_pairs`` also pairs hybrids
-    sharing base and factor.  ``title`` names the kind in tables and plots
-    when it differs from the kind.
+    :mod:`vbsa.estimators` function named ``estimator`` (``sweep_name`` in
+    sweeps) also takes n.  A plan holds the first ``bases`` base matrices (all
+    n when None), then, for each (base, donor) couple in ``couples`` (every
+    ordered couple of distinct matrices when None), the hybrids j = 1..k.
+    Each hybrid is paired with its base matrix when the plan holds it;
+    ``hybrid_pairs`` also pairs hybrids sharing base and factor.  ``title``
+    names the kind in tables and plots when it differs from the kind.
     """
 
     n: int | None
     estimator: str
+    sweep_name: str
     bases: int | None = None
     couples: tuple[tuple[int, int], ...] | None = None
     hybrid_pairs: bool = False
@@ -103,12 +104,13 @@ class DesignKind:
 
 
 DESIGN_KINDS: dict[str, DesignKind] = {
-    "asymmetric": DesignKind(n=2, estimator="saltenis_T", bases=1, couples=((0, 1),)),
-    "symmetric2": DesignKind(n=2, estimator="glen_isaacs_d3_T", couples=((0, 1), (1, 0))),
-    "multimatrix": DesignKind(n=None, estimator="multimatrix_T", hybrid_pairs=True, title="symmetric"),
-    "owen": DesignKind(n=3, estimator="owen_T", bases=2, couples=((1, 0), (2, 1))),
-    "lamboni": DesignKind(n=None, estimator="lamboni_T"),
-    "cyclic_single": DesignKind(n=1, estimator="cyclic_single_matrix_T", couples=((0, SHIFT),)),
+    "asymmetric": DesignKind(n=2, estimator="saltenis_T", sweep_name="saltenis", bases=1, couples=((0, 1),)),
+    "symmetric2": DesignKind(n=2, estimator="glen_isaacs_d3_T", sweep_name="glen_isaacs"),
+    "multimatrix": DesignKind(n=None, estimator="multimatrix_T", sweep_name="multimatrix", hybrid_pairs=True,
+                              title="symmetric"),
+    "owen": DesignKind(n=3, estimator="owen_T", sweep_name="owen", bases=2, couples=((1, 0), (2, 1))),
+    "lamboni": DesignKind(n=None, estimator="lamboni_T", sweep_name="lamboni"),
+    "cyclic_single": DesignKind(n=1, estimator="cyclic_single_matrix_T", sweep_name="cyclic", couples=((0, SHIFT),)),
 }
 PLAN_KINDS = tuple(DESIGN_KINDS)
 

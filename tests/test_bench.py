@@ -6,6 +6,7 @@ import pytest
 from vbsa import adaptive, designs, estimators, qmc, testfns
 from vbsa.bench import (
     ESTIMATOR_DESIGNS,
+    ESTIMATOR_NAMES,
     CellError,
     ConvergenceRecord,
     EstimatorConfig,
@@ -56,6 +57,26 @@ class TestMatchedCost:
     def test_multimatrix_nearest_power_of_two(self):
         # n = 3, k = 6: cost 39 N; against 448 the best N is 8 (312 vs 624)
         assert matched_block_size(EstimatorConfig("multimatrix", n=3), 6, 448) == 8
+
+
+class TestEstimatorTable:
+    """The sweep's estimators come from the design table: each kind's own, then Lamboni's at n = 2."""
+
+    def test_every_estimator_is_read_from_design_kinds(self):
+        own = {rule.sweep_name: kind for kind, rule in designs.DESIGN_KINDS.items()}
+        assert all(ESTIMATOR_DESIGNS[name] == (kind, designs.DESIGN_KINDS[kind].n) for name, kind in own.items())
+        assert ESTIMATOR_DESIGNS["saltenis_symmetric"] == ("lamboni", 2)
+        assert set(ESTIMATOR_NAMES) - set(own) == {"saltenis_symmetric"}
+        function_of = {name: designs.DESIGN_KINDS[kind].estimator for name, kind in own.items()}
+        function_of["saltenis_symmetric"] = "lamboni_T"
+        for name in ESTIMATOR_NAMES:
+            spec = EstimatorConfig(name).design(32, 3)
+            assert isinstance(spec, DesignSpec)
+            assert designs.DESIGN_KINDS[spec.kind].estimator == function_of[name]
+        assert {name: EstimatorConfig(name).n for name in ESTIMATOR_NAMES} == {
+            "saltenis": 2, "glen_isaacs": 2, "multimatrix": 2, "owen": 3, "lamboni": 2, "cyclic": 1,
+            "saltenis_symmetric": 2,
+        }
 
 
 class TestConvergenceExperiment:

@@ -452,6 +452,28 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert f"config file {missing} does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("equals", [False, True])
+    def test_abbreviated_config_flag_refused_before_any_work(self, tmp_path, equals):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("k = 6\nbudget = 500\n")
+        flag = [f"--conf={cfg}"] if equals else ["--conf", str(cfg)]
+        with pytest.raises(SystemExit) as exc:   # the file would go unread: no abbreviation of --config
+            cli.run([*flag, "metrics", "--k", "6", "--budget", "500", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("before_command", [True, False])
+    def test_repeated_config_refused(self, tmp_path, capsys, before_command):
+        (tmp_path / "k.cfg").write_text("k = 6\n")
+        (tmp_path / "b.cfg").write_text("budget = 500\n")
+        configs, out = ["--config", str(tmp_path / "k.cfg"), "--config", str(tmp_path / "b.cfg")], tmp_path / "out"
+        argv = [*configs, "metrics"] if before_command else ["metrics", *configs]
+        with pytest.raises(SystemExit) as exc:
+            cli.run([*argv, "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "--config may be given only once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutDirEnvVar:
     def test_env_default_used(self, tmp_path, monkeypatch, capsys):
