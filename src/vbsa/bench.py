@@ -1,4 +1,4 @@
-"""Convergence benchmarking: scrambled repetitions, matched costs, MAE, exports.
+"""Convergence benchmarking: scrambled repetitions, matched costs, MAE, CSV and SVG text.
 
 The protocol: every repetition draws one column permutation of the Sobol'
 pool (shared by all estimators in that repetition, the fairest comparison),
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -311,7 +310,7 @@ def adaptive_experiment(
 
 
 # ---------------------------------------------------------------------------
-# exporters
+# renderers: CSV and SVG text, which the CLI writes to files
 # ---------------------------------------------------------------------------
 
 
@@ -473,35 +472,6 @@ def design_scatter_svg(rows: list[DesignMetrics], k: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def export(
-    records: list[ConvergenceRecord],
-    out_dir: str | Path,
-    fmt: str = "both",
-    basename: str = "convergence",
-    title: str = "",
-) -> list[Path]:
-    """Write benchmark records as CSV and/or an SVG MAE-vs-cost plot."""
-    if not records:
-        raise ValueError("no records to export")
-    if fmt not in ("csv", "svg", "both"):
-        raise ValueError(f"unknown export format {fmt!r}")
-    written = []
-    if fmt in ("csv", "both"):
-        written.append(_write(out_dir, f"{basename}.csv", records_csv(records)))
-    if fmt in ("svg", "both"):
-        written.append(_write(out_dir, f"{basename}.svg", mae_plot_svg(records, title=title)))
-    return written
-
-
-def _write(out_dir: str | Path, name: str, text: str) -> Path:
-    """Write ``text`` to ``out_dir/name``, making the directory first; return the path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text)
-    return path
-
-
 def errors_csv(errors: list[CellError]) -> str:
     lines = ["estimator,n,p,rep,message"]
     for e in errors:
@@ -521,7 +491,6 @@ __all__ = [
     "convergence_experiment",
     "design_scatter_svg",
     "errors_csv",
-    "export",
     "mae",
     "mae_plot_svg",
     "matched_block_size",

@@ -5,8 +5,9 @@ estimate), ``metrics`` (design budget table and explorativity/economy scatter),
 ``discrepancy`` (L2-star discrepancy of point sets), ``analytic-index`` (exact
 S/T tables) and ``adaptive`` (budget-reallocation experiment).  Any flag can
 also be supplied through ``--config FILE`` holding flat ``key = value`` lines
-keyed by flag name; explicit flags override the file.  The default output
-directory comes from ``VBSA_OUT_DIR`` when set.
+keyed by flag name; explicit flags override the file.  Each subcommand renders
+its files as text and :func:`run` alone writes them, into ``--out-dir``, whose
+default comes from ``VBSA_OUT_DIR`` when set.
 """
 
 from __future__ import annotations
@@ -135,10 +136,14 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if at + 1 >= len(argv):
         parser.error("--config needs a file path")
     path = Path(argv[at + 1])
-    if not path.exists():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
         parser.error(f"config file {path} does not exist")
+    except (OSError, UnicodeDecodeError) as exc:   # a directory, no read permission, bytes that are not UTF-8
+        parser.error(f"config file {path} cannot be read: {getattr(exc, 'strerror', None) or exc}")
     flags = []
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -153,61 +158,60 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     return rest[:pos] + flags + rest[pos:]
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _records_files(records: list[bench.ConvergenceRecord], fmt: str, basename: str, title: str) -> dict[str, str]:
+    """The files ``--format`` asks for: ``basename.csv`` and/or the MAE plot ``basename.svg``."""
+    files = {}
+    if fmt in ("csv", "both"):
+        files[f"{basename}.csv"] = bench.records_csv(records)
+    if fmt in ("svg", "both"):
+        files[f"{basename}.svg"] = bench.mae_plot_svg(records, title=title)
+    return files
+
+
+def _cmd_bench(args: argparse.Namespace) -> tuple[int, dict[str, str]]:
     fn = _function_from_args(args)
     configs = tuple(bench.EstimatorConfig(name, n) for name in args.estimators   # a fixed n is the default
                     for n in ((None,) if bench.ESTIMATOR_DESIGNS[name][1] else args.n))
     cfg = bench.ExperimentConfig(function=fn, estimators=configs, p_min=args.p_min, p_max=args.p_max,
                                  repetitions=args.reps, seed=args.seed)
     records, errors = bench.convergence_experiment(cfg, workers=args.workers)
-    written = []
-    if records:
-        written = bench.export(records, args.out_dir, fmt=args.format,
-                               title=f"{fn.family}, k={fn.k}, {args.reps} repetitions")
+    files = _records_files(records, args.format, "convergence",
+                           f"{fn.family}, k={fn.k}, {args.reps} repetitions") if records else {}
     if errors:
-        written.append(bench._write(args.out_dir, "errors.csv", bench.errors_csv(errors)))
+        files["errors.csv"] = bench.errors_csv(errors)
     print(f"benchmarked {fn.family} (k={fn.k}) with {len(configs)} estimator(s), "
           f"p = {args.p_min}..{args.p_max}, {args.reps} repetitions")
     for r in records:
         if r.rep is None:
             print(f"  {r.estimator}(n={r.n}) p={r.p} N_T={r.n_t}: MAE = {r.mae:.6g}")
-    for path in written:
-        print(f"wrote {path}")
     if errors:
         print(f"{len(errors)} cell(s) errored; see errors.csv", file=sys.stderr)
-        return EXIT_CELL_ERRORS
-    return EXIT_OK
+    return (EXIT_CELL_ERRORS if errors else EXIT_OK), files
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> tuple[int, dict[str, str]]:
     fn = _function_from_args(args)
     n = args.n if args.n is not None else designs.DESIGN_KINDS[args.design].n or 2
     spec = designs.DesignSpec(kind=args.design, n=n, N=args.N, k=args.k)
     result = estimators.estimate_total_effects(spec, fn=fn, seed=args.seed, repetition=args.rep)
     csv_text = estimators.estimate_csv(result)
-    path = bench._write(args.out_dir, "estimate.csv", csv_text)
     print(csv_text, end="")
     print(f"V_hat = {result.variance!r}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"estimate.csv": csv_text}
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> tuple[int, dict[str, str]]:
     if args.k < 1 or args.budget <= args.k:   # before any design or discrepancy work
         print("metrics: --k must be >= 1" if args.k < 1 else f"metrics: --budget {args.budget} is below the minimal "
               f"design cost {args.k + 1} at --k {args.k}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, {}
     rows = designs.budget_table(args.k, args.budget)
-    csv_text = designs.budget_table_csv(rows)
-    table_path = bench._write(args.out_dir, "budget_table.csv", csv_text)
-    scatter_path = bench._write(args.out_dir, "design_scatter.svg", bench.design_scatter_svg(rows, args.k))
+    csv_text, svg_text = designs.budget_table_csv(rows), bench.design_scatter_svg(rows, args.k)
     print(csv_text, end="")
-    print(f"wrote {table_path}")
-    print(f"wrote {scatter_path}")
-    return EXIT_OK
+    return EXIT_OK, {"budget_table.csv": csv_text, "design_scatter.svg": svg_text}
 
 
-def _cmd_discrepancy(args: argparse.Namespace) -> int:
+def _cmd_discrepancy(args: argparse.Namespace) -> tuple[int, dict[str, str]]:
     if args.csv is not None:
         with warnings.catch_warnings():   # an empty file fails in the discrepancy check instead
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -227,38 +231,30 @@ def _cmd_discrepancy(args: argparse.Namespace) -> int:
                    if args.dims * args.pool > qmc._MAX_DIM else None)
         if problem:
             print(f"discrepancy: {problem}", file=sys.stderr)
-            return EXIT_USAGE
+            return EXIT_USAGE, {}
         pool = qmc.sobol_rows(args.dims * args.pool, 0, 2**args.p)
         pts = np.vstack(designs.pool_matrices(pool, args.pool, args.dims))
     d = qmc.l2_star_discrepancy(pts)
     print(f"points = {pts.shape[0]}, dims = {pts.shape[1]}, L2-star discrepancy = {d!r}")
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_analytic_index(args: argparse.Namespace) -> int:
+def _cmd_analytic_index(args: argparse.Namespace) -> tuple[int, dict[str, str]]:
     fn = _function_from_args(args)
     csv_text = testfns.indices_csv(fn)
     print(csv_text, end="")
-    if args.out_dir is not None:
-        print(f"wrote {bench._write(args.out_dir, 'analytic_indices.csv', csv_text)}")
-    return EXIT_OK
+    return EXIT_OK, {} if args.out_dir is None else {"analytic_indices.csv": csv_text}
 
 
-def _cmd_adaptive(args: argparse.Namespace) -> int:
+def _cmd_adaptive(args: argparse.Namespace) -> tuple[int, dict[str, str]]:
     fn = _function_from_args(args)
-    records, ledger_lines = bench.adaptive_experiment(
-        fn, range(args.p_min, args.p_max + 1), args.reps, args.seed
-    )
-    written = bench.export(records, args.out_dir, fmt=args.format, basename="adaptive_convergence",
-                           title=f"adaptive vs plain, {fn.family}, k={fn.k}")
-    ledger = adaptive.ledger_csv_header() + "\n" + "\n".join(ledger_lines) + "\n"
-    written.append(bench._write(args.out_dir, "adaptive_ledger.csv", ledger))
+    records, ledger_lines = bench.adaptive_experiment(fn, range(args.p_min, args.p_max + 1), args.reps, args.seed)
+    files = _records_files(records, args.format, "adaptive_convergence", f"adaptive vs plain, {fn.family}, k={fn.k}")
+    files["adaptive_ledger.csv"] = adaptive.ledger_csv_header() + "\n" + "\n".join(ledger_lines) + "\n"
     for r in records:
         if r.rep is None:
             print(f"  {r.estimator} p={r.p} budget={r.n_t}: MAE = {r.mae:.6g}")
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
 _COMMANDS = {
@@ -277,7 +273,14 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_apply_config_file(parser, argv))
     try:
-        return _COMMANDS[args.command](args)
+        code, files = _COMMANDS[args.command](args)
+        if files:   # every file a command renders is written here, in order, once all are rendered
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = Path(args.out_dir) / name
+            path.write_text(text)
+            print(f"wrote {path}")
+        return code
     except (ValueError, OSError) as exc:   # EstimationError is a ValueError
         print(f"vbsa {args.command}: {exc}", file=sys.stderr)
         return EXIT_FAILURE

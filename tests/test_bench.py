@@ -1,4 +1,4 @@
-"""Benchmark harness tests: MAE, record bookkeeping, cost matching, exports."""
+"""Benchmark harness tests: MAE, record bookkeeping, cost matching, CSV and SVG text."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from vbsa.bench import (
     convergence_experiment,
     design_scatter_svg,
     errors_csv,
-    export,
     mae,
     mae_plot_svg,
     matched_block_size,
@@ -118,10 +117,15 @@ class TestConvergenceExperiment:
         ("multimatrix", 0, "^design kind 'multimatrix' requires n >= 2$"),
         ("saltenis_symmetric", 3, "^estimator 'saltenis_symmetric' uses n = 2$"),   # its design kind takes any n
         ("owen", 2, "^estimator 'owen' uses n = 3$"),
+        ("bogus", None, "^unknown estimator 'bogus'; expected one of "),
     ])
     def test_estimator_n_rules(self, name, n, message):
         with pytest.raises(ValueError, match=message):
             EstimatorConfig(name, n=n)
+
+    def test_empty_roster_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one estimator$"):
+            self._cfg(estimators=())
 
     def test_repeated_estimator_rejected(self):
         with pytest.raises(ValueError, match="'multimatrix' with n = 3 is listed twice"):
@@ -434,23 +438,12 @@ class TestExport:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError, match="no records"):
             records_csv([])
-        with pytest.raises(ValueError, match="no records"):
-            export([], ".")
 
     def test_svg_has_one_polyline_per_series_and_legend(self):
         svg = mae_plot_svg(self._records())
         assert svg.count("<polyline") == 2
         assert "saltenis" in svg and "glen_isaacs" in svg
         assert "MAE" in svg and "N_T" in svg
-
-    def test_export_writes_requested_formats(self, tmp_path):
-        paths = export(self._records(), tmp_path, fmt="both", basename="out")
-        assert sorted(p.name for p in paths) == ["out.csv", "out.svg"]
-        assert (tmp_path / "out.csv").read_text().startswith("function,estimator")
-
-    def test_bad_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            export(self._records(), tmp_path, fmt="png")
 
     def test_design_scatter_contains_reference_designs(self):
         svg = design_scatter_svg(budget_table(6, 500), 6)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vbsa import cli, designs, testfns
+from vbsa import bench, cli, designs, testfns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -462,6 +462,32 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("config,argv,message", [
+        (None, ["metrics", "--out-dir", "{out}", "--config"], "--config needs a file path"),
+        ("k = 6\nbudget 500\n", ["--config", "{cfg}", "metrics", "--out-dir", "{out}"],
+         "{cfg}:2: expected 'key = value', got 'budget 500'"),
+        ("k = 6\n", ["--config", "{cfg}"], "--config requires a subcommand"),
+        ("directory", ["--config", "{cfg}", "metrics", "--out-dir", "{out}"],
+         "config file {cfg} cannot be read: Is a directory"),
+        (b"\xff\xfek = 6\n", ["--config", "{cfg}", "metrics", "--out-dir", "{out}"],
+         "config file {cfg} cannot be read: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["no-path", "line-without-equals", "no-subcommand", "directory", "not-utf-8"])
+    def test_unusable_config_is_a_usage_error(self, tmp_path, capsys, monkeypatch, config, argv, message):
+        monkeypatch.setattr(designs, "budget_table", lambda k, target: pytest.fail("work before the config check"))
+        paths = {"cfg": tmp_path / "run.cfg", "out": tmp_path / "out"}
+        if config == "directory":
+            paths["cfg"].mkdir()
+        elif isinstance(config, bytes):
+            paths["cfg"].write_bytes(config)
+        elif config is not None:
+            paths["cfg"].write_text(config)
+        with pytest.raises(SystemExit) as exc:
+            cli.run([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"vbsa: error: {message.format(**paths)}" and "Traceback" not in err
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize("before_command", [True, False])
     def test_repeated_config_refused(self, tmp_path, capsys, before_command):
         (tmp_path / "k.cfg").write_text("k = 6\n")
@@ -472,6 +498,64 @@ class TestConfigFile:
             cli.run([*argv, "--out-dir", str(out)])
         assert exc.value.code == 2
         assert "--config may be given only once" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputFiles:
+    """``cli.run`` writes every file a subcommand renders, in order, and reports each by a ``wrote`` line."""
+
+    BENCH = ["bench", "--function", "A2", "--k", "3", "--p-max", "3", "--reps", "2", "--seed", "1"]
+    ADAPTIVE = ["adaptive", "--function", "A2", "--k", "3", "--p-min", "3", "--p-max", "4", "--reps", "2"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "both"])
+    @pytest.mark.parametrize("argv,basename,extra", [
+        (BENCH + ["--p-min", "2"], "convergence", []),
+        (BENCH + ["--p-min", "0"], "convergence", ["errors.csv"]),   # the p = 0 cells have N = 1 and error
+        (ADAPTIVE, "adaptive_convergence", ["adaptive_ledger.csv"]),
+    ], ids=["bench", "bench-cell-errors", "adaptive"])
+    def test_format_chooses_the_files(self, tmp_path, capsys, fmt, argv, basename, extra):
+        out = tmp_path / "out"
+        code = cli.run([*argv, "--format", fmt, "--out-dir", str(out)])
+        assert code == (cli.EXIT_CELL_ERRORS if "errors.csv" in extra else cli.EXIT_OK)
+        names = [f"{basename}.{ext}" for ext in ("csv", "svg") if fmt in (ext, "both")] + extra
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / name}" for name in names]
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--function", "A2", "--k", "3", "--design", "owen", "--N", "16"],
+        ["metrics", "--k", "4", "--budget", "200"],
+        ["analytic-index", "--function", "C1", "--k", "2"],
+    ], ids=["estimate", "metrics", "analytic-index"])
+    def test_wrote_lines_name_exactly_the_files_written(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.run([*argv, "--out-dir", str(out)]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+        assert lines[-len(wrote):] == [f"wrote {path}" for path in wrote]   # after every content line
+        assert wrote and sorted(wrote) == sorted(str(path) for path in out.iterdir())
+
+    @pytest.mark.parametrize("command", ["bench", "adaptive"])
+    def test_unknown_format_refused_before_any_model_run(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run with a bad --format"))
+        out = tmp_path / "out"
+        argv = self.BENCH + ["--p-min", "2"] if command == "bench" else self.ADAPTIVE
+        with pytest.raises(SystemExit) as exc:
+            cli.run([*argv, "--format", "png", "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice: 'png'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_refused_plot_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # every file is rendered before the first is written: the CSV is not left without its plot
+        def refuse(records, title=""):
+            raise ValueError("no aggregate records to plot")
+        monkeypatch.setattr(bench, "mae_plot_svg", refuse)
+        out = tmp_path / "out"
+        assert cli.run([*self.BENCH, "--p-min", "2", "--out-dir", str(out)]) == cli.EXIT_FAILURE
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        assert captured.err == "vbsa bench: no aggregate records to plot\n"
         assert not out.exists()
 
 

@@ -153,6 +153,13 @@ class TestAssemblePlan:
         assert set(split) == {"A", hybrid_label("A", "B", 1), hybrid_label("A", "B", 2)}
         assert split["A"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("rows", [11, 13])
+    def test_split_outputs_wrong_length_rejected(self, rows):
+        spec = DesignSpec(kind="asymmetric", n=2, N=4, k=2)
+        plan = assemble_plan(spec, _random_bases(spec))
+        with pytest.raises(ValueError, match=rf"^output vector length \({rows},\) does not match plan size 12$"):
+            plan.split_outputs(np.zeros(rows))
+
 
 def _array_rows(bases: list[np.ndarray]):
     """The row source over whole base matrices: rows of the pool they stack into, F-ordered when they are."""
@@ -547,6 +554,11 @@ class TestDesignSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
             DesignSpec("asymmetric", *counts)
         assert DesignSpec("asymmetric", *map(np.int64, (2, 8, 3))).N == 8
+
+    @pytest.mark.parametrize("N,k", [(0, 2), (-4, 2), (4, 0), (4, -1)])
+    def test_counts_below_one_rejected(self, N, k):
+        with pytest.raises(ValueError, match="^N and k must be >= 1$"):
+            DesignSpec("asymmetric", 2, N, k)
 
 
 # The paper's closed forms per kind: (N_T, E_T, chi) as functions of (n, N, k).

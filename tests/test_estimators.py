@@ -366,6 +366,14 @@ class TestMultimatrix:
         assert est.effects_used.tolist() == [36, 36]  # n^2 (n-1) / 2 * N = 9 * 4
 
 
+@pytest.mark.parametrize("runner", [multimatrix_T, lamboni_T])
+def test_direct_call_with_one_base_matrix_rejected(runner):
+    # the design's own n >= 2 check is bypassed by a direct call; the estimator refuses n = 1 itself
+    kind = runner.__name__.removesuffix("_T")
+    with pytest.raises(EstimationError, match=f"^{kind} estimator needs n >= 2 base matrices$"):
+        runner({"A": np.array([0.1, 0.2])}, 2, 1)
+
+
 class TestCyclic:
     def test_null_factor_exact_zero(self):
         spec = DesignSpec(kind="cyclic_single", n=1, N=8, k=2)
@@ -582,6 +590,11 @@ class TestEntryPoint:
         with pytest.raises(ValueError, match=re.escape("N must be a power of two up to 2**24")):
             estimate_total_effects(DesignSpec("asymmetric", 2, 2**25, 1), fn=function_spec("A2", 1))
         assert rows == []
+
+    def test_function_dimension_mismatch_rejected(self, monkeypatch):
+        monkeypatch.setattr(testfns, "evaluate", lambda fn, points: pytest.fail("model run before the k check"))
+        with pytest.raises(ValueError, match="^function dimension 2 does not match design k = 3$"):
+            estimate_total_effects(DesignSpec("asymmetric", 2, 8, 3), fn=function_spec("A2", 2))
 
     @pytest.mark.parametrize("seed,repetition,name", [(-1, 0, "seed"), (1, -1, "repetition")])
     def test_negative_seed_or_repetition_named(self, seed, repetition, name):

@@ -453,6 +453,12 @@ class TestL2StarDiscrepancy:
         assert l2_star_discrepancy(sobol_block(3, 5)) > 0.0
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+def test_sample_matrix_rejects_other_than_two_dimensions(shape):
+    with pytest.raises(ValueError, match="^sample matrix must be two-dimensional$"):
+        SampleMatrix(values=np.full(shape, 0.5))
+
+
 def test_sample_matrix_rejects_out_of_range_values():
     for bad in (1.0, np.nan):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):

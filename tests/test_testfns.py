@@ -76,6 +76,11 @@ class TestFunctionSpec:
             FunctionSpec("B1", 3.0)
         assert FunctionSpec("B1", np.int64(3)).k == 3
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="^factor count k must be >= 1$"):
+            FunctionSpec("B1", k)
+
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             FunctionSpec(family="G", k=2, a=(1.0, -0.5))
